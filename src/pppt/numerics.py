@@ -2,9 +2,10 @@
 
 Thin wrappers with hard numerical contracts.  Adaptive Gauss-Kronrod
 quadrature and Brent's bracketed root finder come from scipy; semi-infinite
-ranges are mapped onto [0, 1) with u = (x - a) / (1 + x - a) before the
-adaptive rule is applied.  The unimodal maximizer is a plain golden-section
-search.  All functions here are pure and safe to call from any thread.
+ranges are mapped onto [0, 1) with u = (x - a) / (1 + x - a) and split at
+u = 1/2 before the adaptive rule is applied.  The unimodal maximizer is a
+plain golden-section search.  All functions here are pure and safe to call
+from any thread.
 """
 from __future__ import annotations
 
@@ -99,7 +100,11 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> floa
     The estimated error is kept below max(abs_tol, rel_tol * |I|).  The
     integrand may have an integrable endpoint singularity.  Semi-infinite
     ranges are transformed with u = (x - a) / (1 + x - a), which keeps
-    exponentially decaying integrands smooth on the unit interval.
+    exponentially decaying integrands smooth on the unit interval, and the
+    unit interval is split at u = 1/2 (x = a + 1).  The split keeps QUADPACK
+    from accepting the whole range on one 21-point panel, whose error
+    estimate can be optimistic: for the joint-rule mixture at mu = 4.75,
+    alpha = 4 it claimed 1.6e-9 with an actual error of 3.5e-7.
 
     Raises QuadratureError when convergence fails within the subdivision
     budget; the exception carries the best estimate and its error bound.
@@ -117,12 +122,12 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> floa
             w = 1.0 - u
             return f(a0 + u / w) / (w * w)
 
-        lo, hi = 0.0, 1.0
+        lo, hi, points = 0.0, 1.0, [0.5]
     else:
-        g, lo, hi = f, a, b
+        g, lo, hi, points = f, a, b, None
 
     out = _quad(g, lo, hi, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                limit=spec.max_subdivisions, full_output=1)
+                limit=spec.max_subdivisions, points=points, full_output=1)
     value, err = out[0], out[1]
     if len(out) > 3:
         raise QuadratureError(str(out[3]).replace("\n", " ").strip(), value, err)

@@ -7,7 +7,10 @@ lies beyond d, so the SIR law is the interference-as-noise one truncated to
 sir > 1; the joint-decode constraint is shared symmetrically, giving
 R = log2(1 + (1+n)*sir) / (1+n) on the support x > log2(2+n)/(1+n).
 Unconditional quantities are Poisson mixtures over n, truncated by the
-series policy in :mod:`pppt.numerics`.
+series policy in :mod:`pppt.numerics`.  The cognitive throughput takes the
+whole mixture inside one adaptive integral, so its quadrature tolerance
+bounds the error of the mixture mean rate E[R], not of each E[R | n];
+:func:`conditional_mean_rate` keeps the per-term integral.
 """
 from __future__ import annotations
 
@@ -70,6 +73,26 @@ def conditional_support_edge(n: int) -> float:
     return math.log2(2.0 + n) / (1.0 + n)
 
 
+def _pdf_rate_above_edge(cfg: NetworkConfig, k, x):
+    """Rate density given k = 1+n decoded messages, at rates x above the edge.
+
+    Elementwise in (k, x); evaluated in log space so that the SIR matching
+    a large rate may overflow to inf and still give a density of 0.
+    """
+    e = 2.0 / cfg.alpha
+    t = k * x * _LN2
+    with np.errstate(over="ignore"):
+        b = np.expm1(t) / k  # the SIR matching rate x
+        logpdf = (
+            _LOG_LN4
+            + math.log(cfg.mu / cfg.alpha)
+            + t
+            + (e - 1.0) * np.log(b)
+            - cfg.mu * (b**e - 1.0)
+        )
+        return np.exp(logpdf)
+
+
 def pdf_rate_conditional(cfg: NetworkConfig, n: int, x):
     """Rate density given that 1+n messages are jointly decoded.
 
@@ -82,30 +105,24 @@ def pdf_rate_conditional(cfg: NetworkConfig, n: int, x):
     out = np.zeros_like(x)
     m = x > conditional_support_edge(n)
     if np.any(m):
-        k = 1.0 + n
-        e = 2.0 / cfg.alpha
-        t = k * x[m] * _LN2
-        with np.errstate(over="ignore"):
-            b = np.expm1(t) / k  # the SIR matching rate x
-            logpdf = (
-                _LOG_LN4
-                + math.log(cfg.mu / cfg.alpha)
-                + t
-                + (e - 1.0) * np.log(b)
-                - cfg.mu * (b**e - 1.0)
-            )
-            out[m] = np.exp(logpdf)
+        out[m] = _pdf_rate_above_edge(cfg, 1.0 + n, x[m])
     return _scalar_or_array(out)
 
 
 def pdf_rate(cfg: NetworkConfig, x, truncation: SeriesTruncation | None = None):
-    """Unconditional rate density: Poisson mixture of the conditional ones."""
+    """Unconditional rate density: Poisson mixture of the conditional ones.
+
+    All conditional densities are evaluated at once as a (terms x points)
+    array and contracted with the Poisson weights.
+    """
     w = truncated_poisson_weights(cfg.mu, truncation)
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for i, wi in enumerate(w):
-        out += wi * np.asarray(pdf_rate_conditional(cfg, i, x))
-    return _scalar_or_array(out)
+    edges = np.array([conditional_support_edge(i) for i in range(len(w))])
+    k, xs = np.broadcast_arrays((1.0 + np.arange(len(w)))[:, None], x.reshape(1, -1))
+    m = xs > edges[:, None]
+    dens = np.zeros(m.shape)
+    dens[m] = _pdf_rate_above_edge(cfg, k[m], xs[m])
+    return _scalar_or_array((w @ dens).reshape(x.shape))
 
 
 def conditional_mean_rate(cfg: NetworkConfig, n: int,
@@ -128,13 +145,25 @@ def conditional_mean_rate(cfg: NetworkConfig, n: int,
 
 def cognitive_throughput(cfg: NetworkConfig, spec: QuadratureSpec | None = None,
                          truncation: SeriesTruncation | None = None) -> ThroughputValue:
-    """Density times expected maximum rate under joint decoding."""
+    """Density times expected maximum rate under joint decoding.
+
+    The Poisson mixture is summed inside one integral over the shared
+    shifted-exponential variable t of :func:`conditional_mean_rate`:
+    E[R] = int e^-t * sum_i (w_i/k_i) * log2(1 + k_i*(1 + t/mu)^(alpha/2)) dt
+    with k_i = 1+i, so the quadrature tolerance applies to E[R] itself.
+    """
     w = truncated_poisson_weights(cfg.mu, truncation)
-    total = 0.0
-    for i, wi in enumerate(w):
-        total += wi * conditional_mean_rate(cfg, i, spec)
+    k = 1.0 + np.arange(len(w))
+    log_k, coef = np.log(k), w / k
+    mu, half_alpha = cfg.mu, cfg.alpha / 2.0
+
+    def integrand(t: float) -> float:
+        # log2(1 + k*y^p) = logaddexp(0, log k + p*log y) / ln2, overflow-free
+        log_pow = half_alpha * math.log1p(t / mu)
+        return float(coef @ np.logaddexp(0.0, log_k + log_pow)) * math.exp(-t) / _LN2
+
     return ThroughputValue(
-        value=cfg.lam * total,
+        value=cfg.lam * integrate(integrand, 0.0, math.inf, spec),
         method="cognitive",
         rule=DecodingRule.OPT,
         kind="quadrature",
@@ -154,16 +183,19 @@ def lower_bound(cfg: NetworkConfig, y,
     w = truncated_poisson_weights(cfg.mu, truncation)
     e = 2.0 / cfg.alpha
     total = 0.0
-    with np.errstate(over="ignore"):
-        for i, wi in enumerate(w):
-            yi = float(schedule(i))
-            if not yi > conditional_support_edge(i):
-                raise ValueError(
-                    f"scheduled rate {yi} at joint count {i} is not above the "
-                    f"support edge {conditional_support_edge(i)}"
-                )
-            b = math.expm1((1.0 + i) * yi * _LN2) / (1.0 + i)
-            total += wi * yi * math.exp(-cfg.mu * (b**e - 1.0))
+    for i, wi in enumerate(w):
+        yi = float(schedule(i))
+        if not yi > conditional_support_edge(i):
+            raise ValueError(
+                f"scheduled rate {yi} at joint count {i} is not above the "
+                f"support edge {conditional_support_edge(i)}"
+            )
+        # log of the SIR b = expm1(x)/(1+i) matching yi: b itself overflows
+        # once x > 709, and past e*log b = 700 the survival underflows to 0
+        x = (1.0 + i) * yi * _LN2
+        log_b = x + math.log(-math.expm1(-x)) - math.log1p(i)
+        if e * log_b < 700.0:
+            total += wi * yi * math.exp(-cfg.mu * math.expm1(e * log_b))
     return ThroughputValue(
         value=cfg.lam * total,
         method="cognitive",

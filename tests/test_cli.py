@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from pppt import ian
 from pppt.cli import main
+from pppt.numerics import QuadratureError
 
 
 def read_csv(path):
@@ -196,3 +198,11 @@ class TestScalarCommands:
     def test_io_failure_exit_code(self, tmp_path):
         assert main(["compare", "--lambda", "1.0",
                      "--out", str(tmp_path / "missing" / "cmp.csv")]) == 2
+
+    def test_numerical_failure_exit_code(self, monkeypatch, capsys):
+        def fail(d, alpha):
+            raise QuadratureError("did not converge", 1.0, 0.5)
+
+        monkeypatch.setattr(ian, "optimal_density", fail)
+        assert main(["optimal-density", "--alpha", "4"]) == 1
+        assert capsys.readouterr().err.startswith("error: did not converge")

@@ -177,6 +177,23 @@ class TestOptimalDensity:
             nearby = ian.cognitive_throughput(NetworkConfig(lam_star * bump, 1.0, 4.0)).value
             assert tv.value >= nearby
 
+    @pytest.mark.parametrize("alpha", [20.0, 40.0, 60.0])
+    def test_steep_path_loss_converges(self, alpha):
+        # the residual integrals have error bounds near 1e-8 of their values
+        # (1.56e-7 on 14.43 at alpha = 20); they must converge, not raise
+        lam_star, tv = ian.optimal_density(1.0, alpha)
+        t, _ = maximize_unimodal(
+            lambda t: math.exp(t) * ian.mean_rate(NetworkConfig(math.exp(t), 1.0, alpha)),
+            (math.log(1e-3), math.log(10.0)),
+            tol=1e-9,
+        )
+        assert lam_star == pytest.approx(math.exp(t), rel=1e-5)
+        for bump in (0.9, 1.1):
+            nearby = ian.cognitive_throughput(NetworkConfig(lam_star * bump, 1.0, alpha)).value
+            assert tv.value >= nearby
+        if alpha == 20.0:
+            assert lam_star == pytest.approx(0.1412, abs=5e-5)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             ian.optimal_density(0.0, 4.0)

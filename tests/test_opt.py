@@ -18,6 +18,33 @@ NORMALIZATION_CFGS = [
     NetworkConfig(1.0, 1.0, 4.0),
     NetworkConfig(2.0, 0.5, 6.0),
 ]
+MIXTURE_ALPHAS = [2.05, 2.5, 4.0, 6.0, 20.0, 60.0]
+
+
+def mean_rate_term_sum(cfg, truncation=None):
+    """Sum of w_i * E[R | i], one quadrature per term, as the mixture reference.
+
+    Terms whose weight is below 1e-17 of the largest are skipped: their
+    share of the sum is far below the 1e-8 tolerance, and skipping them keeps
+    the reference cheap at large mu.
+    """
+    w = truncated_poisson_weights(cfg.mu, truncation)
+    keep = w >= 1e-17 * w.max()
+    return sum(w[i] * opt.conditional_mean_rate(cfg, i) for i in np.nonzero(keep)[0])
+
+
+def lower_bound_direct(cfg, y):
+    """Lower-bound sum with b = expm1((1+i)*y*ln2)/(1+i) taken directly.
+
+    Raises OverflowError once (1+i)*y*ln2 exceeds ~709.
+    """
+    w = truncated_poisson_weights(cfg.mu)
+    e = 2.0 / cfg.alpha
+    total = 0.0
+    for i, wi in enumerate(w):
+        b = math.expm1((1 + i) * y * math.log(2.0)) / (1 + i)
+        total += wi * y * math.exp(-cfg.mu * (b**e - 1.0))
+    return cfg.lam * total
 
 
 class TestTruncatedSirPdf:
@@ -86,6 +113,17 @@ class TestMixturePdf:
         mass = quad(f, 0.0, 2.0, points=edges, limit=800)[0] + quad(f, 2.0, np.inf, limit=500)[0]
         assert mass == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("lam", [1e-8, 0.1, 1 / math.pi, 5.0, 100.0])
+    def test_matches_term_loop(self, lam):
+        cfg = NetworkConfig(lam, 1.0, 4.0)
+        w = truncated_poisson_weights(cfg.mu)
+        xs = np.concatenate([np.linspace(-1.0, 8.0, 181), [opt.conditional_support_edge(1)]])
+        loop = sum(wi * np.asarray(opt.pdf_rate_conditional(cfg, i, xs)) for i, wi in enumerate(w))
+        np.testing.assert_allclose(opt.pdf_rate(cfg, xs), loop, rtol=1e-13, atol=0.0)
+        grid = xs[2:].reshape(4, 45)
+        np.testing.assert_array_equal(opt.pdf_rate(cfg, grid), opt.pdf_rate(cfg, xs[2:]).reshape(4, 45))
+        assert isinstance(opt.pdf_rate(cfg, 2.0), float)
+
     def test_mixture_below_largest_component(self):
         w = truncated_poisson_weights(CFG1.mu)
         for x in np.linspace(0.2, 4.0, 12):
@@ -115,6 +153,22 @@ class TestCognitiveThroughput:
         ]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("alpha", MIXTURE_ALPHAS)
+    def test_mixture_matches_term_sum(self, alpha):
+        for mu in np.geomspace(1e-6, 5e3, 9):
+            cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
+            # a hard cap at mu cuts the reference's terms; both sides share it
+            cap = SeriesTruncation(hard_cap=int(mu)) if mu > 100 else None
+            got = opt.cognitive_throughput(cfg, truncation=cap).value / cfg.lam
+            assert got == pytest.approx(mean_rate_term_sum(cfg, cap), rel=1e-8), mu
+
+    def test_split_semi_infinite_range(self):
+        # mu = pi*1.5118, alpha = 4: an unsplit [0, 1) accepts one 21-point
+        # panel whose estimate is off by 3.5e-7 while claiming 1.6e-9
+        cfg = NetworkConfig(1.5117750706156614, 1.0, 4.0)
+        ref = cfg.lam * mean_rate_term_sum(cfg)
+        assert opt.cognitive_throughput(cfg).value == pytest.approx(ref, rel=1e-9)
+
     def test_conditional_mean_above_support_edge(self):
         for n in (0, 2, 7):
             assert opt.conditional_mean_rate(CFG1, n) > opt.conditional_support_edge(n)
@@ -131,6 +185,23 @@ class TestLowerBound:
             opt.lower_bound(CFG1, 0.5)  # below the single-link edge of 1
         with pytest.raises(ValueError):
             opt.lower_bound(CFG1, lambda i: opt.conditional_support_edge(i))
+
+    @pytest.mark.parametrize("alpha", MIXTURE_ALPHAS)
+    def test_log_space_matches_direct_formula(self, alpha):
+        # the direct sum overflows past (1+i)*y*ln2 = 709, i.e. mu >~ 260 at y = 2
+        checked = 0
+        for mu in np.geomspace(1e-6, 1e4, 21):
+            cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
+            for y in (1.5, 2.0, 3.0):
+                v = opt.lower_bound(cfg, y).value
+                assert math.isfinite(v) and v >= 0.0
+                try:
+                    ref = lower_bound_direct(cfg, y)
+                except OverflowError:
+                    continue
+                assert v == pytest.approx(ref, rel=1e-12, abs=0.0)
+                checked += 1
+        assert checked >= 30
 
     def test_callable_schedule(self):
         v = opt.lower_bound(CFG1, lambda i: opt.conditional_support_edge(i) + 0.5).value

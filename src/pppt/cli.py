@@ -97,68 +97,66 @@ def _cmd_pdf(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 def _sweep_columns(rules, methods):
-    cols = []
+    """Column groups (names, method, rule, detail); one evaluation fills a group."""
+    groups = []
     for method in methods:
         for rule in rules:
-            if method == "cognitive":
-                cols.append((f"cognitive_{rule}", method, rule, None))
-            elif method == "fixed":
-                cols.append((f"fixed_{rule}", method, rule, None))
+            if method in ("cognitive", "fixed"):
+                groups.append(((f"{method}_{rule}",), method, rule, None))
             elif method == "bounds":
-                cols.append((f"lower_{rule}", method, rule, "lower"))
-                cols.append((f"upper_{rule}", method, rule, "upper"))
+                groups.append(((f"lower_{rule}",), method, rule, "lower"))
+                groups.append(((f"upper_{rule}",), method, rule, "upper"))
                 if rule == "ian":
-                    cols.append((f"asymptote_{rule}", method, rule, "asymptote"))
-            else:  # simulate
-                cols.append((f"sim_{rule}", method, rule, "mean"))
-                cols.append((f"sim_{rule}_stderr", method, rule, "stderr"))
-    return cols
+                    groups.append(((f"asymptote_{rule}",), method, rule, "asymptote"))
+            else:  # simulate: one sampling pass gives the mean and its stderr
+                groups.append(((f"sim_{rule}", f"sim_{rule}_stderr"), method, rule, None))
+    return groups
 
 
 def _sweep_cell(args, lam, method, rule_name, detail):
+    """The values of one column group at one density."""
     cfg = _cfg(args, lam)
     rule = _RULES[rule_name]
+    mod = ian if rule is DecodingRule.IAN else opt
     if method == "cognitive":
-        mod = ian if rule is DecodingRule.IAN else opt
-        return mod.cognitive_throughput(cfg).value
+        return (mod.cognitive_throughput(cfg).value,)
     if method == "fixed":
-        return fixed_rate.highest_throughput(cfg, rule).throughput.value
+        return (fixed_rate.highest_throughput(cfg, rule).throughput.value,)
     if method == "bounds":
-        mod = ian if rule is DecodingRule.IAN else opt
         if detail == "lower":
             y = args.y_ian if rule is DecodingRule.IAN else args.y_opt
-            return mod.lower_bound(cfg, y).value
+            return (mod.lower_bound(cfg, y).value,)
         if detail == "upper":
-            return mod.upper_bound(cfg).value
-        return ian.asymptote(cfg).value
+            return (mod.upper_bound(cfg).value,)
+        return (ian.asymptote(cfg).value,)
     est = simulation.estimate_cognitive(
         cfg, rule, mode=_MODES[args.mode], n_realizations=args.realizations,
         seed=args.seed, rate_mode=_RATE_MODES[args.rate_mode],
     )
-    return est.mean if detail == "mean" else est.stderr
+    return est.mean, est.stderr
 
 
-def _run_sweep(args, grid, cols):
-    """Evaluate all (lambda, column) cells in parallel, grid order preserved."""
-    cells = [(i, j, lam, col) for i, lam in enumerate(grid) for j, col in enumerate(cols)]
-    values = np.full((len(grid), len(cols)), np.nan)
+def _sweep(args, groups, meta: str) -> int:
+    """Evaluate every (lambda, column group) cell in parallel and emit the
+    table in grid order; a failed cell leaves NaN and one warning per column."""
+    grid = _lambda_grid(args)
+    names = [name for g in groups for name in g[0]]
+    starts = np.cumsum([0] + [len(g[0]) for g in groups])
+    cells = [(i, k, lam) for i, lam in enumerate(grid) for k in range(len(groups))]
+    values = np.full((len(grid), len(names)), np.nan)
     failures = 0
-
-    def run(cell):
-        i, j, lam, (_, method, rule_name, detail) = cell
-        return i, j, _sweep_cell(args, lam, method, rule_name, detail)
-
     with ThreadPoolExecutor(max_workers=_thread_count(len(cells))) as pool:
-        futures = [pool.submit(run, cell) for cell in cells]
-        for fut, cell in zip(futures, cells):
+        futures = [pool.submit(_sweep_cell, args, lam, *groups[k][1:]) for _, k, lam in cells]
+        for fut, (i, k, lam) in zip(futures, cells):
             try:
-                i, j, v = fut.result()
-                values[i, j] = v
+                values[i, starts[k]:starts[k + 1]] = fut.result()
             except (ArithmeticError, ValueError) as exc:
-                i, j = cell[0], cell[1]
-                print(f"warning: cell lam={cell[2]:g} {cols[j][0]}: {exc}", file=sys.stderr)
+                for name in groups[k][0]:
+                    print(f"warning: cell lam={lam:g} {name}: {exc}", file=sys.stderr)
                 failures += 1
-    return values, failures
+    rows = [[float(lam)] + [float(v) for v in values[i]] for i, lam in enumerate(grid)]
+    _emit(args, meta, ["lambda"] + names, rows)
+    return 1 if failures else 0
 
 
 def _cmd_sweep(args) -> int:
@@ -166,55 +164,46 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--lambda-min must be below --lambda-max")
     if args.points < 2:
         raise ValueError("--points must be >= 2")
-    grid = _lambda_grid(args)
     rules = args.rule or ["ian", "opt"]
     methods = args.method or ["cognitive"]
-    cols = _sweep_columns(rules, methods)
-    values, failures = _run_sweep(args, grid, cols)
+    if "simulate" in methods:
+        simulation._check_realizations(args.realizations)
     meta = (f"sweep lambda=[{args.lambda_min},{args.lambda_max}]x{args.points} "
             f"scale={'log' if args.log else 'linear'} d={args.d} alpha={args.alpha} "
             f"rules={'+'.join(rules)} methods={'+'.join(methods)} "
             f"realizations={args.realizations} seed={args.seed}")
-    header = ["lambda"] + [c[0] for c in cols]
-    rows = [[float(lam)] + [float(v) for v in values[i]] for i, lam in enumerate(grid)]
-    _emit(args, meta, header, rows)
-    return 1 if failures else 0
+    return _sweep(args, _sweep_columns(rules, methods), meta)
 
 
 # -------------------------------------------------------------- figures
+
+_FIGURE_PLANS = {
+    2: (["ian"], ["cognitive", "bounds"]),
+    3: (["opt"], ["cognitive", "bounds"]),
+    4: (["opt"], ["cognitive", "bounds"]),
+    5: (["ian", "opt"], ["cognitive", "fixed"]),
+}
+
 
 def _cmd_figures(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     ns = argparse.Namespace(**vars(args))
     ns.d, ns.alpha = 1.0, 4.0
     ns.lambda_min, ns.lambda_max, ns.log = 0.01, 10.0, True
-    ns.mode, ns.rate_mode = "full", "lower"
     ns.y_ian, ns.y_opt = 1.0, 2.0
     fig = args.fig
     ns.points = args.points or (10 if fig == 6 else 30)
     ns.out = os.path.join(args.out_dir, f"fig{fig}.csv")
 
-    if fig in (2, 3, 4, 5):
-        plans = {
-            2: (["ian"], ["cognitive", "bounds"]),
-            3: (["opt"], ["cognitive", "bounds"]),
-            4: (["opt"], ["cognitive", "bounds"]),
-            5: (["ian", "opt"], ["cognitive", "fixed"]),
-        }
-        ns.rule, ns.method = plans[fig]
-        grid = _lambda_grid(ns)
-        cols = _sweep_columns(ns.rule, ns.method)
+    if fig in _FIGURE_PLANS:
+        groups = _sweep_columns(*_FIGURE_PLANS[fig])
         if fig == 3:  # throughput next to the bound it approaches
-            cols = [c for c in cols if c[3] != "lower"]
-        values, failures = _run_sweep(ns, grid, cols)
+            groups = [g for g in groups if g[3] != "lower"]
         meta = (f"figure {fig} d=1 alpha=4 grid=[0.01,10]x{ns.points} log "
                 + ("lower bound at y=1 " if fig == 2 else "")
                 + ("lower bound at y=2 " if fig == 4 else "")
                 + f"seed={ns.seed}")
-        header = ["lambda"] + [c[0] for c in cols]
-        rows = [[float(lam)] + [float(v) for v in values[i]] for i, lam in enumerate(grid)]
-        _emit(ns, meta, header, rows)
-        return 1 if failures else 0
+        return _sweep(ns, groups, meta)
 
     # figure 6: analytic vs full-interference simulation
     grid = _lambda_grid(ns)
@@ -223,9 +212,7 @@ def _cmd_figures(args) -> int:
     header = ["lambda", "c_ian_analytic", "c_opt_analytic", "c_ian_simulated",
               "c_ian_stderr", "c_opt_simulated", "c_opt_stderr",
               "ratio_analytic", "ratio_simulated"]
-    table = [[r["lam"], r["c_ian_analytic"], r["c_opt_analytic"], r["c_ian_simulated"],
-              r["c_ian_stderr"], r["c_opt_simulated"], r["c_opt_stderr"],
-              r["ratio_analytic"], r["ratio_simulated"]] for r in rows]
+    table = [[r["lam"]] + [r[h] for h in header[1:]] for r in rows]
     meta = (f"figure 6 d=1 alpha=4 grid=[0.01,10]x{ns.points} log "
             f"realizations={args.realizations} seed={args.seed} rate_mode=lower")
     _emit(ns, meta, header, table)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ian, opt
 from .model import DecodingRule, NetworkConfig, ThroughputValue
-from .numerics import QuadratureSpec, SeriesTruncation, find_root, truncated_poisson_weights
+from .numerics import _LN2, QuadratureSpec, SeriesTruncation, find_root, truncated_poisson_weights
 
 __all__ = [
     "BOUNDARY_SIR",
@@ -27,8 +27,6 @@ __all__ = [
     "optimal_sir_threshold",
     "spatial_throughput_at",
 ]
-
-_LN2 = math.log(2.0)
 
 # supremum sits on the open boundary sir -> 1+ when no interior stationary
 # point exists; returned threshold is nudged inside the support

@@ -16,13 +16,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import gamma
 
 from .model import DecodingRule, NetworkConfig, ThroughputValue
 from .numerics import (
+    _LN2,
+    _LOG_LN4,
     BracketError,
     QuadratureSpec,
+    _log2_1p_scaled_pow,
+    _scalar_or_array,
     find_root,
-    gamma,
     integrate,
     maximize_unimodal,
 )
@@ -38,24 +42,6 @@ __all__ = [
     "pdf_sir",
     "upper_bound",
 ]
-
-_LN2 = math.log(2.0)
-_LOG_LN4 = math.log(math.log(4.0))
-
-
-def _log2_1p_scaled_pow(k: float, y: float, p: float) -> float:
-    """log2(1 + k * y**p) without overflow for huge y**p."""
-    if y <= 0.0:
-        return 0.0
-    t = p * math.log2(y) + math.log2(k)
-    if t > 64.0:
-        return t
-    return math.log1p(k * y**p) / _LN2
-
-
-def _scalar_or_array(out: np.ndarray):
-    return float(out) if out.ndim == 0 else out
-
 
 def pdf_nearest_distance(cfg: NetworkConfig, x):
     """Density of the distance to the nearest interferer: 2*lam*pi*x*exp(-lam*pi*x^2)."""
@@ -140,7 +126,7 @@ def lower_bound(cfg: NetworkConfig, y: float) -> ThroughputValue:
 def upper_bound(cfg: NetworkConfig) -> ThroughputValue:
     """Jensen upper bound lam * log2(1 + E[sir]); E[sir] = Gamma(1+alpha/2) * mu^(-alpha/2)."""
     half_alpha = cfg.alpha / 2.0
-    log2_mean_sir = math.log2(gamma(1.0 + half_alpha)) - half_alpha * math.log2(cfg.mu)
+    log2_mean_sir = math.log2(float(gamma(1.0 + half_alpha))) - half_alpha * math.log2(cfg.mu)
     if log2_mean_sir > 64.0:
         value = cfg.lam * log2_mean_sir
     else:
@@ -155,7 +141,7 @@ def asymptote(cfg: NetworkConfig) -> ThroughputValue:
     ratio asymptote/upper_bound tend to 1, matching log2(1+x) ~ x/ln2.
     """
     half_alpha = cfg.alpha / 2.0
-    c = (math.pi * cfg.d * cfg.d) ** (-half_alpha) * gamma(1.0 + half_alpha) / _LN2
+    c = (math.pi * cfg.d * cfg.d) ** (-half_alpha) * float(gamma(1.0 + half_alpha)) / _LN2
     return ThroughputValue(
         value=c * cfg.lam ** (1.0 - half_alpha),
         method="cognitive",

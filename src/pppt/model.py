@@ -41,7 +41,7 @@ class DecodingRule(enum.Enum):
 
 
 THROUGHPUT_METHODS = ("cognitive", "fixed_rate")
-THROUGHPUT_KINDS = ("quadrature", "lower_bound", "upper_bound", "asymptote", "simulated")
+THROUGHPUT_KINDS = ("quadrature", "lower_bound", "upper_bound", "asymptote")
 
 
 class EmptyWindowError(ValueError):
@@ -91,8 +91,7 @@ class ThroughputValue:
 
     ``method`` is "cognitive" (rates tuned per realization) or "fixed_rate"
     (predetermined rates, outages allowed); ``kind`` records how the number
-    was obtained (quadrature / lower_bound / upper_bound / asymptote /
-    simulated).
+    was obtained (quadrature / lower_bound / upper_bound / asymptote).
     """
 
     value: float

@@ -22,15 +22,31 @@ __all__ = [
     "QuadratureSpec",
     "SeriesTruncation",
     "find_root",
-    "gamma",
     "integrate",
     "maximize_unimodal",
-    "poisson_weight",
     "truncated_poisson_weights",
-    "upper_incomplete_gamma",
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Shared by the analytic and simulation modules; private, so kept out of
+# __all__.
+_LN2 = math.log(2.0)
+_LOG_LN4 = math.log(math.log(4.0))
+
+
+def _log2_1p_scaled_pow(k: float, y: float, p: float) -> float:
+    """log2(1 + k * y**p) without overflow for huge y**p."""
+    if y <= 0.0:
+        return 0.0
+    t = p * math.log2(y) + math.log2(k)
+    if t > 64.0:
+        return t
+    return math.log1p(k * y**p) / _LN2
+
+
+def _scalar_or_array(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
 
 
 class QuadratureError(ArithmeticError):
@@ -52,10 +68,15 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and subdivision budget for adaptive quadrature."""
+    """Tolerances and subdivision budget for adaptive quadrature.
+
+    The default ``abs_tol`` sits below any integral the package computes, so
+    ``rel_tol`` binds even for the tiny mean rates of steep path loss at
+    high density.
+    """
 
     rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
+    abs_tol: float = 1e-300
     max_subdivisions: int = 2000
 
     def __post_init__(self):
@@ -176,21 +197,6 @@ def maximize_unimodal(g, bracket, tol: float):
     return x, g(x)
 
 
-def poisson_weight(mean: float, i: int) -> float:
-    """Poisson pmf value mean**i * exp(-mean) / i!.
-
-    Evaluated in log space so large means and indices neither overflow nor
-    underflow prematurely.
-    """
-    if mean < 0:
-        raise ValueError("mean must be >= 0")
-    if i < 0:
-        raise ValueError("index must be >= 0")
-    if mean == 0.0:
-        return 1.0 if i == 0 else 0.0
-    return math.exp(i * math.log(mean) - mean - math.lgamma(i + 1))
-
-
 def truncated_poisson_weights(mean: float, truncation: SeriesTruncation | None = None) -> np.ndarray:
     """Poisson pmf values for i = 0..K, truncated by the stopping policy.
 
@@ -209,13 +215,3 @@ def truncated_poisson_weights(mean: float, truncation: SeriesTruncation | None =
     hit = np.nonzero(csum >= 1.0 - truncation.mass_tol)[0]
     k = int(hit[0]) if hit.size else cap
     return w[: k + 1]
-
-
-def gamma(z: float) -> float:
-    """Euler gamma function on z > 0."""
-    return float(special.gamma(z))
-
-
-def upper_incomplete_gamma(z: float, a: float) -> float:
-    """Upper incomplete gamma integral from ``a`` to infinity, z > 0, a >= 0."""
-    return float(special.gammaincc(z, a) * special.gamma(z))

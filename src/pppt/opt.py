@@ -17,16 +17,19 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import gamma, gammaincc
 
 from .model import DecodingRule, NetworkConfig, ThroughputValue
 from .numerics import (
+    _LN2,
+    _LOG_LN4,
     QuadratureSpec,
     SeriesTruncation,
+    _log2_1p_scaled_pow,
+    _scalar_or_array,
     integrate,
     truncated_poisson_weights,
-    upper_incomplete_gamma,
 )
-from .ian import _log2_1p_scaled_pow
 
 __all__ = [
     "cognitive_throughput",
@@ -40,15 +43,8 @@ __all__ = [
     "upper_bound",
 ]
 
-_LN2 = math.log(2.0)
-_LOG_LN4 = math.log(math.log(4.0))
-
 # closed-form moment overflows past exp(709); switch to quadrature well before
 _MOMENT_CLOSED_FORM_MAX_MU = 600.0
-
-
-def _scalar_or_array(out: np.ndarray):
-    return float(out) if out.ndim == 0 else out
 
 
 def pdf_sir(cfg: NetworkConfig, x):
@@ -213,7 +209,8 @@ def truncated_sir_mean(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -
     """
     mu, half_alpha = cfg.mu, cfg.alpha / 2.0
     if mu <= _MOMENT_CLOSED_FORM_MAX_MU:
-        return math.exp(mu) * mu ** (-half_alpha) * upper_incomplete_gamma(1.0 + half_alpha, mu)
+        z = 1.0 + half_alpha
+        return math.exp(mu) * mu ** (-half_alpha) * float(gammaincc(z, mu) * gamma(z))
     return integrate(lambda t: (1.0 + t / mu) ** half_alpha * math.exp(-t), 0.0, math.inf, spec)
 
 

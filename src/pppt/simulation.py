@@ -24,7 +24,7 @@ from . import ian as _ian_analytic
 from . import opt as _opt_analytic
 from .fixed_rate import FixedRateSolution
 from .model import DecodingRule, NetworkConfig, SpatialRealization, rng_from_seed
-from .numerics import QuadratureSpec, SeriesTruncation
+from .numerics import _LN2, QuadratureSpec, SeriesTruncation
 
 __all__ = [
     "INTERFERENCE_MODES",
@@ -39,8 +39,6 @@ __all__ = [
     "tightness_report",
 ]
 
-_LN2 = math.log(2.0)
-
 INTERFERENCE_MODES = ("full", "closest_only")
 RATE_MODES = ("exact_powers", "lower_bound_powers")
 
@@ -51,6 +49,10 @@ RATE_MODES = ("exact_powers", "lower_bound_powers")
 RATE_CAP = 30.0
 
 _CHUNK_POINTS = 4_000_000
+
+# fewest realizations an estimator accepts: below it the standard error is
+# itself too noisy to judge a gap by
+_MIN_REALIZATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -90,62 +92,10 @@ def _check_mode(mode: str, rate_mode: str | None = None):
         raise ValueError(f"rate mode must be one of {RATE_MODES}, got {rate_mode!r}")
 
 
-def _capped_rate(numerator, interference, share):
-    # log2(1 + num/I) / share with the empty-interference cap applied
-    with np.errstate(divide="ignore", over="ignore"):
-        rate = np.log1p(np.divide(numerator, interference)) / (_LN2 * share)
-    return np.minimum(rate, RATE_CAP)
-
-
-def rate_ian(real: SpatialRealization, mode: str = "full") -> float:
-    """Highest achievable rate of one realization, interference as noise.
-
-    ``closest_only`` replaces the aggregate interference by the nearest
-    interferer's power, reproducing the analytic approximation.
-    """
-    _check_mode(mode)
-    cfg = real.cfg
-    if real.n_interferers == 0:
-        return RATE_CAP
-    rel = real.interferer_tx - real.typical_rx
-    r2 = rel[:, 0] ** 2 + rel[:, 1] ** 2
-    d_link2 = float(np.sum((real.typical_tx - real.typical_rx) ** 2))
-    sig = d_link2 ** (-cfg.alpha / 2.0)
-    if mode == "full":
-        interference = float(np.sum(r2 ** (-cfg.alpha / 2.0)))
-    else:
-        interference = float(np.min(r2)) ** (-cfg.alpha / 2.0)
-    return float(_capped_rate(sig, interference, 1.0))
-
-
-def rate_opt(real: SpatialRealization, mode: str = "full",
-             rate_mode: str = "exact_powers") -> float:
-    """Highest symmetric-share rate of one realization under joint decoding.
-
-    Interferers strictly closer than the link distance join the decode set
-    (ties go to the noise set); ``exact_powers`` uses their actual received
-    powers in the joint constraint while ``lower_bound_powers`` replaces
-    each by the typical link's own power, matching the analytic chain.
-    """
-    _check_mode(mode, rate_mode)
-    cfg = real.cfg
-    d_link2 = float(np.sum((real.typical_tx - real.typical_rx) ** 2))
-    sig = d_link2 ** (-cfg.alpha / 2.0)
-    if real.n_interferers == 0:
-        return RATE_CAP
-    rel = real.interferer_tx - real.typical_rx
-    r2 = rel[:, 0] ** 2 + rel[:, 1] ** 2
-    p = r2 ** (-cfg.alpha / 2.0)
-    dec = r2 < d_link2
-    n_dec = int(np.count_nonzero(dec))
-    share = 1.0 + n_dec
-    if mode == "full":
-        interference = float(np.sum(p[~dec]))
-    else:
-        far = r2[~dec]
-        interference = float(np.min(far)) ** (-cfg.alpha / 2.0) if far.size else 0.0
-    numerator = sig + float(np.sum(p[dec])) if rate_mode == "exact_powers" else share * sig
-    return float(_capped_rate(numerator, interference, share))
+def _check_realizations(n_realizations: int):
+    if n_realizations < _MIN_REALIZATIONS:
+        raise ValueError(f"need at least {_MIN_REALIZATIONS} realizations for a usable "
+                         f"standard error, got {n_realizations}")
 
 
 @dataclass(frozen=True)
@@ -219,22 +169,71 @@ def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int,
 
 def _rates_from_stats(cfg: NetworkConfig, stats: _RealizationStats, rule: DecodingRule,
                       mode: str, rate_mode: str) -> np.ndarray:
+    """The cognitive rate law, log2(1 + share * SIR) / share per realization.
+
+    share = 1 under interference as noise and 1 + n_dec under joint
+    decoding; a realization with no interference gets RATE_CAP.
+    """
     half_alpha = cfg.alpha / 2.0
     sig = cfg.d ** (-cfg.alpha)
     with np.errstate(divide="ignore", over="ignore"):
         if rule is DecodingRule.IAN:
+            share, numerator = 1.0, sig
             if mode == "full":
                 interference = stats.s_dec + stats.s_far
             else:
                 interference = stats.r2_min ** (-half_alpha)
-            return _capped_rate(sig, interference, 1.0)
-        share = 1.0 + stats.n_dec
-        if mode == "full":
-            interference = stats.s_far
         else:
-            interference = stats.r2_far_min ** (-half_alpha)
-        numerator = sig + stats.s_dec if rate_mode == "exact_powers" else share * sig
-        return _capped_rate(numerator, interference, share)
+            share = 1.0 + stats.n_dec
+            if mode == "full":
+                interference = stats.s_far
+            else:
+                interference = stats.r2_far_min ** (-half_alpha)
+            numerator = sig + stats.s_dec if rate_mode == "exact_powers" else share * sig
+        rate = np.log1p(np.divide(numerator, interference)) / (_LN2 * share)
+    return np.minimum(rate, RATE_CAP)
+
+
+def _realization_rate(real: SpatialRealization, rule: DecodingRule, mode: str,
+                      rate_mode: str) -> float:
+    # one row of statistics, split at the link distance as _collect_stats
+    # splits a batch, through the batch rate law
+    cfg = real.cfg
+    rel = real.interferer_tx - real.typical_rx
+    r2 = rel[:, 0] ** 2 + rel[:, 1] ** 2
+    p = r2 ** (-cfg.alpha / 2.0)
+    dec = r2 < cfg.d * cfg.d
+    row = _RealizationStats(
+        s_dec=np.array([np.sum(p[dec])]),
+        s_far=np.array([np.sum(p[~dec])]),
+        n_dec=np.array([float(np.count_nonzero(dec))]),
+        r2_min=np.array([np.min(r2, initial=np.inf)]),
+        r2_far_min=np.array([np.min(r2[~dec], initial=np.inf)]),
+    )
+    return float(_rates_from_stats(cfg, row, rule, mode, rate_mode)[0])
+
+
+def rate_ian(real: SpatialRealization, mode: str = "full") -> float:
+    """Highest achievable rate of one realization, interference as noise.
+
+    ``closest_only`` replaces the aggregate interference by the nearest
+    interferer's power, reproducing the analytic approximation.
+    """
+    _check_mode(mode)
+    return _realization_rate(real, DecodingRule.IAN, mode, "exact_powers")
+
+
+def rate_opt(real: SpatialRealization, mode: str = "full",
+             rate_mode: str = "exact_powers") -> float:
+    """Highest symmetric-share rate of one realization under joint decoding.
+
+    Interferers strictly closer than the link distance join the decode set
+    (ties go to the noise set); ``exact_powers`` uses their actual received
+    powers in the joint constraint while ``lower_bound_powers`` replaces
+    each by the typical link's own power, matching the analytic chain.
+    """
+    _check_mode(mode, rate_mode)
+    return _realization_rate(real, DecodingRule.OPT, mode, rate_mode)
 
 
 def _estimate_from_rates(cfg: NetworkConfig, rates: np.ndarray) -> tuple[float, float]:
@@ -250,8 +249,7 @@ def estimate_cognitive(cfg: NetworkConfig, rule: DecodingRule, mode: str = "full
     """Simulated cognitive spatial throughput: lam times the sample mean of
     the per-realization maximum rate, with its standard error."""
     _check_mode(mode, rate_mode)
-    if n_realizations < 100:
-        raise ValueError("need at least 100 realizations for a usable standard error")
+    _check_realizations(n_realizations)
     window = default_window_radius(cfg) if window_radius is None else window_radius
     stats = _collect_stats(cfg, window, seed, n_realizations)
     rates = _rates_from_stats(cfg, stats, rule, mode, rate_mode)
@@ -275,6 +273,7 @@ def estimate_fixed_rate(cfg: NetworkConfig, rule: DecodingRule, solution: FixedR
     solution's table (vanishing Poisson tail) count as outages.
     """
     _check_mode(mode, rate_mode)
+    _check_realizations(n_realizations)
     if solution.rule is not rule:
         raise ValueError(f"solution was computed for {solution.rule}, not {rule}")
     window = default_window_radius(cfg) if window_radius is None else window_radius
@@ -307,6 +306,7 @@ def tightness_report(cfgs, n_realizations: int = 10_000, seed: int = 0,
     joint-decoding chain; ``exact_powers`` brackets it from above.
     """
     _check_mode("full", rate_mode)
+    _check_realizations(n_realizations)
     rows = []
     for cfg in cfgs:
         window = default_window_radius(cfg) if window_radius is None else window_radius

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from pppt import ian
+from pppt import ian, simulation
 from pppt.cli import main
+from pppt.model import DecodingRule
 from pppt.numerics import QuadratureError
 
 
@@ -107,6 +108,41 @@ class TestSweep:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_one_sampling_pass_feeds_mean_and_stderr(self, tmp_path, monkeypatch):
+        calls = []
+        real = simulation.estimate_cognitive
+
+        def counting(cfg, rule, **kwargs):
+            calls.append((cfg.lam, rule))
+            return real(cfg, rule, **kwargs)
+
+        monkeypatch.setattr(simulation, "estimate_cognitive", counting)
+        out = tmp_path / "sim.csv"
+        assert main(["sweep", "--points", "2", "--method", "simulate", "--realizations", "100",
+                     "--out", str(out)]) == 0
+        assert len(calls) == len(set(calls)) == 4  # 2 densities x 2 rules, each sampled once
+        header, rows = read_csv(out)
+        assert header == ["lambda", "sim_ian", "sim_ian_stderr", "sim_opt", "sim_opt_stderr"]
+
+    def test_failed_pass_leaves_both_cells_nan(self, tmp_path, monkeypatch, capsys):
+        def fail(cfg, rule, **kwargs):
+            if rule is DecodingRule.OPT:
+                raise ArithmeticError("no luck")
+            return real(cfg, rule, **kwargs)
+
+        real = simulation.estimate_cognitive
+        monkeypatch.setattr(simulation, "estimate_cognitive", fail)
+        out = tmp_path / "sim.csv"
+        assert main(["sweep", "--points", "2", "--method", "simulate", "--realizations", "100",
+                     "--out", str(out)]) == 1
+        header, rows = read_csv(out)
+        for name in ("sim_opt", "sim_opt_stderr"):
+            assert all(math.isnan(v) for v in column(header, rows, name))
+        assert all(v > 0 for v in column(header, rows, "sim_ian"))
+        warnings = capsys.readouterr().err.splitlines()
+        assert warnings == [f"warning: cell lam={lam} {name}: no luck"
+                            for lam in ("0.01", "10") for name in ("sim_opt", "sim_opt_stderr")]
+
     def test_bad_grid_is_usage_error(self):
         assert main(["sweep", "--lambda-min", "5", "--lambda-max", "1"]) == 2
 
@@ -179,6 +215,22 @@ class TestSimulateCommand:
         assert rc == 0
         header, rows = read_csv(out)
         assert float(rows[0][header.index("mean")]) >= 0
+
+
+class TestRealizationFloor:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--rule", "ian", "--lambda", "0.1"],
+        ["simulate", "--rule", "opt", "--method", "fixed", "--lambda", "0.2"],
+        ["sweep", "--method", "simulate", "--points", "3"],
+        ["figures", "--fig", "6", "--points", "2"],
+    ], ids=["simulate", "simulate-fixed", "sweep", "figures-6"])
+    def test_too_few_realizations_is_usage_error(self, argv, tmp_path, capsys):
+        out = ["--out-dir", str(tmp_path)] if argv[0] == "figures" else ["--out", str(tmp_path / "x.csv")]
+        assert main(argv + ["--realizations", "10"] + out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: need at least 100 realizations")
+        assert "warning:" not in err  # rejected before any cell ran
+        assert not list(tmp_path.iterdir())
 
 
 class TestScalarCommands:

@@ -19,6 +19,8 @@ NORMALIZATION_CFGS = [
     NetworkConfig(2.0, 0.5, 6.0),
 ]
 MIXTURE_ALPHAS = [2.05, 2.5, 4.0, 6.0, 20.0, 60.0]
+MOMENT_CASES = ([(mu, 4.0) for mu in (0.5, 5.0, 50.0, 300.0, 599.0)]
+                + [(mu, alpha) for alpha in (2.05, 20.0) for mu in (0.5, 50.0, 599.0)])
 
 
 def mean_rate_term_sum(cfg, truncation=None):
@@ -213,10 +215,13 @@ class TestUpperBound:
         # at mu = 1, alpha = 4 the mean is exactly 5
         assert opt.truncated_sir_mean(CFG1) == pytest.approx(5.0, rel=1e-12)
 
-    @pytest.mark.parametrize("mu", [0.5, 5.0, 50.0, 300.0])
-    def test_moment_against_direct_quadrature(self, mu):
-        cfg = NetworkConfig(mu / math.pi, 1.0, 4.0)
-        ref, _ = quad(lambda t: (1.0 + t / mu) ** 2 * math.exp(-t), 0.0, np.inf, limit=500)
+    # mu = 599 is the last closed-form mu; cases at alpha = 4 keep the bare mu id
+    @pytest.mark.parametrize("mu,alpha", MOMENT_CASES,
+                             ids=[f"{mu}" if a == 4.0 else f"{mu}-{a}" for mu, a in MOMENT_CASES])
+    def test_moment_against_direct_quadrature(self, mu, alpha):
+        cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
+        ref, _ = quad(lambda t: (1.0 + t / mu) ** (alpha / 2.0) * math.exp(-t), 0.0, np.inf,
+                      epsabs=0.0, epsrel=1e-13, limit=500)
         assert opt.truncated_sir_mean(cfg) == pytest.approx(ref, rel=1e-9)
 
     def test_moment_large_mu_path(self):

@@ -4,8 +4,8 @@ Subcommands: pdf, sweep, figures, simulate, optimal-density, compare.
 Output is CSV with one leading ``#`` metadata line (tool version plus an
 echo of the request), or a JSON mirror via ``--format json``.  All
 randomness flows from ``--seed`` (default 0); nothing reads the clock.
-Sweep cells are evaluated on a thread pool capped by the PPPT_THREADS
-environment variable and written once, in grid order.
+Sweep and figure cells are evaluated on a thread pool capped by the
+PPPT_THREADS environment variable and written once, in grid order.
 """
 from __future__ import annotations
 
@@ -25,6 +25,9 @@ _RULES = {"ian": DecodingRule.IAN, "opt": DecodingRule.OPT}
 _MODES = {"full": "full", "closest": "closest_only"}
 _RATE_MODES = {"exact": "exact_powers", "lower": "lower_bound_powers"}
 _METHODS = ("cognitive", "fixed", "bounds", "simulate")
+# figure 6 columns, all filled from one simulation.tightness_report row
+_TIGHTNESS_COLUMNS = ("c_ian_analytic", "c_opt_analytic", "c_ian_simulated", "c_ian_stderr",
+                      "c_opt_simulated", "c_opt_stderr", "ratio_analytic", "ratio_simulated")
 
 
 def _thread_count(n_cells: int) -> int:
@@ -58,6 +61,11 @@ def _emit(args, meta: str, header: list[str], rows: list[list]) -> None:
     else:
         with open(out, "w") as fh:
             fh.write(text)
+
+
+def _check_points(points: int) -> None:
+    if points < 2:
+        raise ValueError("--points must be >= 2")
 
 
 def _lambda_grid(args) -> np.ndarray:
@@ -116,6 +124,10 @@ def _sweep_columns(rules, methods):
 def _sweep_cell(args, lam, method, rule_name, detail):
     """The values of one column group at one density."""
     cfg = _cfg(args, lam)
+    if method == "tightness":
+        row, = simulation.tightness_report([cfg], n_realizations=args.realizations,
+                                           seed=args.seed)
+        return tuple(row[name] for name in _TIGHTNESS_COLUMNS)
     rule = _RULES[rule_name]
     mod = ian if rule is DecodingRule.IAN else opt
     if method == "cognitive":
@@ -146,7 +158,10 @@ def _sweep(args, groups, meta: str) -> int:
     values = np.full((len(grid), len(names)), np.nan)
     failures = 0
     with ThreadPoolExecutor(max_workers=_thread_count(len(cells))) as pool:
-        futures = [pool.submit(_sweep_cell, args, lam, *groups[k][1:]) for _, k, lam in cells]
+        # the grid ascends and a Monte Carlo cell's cost grows with lambda:
+        # submit the costliest first so that no large cell starts last
+        futures = [pool.submit(_sweep_cell, args, lam, *groups[k][1:])
+                   for _, k, lam in reversed(cells)][::-1]
         for fut, (i, k, lam) in zip(futures, cells):
             try:
                 values[i, starts[k]:starts[k + 1]] = fut.result()
@@ -162,8 +177,7 @@ def _sweep(args, groups, meta: str) -> int:
 def _cmd_sweep(args) -> int:
     if not args.lambda_min < args.lambda_max:
         raise ValueError("--lambda-min must be below --lambda-max")
-    if args.points < 2:
-        raise ValueError("--points must be >= 2")
+    _check_points(args.points)
     rules = args.rule or ["ian", "opt"]
     methods = args.method or ["cognitive"]
     if "simulate" in methods:
@@ -186,37 +200,29 @@ _FIGURE_PLANS = {
 
 
 def _cmd_figures(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
+    fig = args.fig
     ns = argparse.Namespace(**vars(args))
     ns.d, ns.alpha = 1.0, 4.0
     ns.lambda_min, ns.lambda_max, ns.log = 0.01, 10.0, True
     ns.y_ian, ns.y_opt = 1.0, 2.0
-    fig = args.fig
-    ns.points = args.points or (10 if fig == 6 else 30)
-    ns.out = os.path.join(args.out_dir, f"fig{fig}.csv")
-
-    if fig in _FIGURE_PLANS:
+    ns.points = (10 if fig == 6 else 30) if args.points is None else args.points
+    _check_points(ns.points)
+    if fig == 6:  # analytic vs full-interference simulation, one sampling pass per density
+        simulation._check_realizations(ns.realizations)
+        groups = [(_TIGHTNESS_COLUMNS, "tightness", None, None)]
+    else:
         groups = _sweep_columns(*_FIGURE_PLANS[fig])
         if fig == 3:  # throughput next to the bound it approaches
             groups = [g for g in groups if g[3] != "lower"]
-        meta = (f"figure {fig} d=1 alpha=4 grid=[0.01,10]x{ns.points} log "
-                + ("lower bound at y=1 " if fig == 2 else "")
-                + ("lower bound at y=2 " if fig == 4 else "")
-                + f"seed={ns.seed}")
-        return _sweep(ns, groups, meta)
-
-    # figure 6: analytic vs full-interference simulation
-    grid = _lambda_grid(ns)
-    cfgs = [NetworkConfig(float(l), 1.0, 4.0) for l in grid]
-    rows = simulation.tightness_report(cfgs, n_realizations=args.realizations, seed=args.seed)
-    header = ["lambda", "c_ian_analytic", "c_opt_analytic", "c_ian_simulated",
-              "c_ian_stderr", "c_opt_simulated", "c_opt_stderr",
-              "ratio_analytic", "ratio_simulated"]
-    table = [[r["lam"]] + [r[h] for h in header[1:]] for r in rows]
-    meta = (f"figure 6 d=1 alpha=4 grid=[0.01,10]x{ns.points} log "
-            f"realizations={args.realizations} seed={args.seed} rate_mode=lower")
-    _emit(ns, meta, header, table)
-    return 0
+    os.makedirs(args.out_dir, exist_ok=True)
+    ns.out = os.path.join(args.out_dir, f"fig{fig}.csv")
+    meta = (f"figure {fig} d=1 alpha=4 grid=[0.01,10]x{ns.points} log "
+            + ("lower bound at y=1 " if fig == 2 else "")
+            + ("lower bound at y=2 " if fig == 4 else "")
+            + (f"realizations={ns.realizations} " if fig == 6 else "")
+            + f"seed={ns.seed}"
+            + (" rate_mode=lower" if fig == 6 else ""))
+    return _sweep(ns, groups, meta)
 
 
 # ------------------------------------------------------------- simulate

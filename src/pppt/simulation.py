@@ -9,9 +9,12 @@ the origin, so the batched kernel samples squared radii directly — one
 uniform per point — instead of materializing planar coordinates.
 
 Realization ``i`` of a run seeded with ``s`` always draws from the stream
-keyed by (s, i); results are therefore independent of chunk sizes and
-reproducible across runs.  Sample moments are reduced with numpy's pairwise
-summation, which is deterministic for a fixed realization count.
+keyed by (s, i), and every statistic is reduced per realization: far-field
+sums and minima by ``reduceat`` over that realization's points, decode-set
+sums by ``bincount`` in draw order.  Results are therefore independent of
+chunk sizes and reproducible across runs.  Sample moments are reduced with
+numpy's pairwise summation, which is deterministic for a fixed realization
+count.
 """
 from __future__ import annotations
 
@@ -48,7 +51,7 @@ RATE_MODES = ("exact_powers", "lower_bound_powers")
 # empty-window probability is below 1e-40, so the cap is a formality.
 RATE_CAP = 30.0
 
-_CHUNK_POINTS = 4_000_000
+_CHUNK_POINTS = 1 << 16
 
 # fewest realizations an estimator accepts: below it the standard error is
 # itself too noisy to judge a gap by
@@ -125,43 +128,47 @@ def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int,
 
     start = 0
     while start < n:
+        rngs = []
         counts = []
-        parts = []
         total = 0
         stop = start
         while stop < n and (total < chunk_points or stop == start):
             rng = rng_from_seed((seed, stop))
             c = int(rng.poisson(mean_count))
-            parts.append(r2_scale * rng.random(c))
+            rngs.append(rng)
             counts.append(c)
             total += c
             stop += 1
-
-        counts = np.asarray(counts, dtype=np.intp)
-        m = len(counts)
-        r2 = np.concatenate(parts) if total else np.empty(0)
         if total == 0:
             start = stop
             continue
 
+        counts = np.asarray(counts, dtype=np.intp)
+        m = len(counts)
         offsets = np.zeros(m, dtype=np.intp)
         np.cumsum(counts[:-1], out=offsets[1:])
-        valid = counts > 0
-        safe = np.minimum(offsets, total - 1)  # reduceat needs in-range starts
-
-        p = r2 ** (-half_alpha)
-        dec = r2 < d2
-        p_dec = np.where(dec, p, 0.0)
-        p_far = np.where(dec, 0.0, p)
-        r2_far = np.where(dec, np.inf, r2)
+        r2 = np.empty(total)
+        for rng, o, c in zip(rngs, offsets.tolist(), counts.tolist()):
+            rng.random(out=r2[o:o + c])
+        r2 *= r2_scale
 
         sl = slice(start, stop)
-        # empty segments are artifacts of reduceat and are masked out below
-        s_dec[sl] = np.where(valid, np.add.reduceat(p_dec, safe), 0.0)
-        s_far[sl] = np.where(valid, np.add.reduceat(p_far, safe), 0.0)
-        n_dec[sl] = np.where(valid, np.add.reduceat(dec.astype(np.float64), safe), 0.0)
+        valid = counts > 0
+        safe = np.minimum(offsets, total - 1)  # reduceat needs in-range starts
+        # empty segments are artifacts of reduceat and are masked out
         r2_min[sl] = np.where(valid, np.minimum.reduceat(r2, safe), np.inf)
-        r2_far_min[sl] = np.where(valid, np.minimum.reduceat(r2_far, safe), np.inf)
+        p = r2 ** (-half_alpha)
+
+        # the decode set holds about lam*pi*d^2 points per realization: sum
+        # it by index, then blank it out of the far-field reductions
+        idx = np.flatnonzero(r2 < d2)
+        owner = np.searchsorted(offsets, idx, "right") - 1
+        s_dec[sl] = np.bincount(owner, weights=p[idx], minlength=m)
+        n_dec[sl] = np.bincount(owner, minlength=m)
+        p[idx] = 0.0
+        r2[idx] = np.inf
+        s_far[sl] = np.where(valid, np.add.reduceat(p, safe), 0.0)
+        r2_far_min[sl] = np.where(valid, np.minimum.reduceat(r2, safe), np.inf)
         start = stop
 
     return _RealizationStats(s_dec, s_far, n_dec, r2_min, r2_far_min)

@@ -108,6 +108,22 @@ class TestSweep:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("argv,name", [
+        (["figures", "--fig", "6"], "fig6.csv"),
+        (["sweep", "--method", "simulate"], "simulate.csv"),
+    ], ids=["figures-6", "sweep-simulate"])
+    def test_thread_cap_does_not_change_monte_carlo(self, argv, name, tmp_path, monkeypatch):
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PPPT_THREADS", threads)
+            where = tmp_path / threads
+            where.mkdir()
+            out = (["--out-dir", str(where)] if argv[0] == "figures"
+                   else ["--out", str(where / name)])
+            assert main(argv + ["--points", "3", "--realizations", "100"] + out) == 0
+            outputs.append((where / name).read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_one_sampling_pass_feeds_mean_and_stderr(self, tmp_path, monkeypatch):
         calls = []
         real = simulation.estimate_cognitive
@@ -189,6 +205,30 @@ class TestFigures:
         sim_i = column(header, rows, "c_ian_simulated")
         sim_o = column(header, rows, "c_opt_simulated")
         assert all(o >= i for i, o in zip(sim_i, sim_o))
+
+    def test_fig6_failed_row_is_nan(self, tmp_path, monkeypatch, capsys):
+        def fail(cfgs, **kwargs):
+            if cfgs[0].lam > 1.0:
+                raise QuadratureError("did not converge", 1.0, 0.5)
+            return real(cfgs, **kwargs)
+
+        real = simulation.tightness_report
+        monkeypatch.setattr(simulation, "tightness_report", fail)
+        assert main(["figures", "--fig", "6", "--points", "3", "--realizations", "100",
+                     "--out-dir", str(tmp_path)]) == 1
+        header, rows = read_csv(tmp_path / "fig6.csv")
+        assert len(header) == 9 and [r[0] for r in rows] == ["0.01", "0.316227766017", "10"]
+        assert all(math.isnan(float(v)) for v in rows[2][1:])
+        assert all(math.isfinite(float(v)) for r in rows[:2] for v in r)
+        warnings = capsys.readouterr().err.splitlines()
+        assert warnings == [f"warning: cell lam=10 {name}: did not converge "
+                            "(estimate=1.0, error_bound=0.5)" for name in header[1:]]
+
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_too_few_points_is_usage_error(self, points, tmp_path, capsys):
+        assert main(["figures", "--fig", "2", "--points", points, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: --points must be >= 2\n"
+        assert not list(tmp_path.iterdir())
 
 
 class TestSimulateCommand:

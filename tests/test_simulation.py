@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pppt import fixed_rate, ian, simulation
-from pppt.model import DecodingRule, NetworkConfig, SpatialRealization, ThroughputValue, sample_realization
+from pppt.model import (
+    DecodingRule,
+    NetworkConfig,
+    SpatialRealization,
+    ThroughputValue,
+    rng_from_seed,
+    sample_realization,
+)
 from pppt.simulation import (
     RATE_CAP,
     SimulationEstimate,
@@ -125,6 +133,56 @@ class TestEstimateCognitive:
         big = _collect_stats(CFG, 100.0, seed=9, n_realizations=200, chunk_points=10_000_000)
         for field in ("s_dec", "s_far", "n_dec", "r2_min", "r2_far_min"):
             np.testing.assert_array_equal(getattr(tiny, field), getattr(big, field))
+
+    @staticmethod
+    def oracle_stats(cfg, window_radius, seed, n_realizations):
+        """The five statistics, one realization at a time, from the same draws."""
+        rows = []
+        for i in range(n_realizations):
+            rng = rng_from_seed((seed, i))
+            c = rng.poisson(cfg.lam * math.pi * window_radius * window_radius)
+            r2 = window_radius * window_radius * rng.random(c)
+            dec = r2 < cfg.d * cfg.d
+            p = r2 ** (-cfg.alpha / 2.0)
+            rows.append((p[dec].sum(), p[~dec].sum(), dec.sum(),
+                         r2.min(initial=np.inf), r2[~dec].min(initial=np.inf)))
+        return dict(zip(("s_dec", "s_far", "n_dec", "r2_min", "r2_far_min"),
+                        np.array(rows, dtype=float).T))
+
+    @pytest.mark.parametrize("lam,d,alpha,window,n,chunk_points", [
+        (10.0, 1.0, 4.0, None, 3, None),
+        (0.3, 1.0, 4.0, None, 100, None),
+        (0.02, 2.0, 3.0, 5.0, 300, 4),
+    ], ids=["dense", "empty-decode-sets", "empty-windows-in-chunk"])
+    def test_kernel_matches_per_realization_oracle(self, lam, d, alpha, window, n, chunk_points):
+        from pppt.simulation import _collect_stats
+        cfg = NetworkConfig(lam, d, alpha)
+        w = simulation.default_window_radius(cfg) if window is None else window
+        kwargs = {} if chunk_points is None else {"chunk_points": chunk_points}
+        got = _collect_stats(cfg, w, seed=11, n_realizations=n, **kwargs)
+        want = self.oracle_stats(cfg, w, seed=11, n_realizations=n)
+        for field in ("n_dec", "r2_min", "r2_far_min"):
+            np.testing.assert_array_equal(getattr(got, field), want[field])
+        for field in ("s_dec", "s_far"):
+            np.testing.assert_allclose(getattr(got, field), want[field], rtol=1e-13, atol=0)
+        if lam < 1:  # the cases the ids promise are really in the data
+            assert np.any(want["n_dec"] == 0) and np.any(want["n_dec"] > 0)
+        if chunk_points is not None:  # empty windows, and decode sets with nothing beyond
+            assert np.any(np.isinf(want["r2_min"]))
+            assert np.any(np.isinf(want["r2_far_min"]) & (want["n_dec"] > 0))
+
+    def test_kernel_memory_is_chunk_sized(self):
+        # 100 dense realizations hold 31M points; the kernel may keep only a
+        # chunk of them alive at once (numpy reports its buffers to tracemalloc)
+        from pppt.simulation import _collect_stats
+        cfg = NetworkConfig(10.0, 1.0, 4.0)
+        tracemalloc.start()
+        try:
+            _collect_stats(cfg, simulation.default_window_radius(cfg), seed=0, n_realizations=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     def test_requires_enough_realizations(self):
         with pytest.raises(ValueError):

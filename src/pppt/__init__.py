@@ -9,33 +9,19 @@ quantifies the closest-interferer approximation behind the closed forms.
 __version__ = "0.1.0"
 
 from . import fixed_rate, ian, numerics, opt, simulation
-from .model import (
-    DecodingRule,
-    EmptyWindowError,
-    NetworkConfig,
-    SpatialRealization,
-    ThroughputValue,
-    nearest_interferer_distance,
-    pathloss_gain,
-    sample_realization,
-)
+from .model import DecodingRule, NetworkConfig, ThroughputValue
 from .numerics import QuadratureSpec, SeriesTruncation
 
 __all__ = [
     "DecodingRule",
-    "EmptyWindowError",
     "NetworkConfig",
     "QuadratureSpec",
     "SeriesTruncation",
-    "SpatialRealization",
     "ThroughputValue",
     "__version__",
     "fixed_rate",
     "ian",
-    "nearest_interferer_distance",
     "numerics",
     "opt",
-    "pathloss_gain",
-    "sample_realization",
     "simulation",
 ]

@@ -121,9 +121,8 @@ def _sweep_columns(rules, methods):
     return groups
 
 
-def _sweep_cell(args, lam, method, rule_name, detail):
+def _sweep_cell(args, cfg, method, rule_name, detail):
     """The values of one column group at one density."""
-    cfg = _cfg(args, lam)
     if method == "tightness":
         row, = simulation.tightness_report([cfg], n_realizations=args.realizations,
                                            seed=args.seed)
@@ -152,22 +151,23 @@ def _sweep(args, groups, meta: str) -> int:
     """Evaluate every (lambda, column group) cell in parallel and emit the
     table in grid order; a failed cell leaves NaN and one warning per column."""
     grid = _lambda_grid(args)
+    cfgs = [_cfg(args, lam) for lam in grid]  # an invalid network is a usage error
     names = [name for g in groups for name in g[0]]
     starts = np.cumsum([0] + [len(g[0]) for g in groups])
-    cells = [(i, k, lam) for i, lam in enumerate(grid) for k in range(len(groups))]
+    cells = [(i, k) for i in range(len(grid)) for k in range(len(groups))]
     values = np.full((len(grid), len(names)), np.nan)
     failures = 0
     with ThreadPoolExecutor(max_workers=_thread_count(len(cells))) as pool:
         # the grid ascends and a Monte Carlo cell's cost grows with lambda:
         # submit the costliest first so that no large cell starts last
-        futures = [pool.submit(_sweep_cell, args, lam, *groups[k][1:])
-                   for _, k, lam in reversed(cells)][::-1]
-        for fut, (i, k, lam) in zip(futures, cells):
+        futures = [pool.submit(_sweep_cell, args, cfgs[i], *groups[k][1:])
+                   for i, k in reversed(cells)][::-1]
+        for fut, (i, k) in zip(futures, cells):
             try:
                 values[i, starts[k]:starts[k + 1]] = fut.result()
             except (ArithmeticError, ValueError) as exc:
                 for name in groups[k][0]:
-                    print(f"warning: cell lam={lam:g} {name}: {exc}", file=sys.stderr)
+                    print(f"warning: cell lam={grid[i]:g} {name}: {exc}", file=sys.stderr)
                 failures += 1
     rows = [[float(lam)] + [float(v) for v in values[i]] for i, lam in enumerate(grid)]
     _emit(args, meta, ["lambda"] + names, rows)
@@ -182,6 +182,12 @@ def _cmd_sweep(args) -> int:
     methods = args.method or ["cognitive"]
     if "simulate" in methods:
         simulation._check_realizations(args.realizations)
+    if "bounds" in methods:
+        edge = opt.conditional_support_edge(0)  # the widest joint-rule edge
+        if not args.y_ian > 0:
+            raise ValueError(f"--y-ian must be > 0, got {args.y_ian}")
+        if not args.y_opt > edge:
+            raise ValueError(f"--y-opt must be > {edge:g}, got {args.y_opt}")
     meta = (f"sweep lambda=[{args.lambda_min},{args.lambda_max}]x{args.points} "
             f"scale={'log' if args.log else 'linear'} d={args.d} alpha={args.alpha} "
             f"rules={'+'.join(rules)} methods={'+'.join(methods)} "
@@ -215,7 +221,7 @@ def _cmd_figures(args) -> int:
         if fig == 3:  # throughput next to the bound it approaches
             groups = [g for g in groups if g[3] != "lower"]
     os.makedirs(args.out_dir, exist_ok=True)
-    ns.out = os.path.join(args.out_dir, f"fig{fig}.csv")
+    ns.out = os.path.join(args.out_dir, f"fig{fig}.{args.format}")
     meta = (f"figure {fig} d=1 alpha=4 grid=[0.01,10]x{ns.points} log "
             + ("lower bound at y=1 " if fig == 2 else "")
             + ("lower bound at y=2 " if fig == 4 else "")

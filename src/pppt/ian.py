@@ -25,6 +25,7 @@ from .numerics import (
     BracketError,
     QuadratureSpec,
     _log2_1p_scaled_pow,
+    _log_sir_at_rate,
     _scalar_or_array,
     find_root,
     integrate,
@@ -117,9 +118,13 @@ def lower_bound(cfg: NetworkConfig, y: float) -> ThroughputValue:
     """Markov-inequality lower bound lam * y * P[R >= y], valid for any y > 0."""
     if not y > 0:
         raise ValueError(f"y must be > 0, got {y}")
-    with np.errstate(over="ignore"):
-        s = math.expm1(y * _LN2)
-        value = cfg.lam * y * math.exp(-cfg.mu * s ** (2.0 / cfg.alpha))
+    # s = 2**y - 1 overflows once y > 1024, so s**e is taken from log s;
+    # past e*log s = 700 the survival underflows to 0
+    e = 2.0 / cfg.alpha
+    log_s = _log_sir_at_rate(y, 1.0)
+    value = 0.0
+    if e * log_s < 700.0:
+        value = cfg.lam * y * math.exp(-cfg.mu * math.exp(e * log_s))
     return ThroughputValue(value=value, method="cognitive", rule=DecodingRule.IAN, kind="lower_bound")
 
 

@@ -9,7 +9,9 @@ representative.
 
 Receivers of the interfering pairs are never materialized: every quantity
 computed downstream (interference, nearest-interferer distance, rates)
-depends only on the transmitter positions relative to the typical receiver.
+depends only on the transmitters' distances to the typical receiver.  The
+window kernel in ``simulation`` is the only sampler and draws exactly those
+distances; ``rng_from_seed`` keys its per-realization streams.
 """
 from __future__ import annotations
 
@@ -21,15 +23,10 @@ import numpy as np
 
 __all__ = [
     "DecodingRule",
-    "EmptyWindowError",
     "NetworkConfig",
-    "SpatialRealization",
     "ThroughputValue",
     "THROUGHPUT_KINDS",
     "THROUGHPUT_METHODS",
-    "nearest_interferer_distance",
-    "pathloss_gain",
-    "sample_realization",
 ]
 
 
@@ -42,11 +39,6 @@ class DecodingRule(enum.Enum):
 
 THROUGHPUT_METHODS = ("cognitive", "fixed_rate")
 THROUGHPUT_KINDS = ("quadrature", "lower_bound", "upper_bound", "asymptote")
-
-
-class EmptyWindowError(ValueError):
-    """A realization contains no interferer, so nearest-distance queries
-    (and interference-limited rates) are undefined or unbounded."""
 
 
 @dataclass(frozen=True)
@@ -110,47 +102,6 @@ class ThroughputValue:
             raise ValueError(f"rule must be a DecodingRule, got {self.rule!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class SpatialRealization:
-    """One sampled network: the typical link plus interferers in a disc.
-
-    The typical receiver sits at the origin and its transmitter at distance
-    ``cfg.d`` in a random direction.  ``interferer_tx`` holds the (n, 2)
-    positions of the interfering transmitters inside ``window_radius`` of
-    the origin.  Instances are immutable; the arrays are marked read-only.
-    """
-
-    cfg: NetworkConfig
-    typical_rx: np.ndarray
-    typical_tx: np.ndarray
-    interferer_tx: np.ndarray
-    window_radius: float
-    seed: object
-
-    def __post_init__(self):
-        for arr in (self.typical_rx, self.typical_tx, self.interferer_tx):
-            arr.setflags(write=False)
-
-    @property
-    def n_interferers(self) -> int:
-        return self.interferer_tx.shape[0]
-
-
-def pathloss_gain(x, alpha: float):
-    """Power gain of the distance-dependent path-loss law, x**(-alpha).
-
-    ``x`` may be a scalar or an array of distances in meters; all entries
-    must be > 0 (the law is undefined at zero separation).
-    """
-    if not alpha > 2:
-        raise ValueError(f"alpha must be > 2, got {alpha}")
-    x = np.asarray(x, dtype=float)
-    if not np.all(x > 0):
-        raise ValueError("pathloss_gain requires strictly positive distances")
-    out = x ** (-alpha)
-    return float(out) if out.ndim == 0 else out
-
-
 def _seed_key(seed) -> object:
     # np.random.SeedSequence wants non-negative entropy; fold negative ints
     # into the 64-bit range so "any integer" is a valid seed.
@@ -166,47 +117,3 @@ def rng_from_seed(seed) -> np.random.Generator:
     independent, reproducible streams for parallel sweeps.
     """
     return np.random.default_rng(_seed_key(seed))
-
-
-def sample_realization(cfg: NetworkConfig, window_radius: float, seed) -> SpatialRealization:
-    """Draw one network realization in a disc around the typical receiver.
-
-    The interferer count is Poisson(lam * pi * window_radius^2) and the
-    positions are i.i.d. uniform on the disc (radius via sqrt of a uniform,
-    angle uniform).  Identical (cfg, window_radius, seed) inputs give
-    bit-identical realizations.
-
-    ``window_radius`` must be at least 10 * cfg.d; smaller windows make the
-    missing far-field interference visible in the statistics.
-    """
-    if not window_radius >= 10.0 * cfg.d:
-        raise ValueError(
-            f"window_radius must be >= 10*d = {10.0 * cfg.d} m, got {window_radius}"
-        )
-    rng = rng_from_seed(seed)
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    typical_tx = cfg.d * np.array([math.cos(theta), math.sin(theta)])
-    n = rng.poisson(cfg.lam * math.pi * window_radius * window_radius)
-    radii = window_radius * np.sqrt(rng.random(n))
-    angles = 2.0 * math.pi * rng.random(n)
-    points = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
-    return SpatialRealization(
-        cfg=cfg,
-        typical_rx=np.zeros(2),
-        typical_tx=typical_tx,
-        interferer_tx=points,
-        window_radius=float(window_radius),
-        seed=seed,
-    )
-
-
-def nearest_interferer_distance(real: SpatialRealization) -> float:
-    """Distance from the typical receiver to its closest interferer.
-
-    Raises EmptyWindowError when the realization has no interferer; callers
-    treat that case as interference-free (see the simulation module).
-    """
-    if real.n_interferers == 0:
-        raise EmptyWindowError("realization contains no interferer")
-    rel = real.interferer_tx - real.typical_rx
-    return float(np.min(np.hypot(rel[:, 0], rel[:, 1])))

@@ -45,6 +45,14 @@ def _log2_1p_scaled_pow(k: float, y: float, p: float) -> float:
     return math.log1p(k * y**p) / _LN2
 
 
+def _log_sir_at_rate(y: float, k: float) -> float:
+    """log b for the SIR b with log2(1 + k * b) / k = y: the inverse of the
+    rate law with k messages, finite where b = expm1(k * y * ln2) / k
+    overflows (k * y * ln2 > 709)."""
+    x = k * y * _LN2
+    return x + math.log(-math.expm1(-x)) - math.log(k)
+
+
 def _scalar_or_array(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 

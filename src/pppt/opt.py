@@ -26,6 +26,7 @@ from .numerics import (
     QuadratureSpec,
     SeriesTruncation,
     _log2_1p_scaled_pow,
+    _log_sir_at_rate,
     _scalar_or_array,
     integrate,
     truncated_poisson_weights,
@@ -186,10 +187,8 @@ def lower_bound(cfg: NetworkConfig, y,
                 f"scheduled rate {yi} at joint count {i} is not above the "
                 f"support edge {conditional_support_edge(i)}"
             )
-        # log of the SIR b = expm1(x)/(1+i) matching yi: b itself overflows
-        # once x > 709, and past e*log b = 700 the survival underflows to 0
-        x = (1.0 + i) * yi * _LN2
-        log_b = x + math.log(-math.expm1(-x)) - math.log1p(i)
+        # past e*log b = 700 the survival underflows to 0
+        log_b = _log_sir_at_rate(yi, 1.0 + i)
         if e * log_b < 700.0:
             total += wi * yi * math.exp(-cfg.mu * math.expm1(e * log_b))
     return ThroughputValue(

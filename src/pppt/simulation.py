@@ -5,8 +5,10 @@ receiver at the origin, full aggregate interference from every transmitter
 in a finite window, no mutual-achievability coupling between links.  Every
 per-link statistic (aggregate interference, nearest distance, decode-set
 powers) depends on the interferer positions only through their distances to
-the origin, so the batched kernel samples squared radii directly — one
-uniform per point — instead of materializing planar coordinates.
+the origin, so the window kernel samples squared radii directly — one
+uniform per point — and never materializes planar coordinates.  It is the
+only sampler in the package, and every rate, per realization or per batch,
+comes from its statistics through one rate law.
 
 Realization ``i`` of a run seeded with ``s`` always draws from the stream
 keyed by (s, i), and every statistic is reduced per realization: far-field
@@ -26,7 +28,7 @@ import numpy as np
 from . import ian as _ian_analytic
 from . import opt as _opt_analytic
 from .fixed_rate import FixedRateSolution
-from .model import DecodingRule, NetworkConfig, SpatialRealization, rng_from_seed
+from .model import DecodingRule, NetworkConfig, rng_from_seed
 from .numerics import _LN2, QuadratureSpec, SeriesTruncation
 
 __all__ = [
@@ -37,8 +39,6 @@ __all__ = [
     "default_window_radius",
     "estimate_cognitive",
     "estimate_fixed_rate",
-    "rate_ian",
-    "rate_opt",
     "tightness_report",
 ]
 
@@ -179,7 +179,12 @@ def _rates_from_stats(cfg: NetworkConfig, stats: _RealizationStats, rule: Decodi
     """The cognitive rate law, log2(1 + share * SIR) / share per realization.
 
     share = 1 under interference as noise and 1 + n_dec under joint
-    decoding; a realization with no interference gets RATE_CAP.
+    decoding, whose decode set holds the interferers strictly closer than
+    the link distance (ties go to the noise set); a realization with no
+    interference gets RATE_CAP.  As the analytic chains do, ``closest_only``
+    replaces the (noise-set) interference by its nearest interferer's power
+    and ``lower_bound_powers`` each decoded power by the link's own;
+    ``exact_powers`` keeps the decoded powers.
     """
     half_alpha = cfg.alpha / 2.0
     sig = cfg.d ** (-cfg.alpha)
@@ -199,48 +204,6 @@ def _rates_from_stats(cfg: NetworkConfig, stats: _RealizationStats, rule: Decodi
             numerator = sig + stats.s_dec if rate_mode == "exact_powers" else share * sig
         rate = np.log1p(np.divide(numerator, interference)) / (_LN2 * share)
     return np.minimum(rate, RATE_CAP)
-
-
-def _realization_rate(real: SpatialRealization, rule: DecodingRule, mode: str,
-                      rate_mode: str) -> float:
-    # one row of statistics, split at the link distance as _collect_stats
-    # splits a batch, through the batch rate law
-    cfg = real.cfg
-    rel = real.interferer_tx - real.typical_rx
-    r2 = rel[:, 0] ** 2 + rel[:, 1] ** 2
-    p = r2 ** (-cfg.alpha / 2.0)
-    dec = r2 < cfg.d * cfg.d
-    row = _RealizationStats(
-        s_dec=np.array([np.sum(p[dec])]),
-        s_far=np.array([np.sum(p[~dec])]),
-        n_dec=np.array([float(np.count_nonzero(dec))]),
-        r2_min=np.array([np.min(r2, initial=np.inf)]),
-        r2_far_min=np.array([np.min(r2[~dec], initial=np.inf)]),
-    )
-    return float(_rates_from_stats(cfg, row, rule, mode, rate_mode)[0])
-
-
-def rate_ian(real: SpatialRealization, mode: str = "full") -> float:
-    """Highest achievable rate of one realization, interference as noise.
-
-    ``closest_only`` replaces the aggregate interference by the nearest
-    interferer's power, reproducing the analytic approximation.
-    """
-    _check_mode(mode)
-    return _realization_rate(real, DecodingRule.IAN, mode, "exact_powers")
-
-
-def rate_opt(real: SpatialRealization, mode: str = "full",
-             rate_mode: str = "exact_powers") -> float:
-    """Highest symmetric-share rate of one realization under joint decoding.
-
-    Interferers strictly closer than the link distance join the decode set
-    (ties go to the noise set); ``exact_powers`` uses their actual received
-    powers in the joint constraint while ``lower_bound_powers`` replaces
-    each by the typical link's own power, matching the analytic chain.
-    """
-    _check_mode(mode, rate_mode)
-    return _realization_rate(real, DecodingRule.OPT, mode, rate_mode)
 
 
 def _estimate_from_rates(cfg: NetworkConfig, rates: np.ndarray) -> tuple[float, float]:

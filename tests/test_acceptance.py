@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 from pppt import fixed_rate, ian, opt, simulation
-from pppt.model import DecodingRule, NetworkConfig, nearest_interferer_distance, sample_realization
+from pppt.model import DecodingRule, NetworkConfig
 from pppt.numerics import maximize_unimodal, truncated_poisson_weights
 
 GRID = np.geomspace(0.01, 10.0, 20)           # shared density grid, d=1, alpha=4
@@ -217,10 +217,8 @@ def test_criterion_10_contact_distance_law():
     """Kolmogorov-Smirnov distance of 1e5 sampled nearest-interferer
     distances against the Rayleigh contact law is below 0.01."""
     cfg = NetworkConfig(1.0, 1.0, 4.0)
-    dists = np.array([
-        nearest_interferer_distance(sample_realization(cfg, 10.0, seed=s))
-        for s in range(100_000)
-    ])
+    stats = simulation._collect_stats(cfg, 10.0, seed=0, n_realizations=100_000)
+    dists = np.sqrt(stats.r2_min)
     dists.sort()
     model = -np.expm1(-cfg.lam * math.pi * dists**2)
     n = len(dists)

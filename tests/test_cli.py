@@ -162,6 +162,27 @@ class TestSweep:
     def test_bad_grid_is_usage_error(self):
         assert main(["sweep", "--lambda-min", "5", "--lambda-max", "1"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "2"],
+        ["--d", "-1"],
+        ["--no-log", "--lambda-min", "0"],
+        ["--method", "bounds", "--y-ian", "-1"],
+        ["--method", "bounds", "--y-opt", "1"],
+    ], ids=["alpha", "d", "lambda-zero", "y-ian", "y-opt"])
+    def test_invalid_input_is_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--points", "3", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_bounds_past_double_range_of_sir(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--points", "3", "--method", "bounds", "--rule", "ian",
+                     "--y-ian", "2000", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert all(v >= 0 for v in column(header, rows, "lower_ian"))
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--frequency", "2.4GHz"])
@@ -223,6 +244,14 @@ class TestFigures:
         warnings = capsys.readouterr().err.splitlines()
         assert warnings == [f"warning: cell lam=10 {name}: did not converge "
                             "(estimate=1.0, error_bound=0.5)" for name in header[1:]]
+
+    def test_json_output_named_by_format(self, tmp_path):
+        rc = main(["figures", "--fig", "2", "--points", "3", "--format", "json",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        payload = json.loads((tmp_path / "fig2.json").read_text())
+        assert payload["columns"][0] == "lambda" and len(payload["rows"]) == 3
+        assert not (tmp_path / "fig2.csv").exists()
 
     @pytest.mark.parametrize("points", ["0", "1"])
     def test_too_few_points_is_usage_error(self, points, tmp_path, capsys):

@@ -117,6 +117,13 @@ class TestBounds:
     def test_lower_vanishes(self):
         assert ian.lower_bound(CFG1, 1e-12).value < 1e-11
 
+    @pytest.mark.parametrize("y,want", [(1025.0, 1.37640827877701e-15),
+                                        (1100.0, 1.47594003142716e-54)])
+    def test_lower_past_double_range_of_sir(self, y, want):
+        # the SIR 2**y - 1 overflows a double; reference from mpmath at 50 digits
+        cfg = NetworkConfig(1e-9 / math.pi, 1.0, 60.0)
+        assert ian.lower_bound(cfg, y).value == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_lower_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ian.lower_bound(CFG1, 0.0)

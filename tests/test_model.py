@@ -4,28 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pppt.model import (
-    DecodingRule,
-    EmptyWindowError,
-    NetworkConfig,
-    SpatialRealization,
-    ThroughputValue,
-    nearest_interferer_distance,
-    pathloss_gain,
-    sample_realization,
-)
-
-
-def make_realization(points, cfg=None, d_dir=(1.0, 0.0), window=20.0):
-    cfg = cfg or NetworkConfig(1.0, 1.0, 4.0)
-    return SpatialRealization(
-        cfg=cfg,
-        typical_rx=np.zeros(2),
-        typical_tx=cfg.d * np.asarray(d_dir, dtype=float),
-        interferer_tx=np.asarray(points, dtype=float).reshape(-1, 2),
-        window_radius=window,
-        seed=0,
-    )
+from pppt.model import DecodingRule, NetworkConfig, ThroughputValue
+from pppt.simulation import RATE_CAP, _collect_stats, estimate_cognitive
 
 
 class TestNetworkConfig:
@@ -49,27 +29,6 @@ class TestNetworkConfig:
             cfg.lam = 2.0
 
 
-class TestPathloss:
-    def test_identity_case(self):
-        assert pathloss_gain(1.0, 4.0) == 1.0
-
-    def test_direct_substitution(self):
-        assert pathloss_gain(2.0, 4.0) == pytest.approx(0.0625, rel=1e-15)
-
-    def test_vectorized(self):
-        out = pathloss_gain(np.array([1.0, 2.0, 4.0]), 4.0)
-        np.testing.assert_allclose(out, [1.0, 0.0625, 0.00390625], rtol=1e-15)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0])
-    def test_zero_separation_rejected(self, x):
-        with pytest.raises(ValueError):
-            pathloss_gain(x, 4.0)
-
-    def test_exponent_validated(self):
-        with pytest.raises(ValueError):
-            pathloss_gain(1.0, 2.0)
-
-
 class TestThroughputValue:
     def test_valid(self):
         tv = ThroughputValue(0.1, "cognitive", DecodingRule.IAN, "quadrature")
@@ -90,66 +49,55 @@ class TestThroughputValue:
 
 
 class TestSampling:
-    CFG = NetworkConfig(1.0, 1.0, 4.0)
+    """Counts and seeding of the window kernel; with window = d = 10 every
+    sampled point lies in the decode set, so ``n_dec`` is the window count."""
+
+    CFG = NetworkConfig(1.0, 10.0, 4.0)
+
+    def counts(self, cfg, n):
+        return _collect_stats(cfg, 10.0, seed=0, n_realizations=n).n_dec
 
     def test_deterministic(self):
-        a = sample_realization(self.CFG, 10.0, seed=1234)
-        b = sample_realization(self.CFG, 10.0, seed=1234)
-        assert np.array_equal(a.interferer_tx, b.interferer_tx)
-        assert np.array_equal(a.typical_tx, b.typical_tx)
-        c = sample_realization(self.CFG, 10.0, seed=1235)
-        assert not np.array_equal(a.interferer_tx, c.interferer_tx)
+        a = _collect_stats(self.CFG, 10.0, seed=1234, n_realizations=20)
+        b = _collect_stats(self.CFG, 10.0, seed=1234, n_realizations=20)
+        c = _collect_stats(self.CFG, 10.0, seed=1235, n_realizations=20)
+        assert np.array_equal(a.r2_min, b.r2_min) and np.array_equal(a.s_dec, b.s_dec)
+        assert not np.array_equal(a.r2_min, c.r2_min)
 
     def test_negative_seed_accepted(self):
-        real = sample_realization(self.CFG, 10.0, seed=-3)
-        assert real.n_interferers >= 0
-
-    def test_typical_link_geometry(self):
-        for seed in range(20):
-            real = sample_realization(self.CFG, 10.0, seed=seed)
-            d = np.linalg.norm(real.typical_tx - real.typical_rx)
-            assert abs(d - self.CFG.d) < 1e-12 * self.CFG.d
+        a = _collect_stats(self.CFG, 10.0, seed=-3, n_realizations=20)
+        b = _collect_stats(self.CFG, 10.0, seed=2**64 - 3, n_realizations=20)
+        for field in ("s_dec", "s_far", "n_dec", "r2_min", "r2_far_min"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_interferers_inside_window(self):
-        real = sample_realization(self.CFG, 10.0, seed=7)
-        r = np.hypot(real.interferer_tx[:, 0], real.interferer_tx[:, 1])
-        assert np.all(r <= 10.0)
-
-    def test_window_too_small(self):
-        with pytest.raises(ValueError):
-            sample_realization(self.CFG, 9.99, seed=0)
-
-    def test_immutable_arrays(self):
-        real = sample_realization(self.CFG, 10.0, seed=0)
-        with pytest.raises(ValueError):
-            real.interferer_tx[0, 0] = 99.0
+        # a point at or beyond the window radius would land in the noise set
+        stats = _collect_stats(self.CFG, 10.0, seed=7, n_realizations=20)
+        assert np.all(stats.n_dec > 0) and np.all(stats.r2_min < 100.0)
+        assert not np.any(stats.s_far) and np.all(np.isinf(stats.r2_far_min))
 
     def test_empty_process_limit(self):
+        # mean count ~ 3e-7 per window: every realization is empty, so both
+        # rules give lam * RATE_CAP with no spread
         cfg = NetworkConfig(1e-9, 1.0, 4.0)
-        empties = sum(
-            sample_realization(cfg, 10.0, seed=s).n_interferers == 0 for s in range(50)
-        )
-        assert empties == 50  # mean count ~ 3e-7
+        for rule in DecodingRule:
+            est = estimate_cognitive(cfg, rule, n_realizations=100, window_radius=10.0)
+            assert est.mean == pytest.approx(cfg.lam * RATE_CAP, rel=1e-15)
+            assert est.stderr == 0.0
 
     def test_count_law_of_large_numbers(self):
-        # mean interferer count over many seeds approaches lam*pi*R^2
-        counts = np.array([
-            sample_realization(self.CFG, 10.0, seed=s).n_interferers
-            for s in range(10_000)
-        ])
+        # mean interferer count over many realizations approaches lam*pi*R^2
+        counts = self.counts(self.CFG, 10_000)
         expected = 100.0 * math.pi
         stderr = math.sqrt(expected / len(counts))
         assert abs(counts.mean() - expected) < 3.0 * stderr
 
     def test_count_chi_squared(self):
         # goodness of fit of the count distribution at significance 0.01
-        cfg = NetworkConfig(0.05, 1.0, 4.0)  # mean 5*pi in a radius-10 window
-        counts = np.array([
-            sample_realization(cfg, 10.0, seed=s).n_interferers for s in range(4000)
-        ])
+        cfg = NetworkConfig(0.05, 10.0, 4.0)  # mean 5*pi in a radius-10 window
+        counts = self.counts(cfg, 4000)
         mean = cfg.lam * math.pi * 100.0
         lo, hi = 5, 27  # pool the tails so expected bin counts stay above 5
-        edges = list(range(lo, hi + 1))
         observed = [np.sum(counts <= lo)]
         observed += [np.sum(counts == k) for k in range(lo + 1, hi)]
         observed.append(np.sum(counts >= hi))
@@ -163,30 +111,9 @@ class TestSampling:
 
 
 class TestNearestDistance:
-    def test_three_four_five(self):
-        real = make_realization([[3.0, 4.0]])
-        assert nearest_interferer_distance(real) == pytest.approx(5.0, rel=1e-15)
-
-    def test_min_of_several(self):
-        real = make_realization([[2.0, 0.0], [0.0, 7.0], [1.5, 0.0]])
-        assert nearest_interferer_distance(real) == pytest.approx(1.5, rel=1e-15)
-
     def test_empty_window_signalled(self):
-        real = make_realization(np.empty((0, 2)))
-        with pytest.raises(EmptyWindowError):
-            nearest_interferer_distance(real)
-
-    def test_contact_distance_law(self):
-        # empirical CDF against 1 - exp(-lam*pi*x^2)
-        cfg = NetworkConfig(1.0, 1.0, 4.0)
-        dists = np.array([
-            nearest_interferer_distance(sample_realization(cfg, 10.0, seed=s))
-            for s in range(20_000)
-        ])
-        dists.sort()
-        model_cdf = -np.expm1(-cfg.lam * math.pi * dists**2)
-        n = len(dists)
-        ecdf_hi = np.arange(1, n + 1) / n
-        ecdf_lo = np.arange(0, n) / n
-        ks = max(np.max(ecdf_hi - model_cdf), np.max(model_cdf - ecdf_lo))
-        assert ks < 0.015
+        # an empty window has no nearest interferer; the kernel reports inf,
+        # which the rate law turns into RATE_CAP
+        stats = _collect_stats(NetworkConfig(1e-9, 1.0, 4.0), 10.0, seed=0, n_realizations=50)
+        assert np.all(np.isinf(stats.r2_min)) and np.all(np.isinf(stats.r2_far_min))
+        assert not np.any(stats.n_dec) and not np.any(stats.s_dec) and not np.any(stats.s_far)

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,117 +7,106 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pppt import fixed_rate, ian, simulation
-from pppt.model import (
-    DecodingRule,
-    NetworkConfig,
-    SpatialRealization,
-    ThroughputValue,
-    rng_from_seed,
-    sample_realization,
-)
+from pppt.model import DecodingRule, NetworkConfig, ThroughputValue, rng_from_seed
 from pppt.simulation import (
     RATE_CAP,
     SimulationEstimate,
+    _collect_stats,
+    _RealizationStats,
+    _rates_from_stats,
     estimate_cognitive,
     estimate_fixed_rate,
-    rate_ian,
-    rate_opt,
     tightness_report,
 )
 
 CFG = NetworkConfig(1.0, 1.0, 4.0)
+IAN, OPT = DecodingRule.IAN, DecodingRule.OPT
 
 
-def scene(points, cfg=CFG):
-    return SpatialRealization(
-        cfg=cfg,
-        typical_rx=np.zeros(2),
-        typical_tx=np.array([cfg.d, 0.0]),
-        interferer_tx=np.asarray(points, dtype=float).reshape(-1, 2),
-        window_radius=max(10.0 * cfg.d, 20.0),
-        seed=0,
+def rate(dists, rule, mode="full", rate_mode="exact_powers", cfg=CFG):
+    """The rate law on one realization given by its interferer distances,
+    split at the link distance as the window kernel splits a batch."""
+    r2 = np.asarray(dists, dtype=float) ** 2
+    p = r2 ** (-cfg.alpha / 2.0)
+    dec = r2 < cfg.d * cfg.d
+    row = _RealizationStats(
+        s_dec=np.array([p[dec].sum()]),
+        s_far=np.array([p[~dec].sum()]),
+        n_dec=np.array([float(dec.sum())]),
+        r2_min=np.array([r2.min(initial=np.inf)]),
+        r2_far_min=np.array([r2[~dec].min(initial=np.inf)]),
     )
+    return float(_rates_from_stats(cfg, row, rule, mode, rate_mode)[0])
 
 
-# strategy: small clouds of interferers at sane distances
-point_clouds = st.lists(
-    st.tuples(st.floats(0.05, 30.0), st.floats(0.0, 2.0 * math.pi)),
-    min_size=1, max_size=25,
-).map(lambda polar: [[r * math.cos(t), r * math.sin(t)] for r, t in polar])
+# strategy: small sets of interferer distances at sane values
+radii = st.lists(st.floats(0.05, 30.0), min_size=1, max_size=25)
 
 
 class TestPerRealizationRates:
     def test_single_interferer_value(self):
-        real = scene([[2.0, 0.0]])
-        assert rate_ian(real) == pytest.approx(math.log2(17.0), rel=1e-12)
+        assert rate([2.0], IAN) == pytest.approx(math.log2(17.0), rel=1e-12)
 
     def test_single_interferer_modes_agree(self):
-        real = scene([[0.0, 2.0]])
-        assert rate_ian(real, "full") == pytest.approx(rate_ian(real, "closest_only"), rel=1e-12)
+        assert rate([2.0], IAN, "full") == pytest.approx(
+            rate([2.0], IAN, "closest_only"), rel=1e-12)
 
     def test_full_never_exceeds_closest(self):
-        for seed in range(30):
-            real = sample_realization(CFG, 20.0, seed=seed)
-            if real.n_interferers:
-                assert rate_ian(real, "full") <= rate_ian(real, "closest_only") + 1e-12
+        stats = _collect_stats(CFG, 20.0, seed=0, n_realizations=30)
+        full = _rates_from_stats(CFG, stats, IAN, "full", "exact_powers")
+        closest = _rates_from_stats(CFG, stats, IAN, "closest_only", "exact_powers")
+        assert np.all(full <= closest + 1e-12)
 
     def test_empty_window_capped(self):
-        real = scene(np.empty((0, 2)))
-        assert rate_ian(real) == RATE_CAP
-        assert rate_opt(real) == RATE_CAP
+        assert rate([], IAN) == RATE_CAP
+        assert rate([], OPT) == RATE_CAP
 
     def test_opt_worked_example(self):
-        real = scene([[0.5, 0.0], [2.0, 0.0]])
-        assert rate_opt(real, "full", "exact_powers") == pytest.approx(0.5 * math.log2(273.0), rel=1e-12)
-        assert rate_opt(real, "full", "lower_bound_powers") == pytest.approx(0.5 * math.log2(33.0), rel=1e-12)
+        assert rate([0.5, 2.0], OPT, "full", "exact_powers") == pytest.approx(
+            0.5 * math.log2(273.0), rel=1e-12)
+        assert rate([0.5, 2.0], OPT, "full", "lower_bound_powers") == pytest.approx(
+            0.5 * math.log2(33.0), rel=1e-12)
 
     def test_opt_closest_only_uses_nearest_noise_interferer(self):
-        real = scene([[0.5, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        assert rate_opt(real, "closest_only", "exact_powers") == pytest.approx(
+        assert rate([0.5, 2.0, 3.0], OPT, "closest_only", "exact_powers") == pytest.approx(
             0.5 * math.log2(273.0), rel=1e-12)
 
     def test_opt_empty_noise_set_capped(self):
-        assert rate_opt(scene([[0.5, 0.0]])) == RATE_CAP
+        assert rate([0.5], OPT) == RATE_CAP
 
     def test_tie_goes_to_noise_set(self):
         # an interferer exactly at the link distance is treated as noise
-        real = scene([[0.0, 1.0]])
-        assert rate_opt(real, "full", "exact_powers") == pytest.approx(1.0, rel=1e-12)
+        assert rate([1.0], OPT, "full", "exact_powers") == pytest.approx(1.0, rel=1e-12)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
-            rate_ian(scene([[1.0, 1.0]]), "sideways")
+            estimate_cognitive(CFG, IAN, mode="sideways", n_realizations=100)
         with pytest.raises(ValueError):
-            rate_opt(scene([[1.0, 1.0]]), "full", "wishful_powers")
+            estimate_cognitive(CFG, OPT, rate_mode="wishful_powers", n_realizations=100)
 
-    @given(cloud=point_clouds)
+    @given(cloud=radii)
     @settings(max_examples=60, deadline=None)
     def test_lower_powers_never_exceed_exact(self, cloud):
-        real = scene(cloud)
-        assert rate_opt(real, "full", "lower_bound_powers") <= rate_opt(real, "full", "exact_powers") + 1e-12
+        lower = rate(cloud, OPT, "full", "lower_bound_powers")
+        assert lower <= rate(cloud, OPT, "full", "exact_powers") + 1e-12
 
-    @given(cloud=point_clouds, extra=st.tuples(st.floats(1.0, 30.0), st.floats(0.0, 6.28)))
+    @given(cloud=radii, extra=st.floats(1.0, 30.0))
     @settings(max_examples=60, deadline=None)
     def test_monotone_interference(self, cloud, extra):
         # adding a noise-set interferer can only reduce the rate; for the
         # joint-decoding rule with exact powers this holds for additions at
         # or beyond the link distance (a strong in-set arrival raises the
         # joint constraint instead)
-        r, t = extra
-        added = scene(cloud + [[r * math.cos(t), r * math.sin(t)]])
-        base = scene(cloud)
-        assert rate_ian(added, "full") <= rate_ian(base, "full") + 1e-12
-        assert rate_opt(added, "full", "exact_powers") <= rate_opt(base, "full", "exact_powers") + 1e-12
-        assert rate_opt(added, "full", "lower_bound_powers") <= rate_opt(base, "full", "lower_bound_powers") + 1e-12
+        added = cloud + [extra]
+        for law in ((IAN,), (OPT, "full", "exact_powers"), (OPT, "full", "lower_bound_powers")):
+            assert rate(added, *law) <= rate(cloud, *law) + 1e-12
 
-    @given(cloud=point_clouds, extra=st.tuples(st.floats(0.05, 30.0), st.floats(0.0, 6.28)))
+    @given(cloud=radii, extra=st.floats(0.05, 30.0))
     @settings(max_examples=60, deadline=None)
     def test_monotone_interference_lower_powers_any_position(self, cloud, extra):
-        r, t = extra
-        added = scene(cloud + [[r * math.cos(t), r * math.sin(t)]])
-        base = scene(cloud)
-        assert rate_opt(added, "full", "lower_bound_powers") <= rate_opt(base, "full", "lower_bound_powers") + 1e-12
-        assert rate_ian(added, "full") <= rate_ian(base, "full") + 1e-12
+        added = cloud + [extra]
+        for law in ((OPT, "full", "lower_bound_powers"), (IAN,)):
+            assert rate(added, *law) <= rate(cloud, *law) + 1e-12
 
 
 class TestEstimateCognitive:
@@ -128,7 +116,6 @@ class TestEstimateCognitive:
         assert a == b
 
     def test_chunking_does_not_change_results(self):
-        from pppt.simulation import _collect_stats
         tiny = _collect_stats(CFG, 100.0, seed=9, n_realizations=200, chunk_points=500)
         big = _collect_stats(CFG, 100.0, seed=9, n_realizations=200, chunk_points=10_000_000)
         for field in ("s_dec", "s_far", "n_dec", "r2_min", "r2_far_min"):
@@ -155,7 +142,6 @@ class TestEstimateCognitive:
         (0.02, 2.0, 3.0, 5.0, 300, 4),
     ], ids=["dense", "empty-decode-sets", "empty-windows-in-chunk"])
     def test_kernel_matches_per_realization_oracle(self, lam, d, alpha, window, n, chunk_points):
-        from pppt.simulation import _collect_stats
         cfg = NetworkConfig(lam, d, alpha)
         w = simulation.default_window_radius(cfg) if window is None else window
         kwargs = {} if chunk_points is None else {"chunk_points": chunk_points}
@@ -174,7 +160,6 @@ class TestEstimateCognitive:
     def test_kernel_memory_is_chunk_sized(self):
         # 100 dense realizations hold 31M points; the kernel may keep only a
         # chunk of them alive at once (numpy reports its buffers to tracemalloc)
-        from pppt.simulation import _collect_stats
         cfg = NetworkConfig(10.0, 1.0, 4.0)
         tracemalloc.start()
         try:
@@ -214,12 +199,11 @@ class TestEstimateCognitive:
         w = simulation.default_window_radius(cfg)
         rates_big, rates_small = [], []
         for seed in range(300):
-            real = sample_realization(cfg, 2.0 * w, seed=seed)
-            rates_big.append(rate_ian(real, "full"))
-            r = np.hypot(real.interferer_tx[:, 0], real.interferer_tx[:, 1])
-            clipped = replace(real, interferer_tx=real.interferer_tx[r <= w].copy(),
-                              window_radius=w)
-            rates_small.append(rate_ian(clipped, "full"))
+            # realization 0 of a run seeded `seed`, drawn as the window kernel draws it
+            rng = rng_from_seed((seed, 0))
+            r = 2.0 * w * np.sqrt(rng.random(rng.poisson(cfg.lam * math.pi * 4.0 * w * w)))
+            rates_big.append(rate(r, IAN, cfg=cfg))
+            rates_small.append(rate(r[r <= w], IAN, cfg=cfg))
         gap = cfg.lam * abs(np.mean(rates_big) - np.mean(rates_small))
         stderr = cfg.lam * np.std(rates_big, ddof=1) / math.sqrt(len(rates_big))
         assert gap < stderr

@@ -8,9 +8,9 @@ importable, otherwise prints tables only.
 Run:  python demos/01_rate_statistics.py
 """
 import numpy as np
-from scipy.integrate import quad
 
 from pppt import NetworkConfig, ian, opt
+from pppt.numerics import integrate
 
 cfg = NetworkConfig(lam=1 / np.pi, d=1.0, alpha=4.0)  # mu = lam*pi*d^2 = 1
 print(f"Network: density {cfg.lam:.4f} /m^2, link distance {cfg.d} m, "
@@ -26,7 +26,7 @@ for xi in x:
     print(f"  {xi:18.2f} | {ian.pdf_nearest_distance(cfg, xi):20.4f} |"
           f" {ian.pdf_sir(cfg, xi):8.4f} | {ian.pdf_rate(cfg, xi):8.4f}")
 
-mass, _ = quad(lambda t: ian.pdf_rate(cfg, t), 0.0, 30.0, limit=300)
+mass = integrate(lambda t: ian.pdf_rate(cfg, t))
 print(f"\nRate-density normalization check: {mass:.8f} (should be 1)")
 
 print("\nUnder joint decoding the rate density becomes a Poisson mixture over")

@@ -79,52 +79,55 @@ def spatial_throughput_at(cfg: NetworkConfig, rule: DecodingRule, sir: float,
     return cfg.lam * math.log1p(k * sir) / (k * _LN2) * math.exp(-cfg.mu * (sir**e - 1.0))
 
 
-def _objective_slope(cfg: NetworkConfig, k: float):
+def _objective_slope(cfg: NetworkConfig, k, b):
     # derivative of log(rate * success probability) in the threshold,
     # rescaled by the positive factor b^(1 - 2/alpha) * (1+k*b) * ln(1+k*b)
     # so the root is bracketable without poles:
     #   g(b) = (2*mu/(k*alpha)) * (1+k*b) * ln(1+k*b) - b^((alpha-2)/alpha)
-    # g < 0 where the objective rises, g > 0 where it falls.
-    two_mu = 2.0 * cfg.mu
+    # g < 0 where the objective rises, g > 0 where it falls.  Elementwise
+    # in (k, b).
+    return ((2.0 * cfg.mu / (k * cfg.alpha)) * (1.0 + k * b) * np.log1p(k * b)
+            - b ** ((cfg.alpha - 2.0) / cfg.alpha))
 
-    def g(b: float) -> float:
-        return (two_mu / (k * cfg.alpha)) * (1.0 + k * b) * math.log1p(k * b) - b ** (
-            (cfg.alpha - 2.0) / cfg.alpha
-        )
 
-    return g
+def _thresholds(cfg: NetworkConfig, rule: DecodingRule, k: np.ndarray):
+    """Optimal thresholds and boundary flags for the decode shares ``k``,
+    solved together: the sign change of the rescaled slope, bracketed
+    below from 1e-9 down under interference-as-noise or by the support
+    edge sir = 1 under joint decoding (a slope already >= 0 there flags the
+    boundary), and above by doubling from 2.
+    """
+    if rule is DecodingRule.IAN:
+        lo = 1e-9
+        while _objective_slope(cfg, 1.0, lo) >= 0.0 and lo > 1e-300:
+            lo *= 1e-2
+        boundary = np.zeros(k.shape, dtype=bool)
+    else:
+        lo = 1.0
+        boundary = _objective_slope(cfg, k, lo) >= 0.0
+    b = np.full(k.shape, BOUNDARY_SIR)
+    k_in = k[~boundary]
+    if k_in.size:
+        hi = np.full(k_in.shape, 2.0)
+        while np.any(rising := _objective_slope(cfg, k_in, hi) < 0.0):
+            hi[rising] *= 2.0
+        b[~boundary] = find_root(lambda x: _objective_slope(cfg, k_in, x), (lo, hi), tol=1e-12)
+    return b, boundary
 
 
 def optimal_sir_threshold(cfg: NetworkConfig, rule: DecodingRule, joint: int = 0):
     """Threshold maximizing the fixed-rate objective for one joint count.
 
-    Returns (sir, at_boundary).  The interior maximum is the unique sign
-    change of the rescaled slope, bracketed from below and above by
-    geometric growth; under joint decoding the slope may already be
-    negative at the support edge, in which case the boundary value is
-    returned with the flag set.
+    Returns (sir, at_boundary): the unique sign change of the rescaled
+    slope, or, under joint decoding, the support boundary with the flag set
+    when the slope is already negative there.
     """
-    if rule is DecodingRule.IAN:
-        if joint != 0:
-            raise ValueError("interference-as-noise has no jointly decoded messages")
-        g = _objective_slope(cfg, 1.0)
-        lo = 1e-9
-        while g(lo) >= 0.0 and lo > 1e-300:
-            lo *= 1e-2
-        hi = 2.0
-        while g(hi) < 0.0:
-            hi *= 2.0
-        return find_root(g, (lo, hi), tol=1e-12), False
-
+    if rule is DecodingRule.IAN and joint != 0:
+        raise ValueError("interference-as-noise has no jointly decoded messages")
     if joint < 0:
         raise ValueError(f"joint must be >= 0, got {joint}")
-    g = _objective_slope(cfg, 1.0 + joint)
-    if g(1.0) >= 0.0:
-        return BOUNDARY_SIR, True
-    hi = 2.0
-    while g(hi) < 0.0:
-        hi *= 2.0
-    return find_root(g, (1.0, hi), tol=1e-12), False
+    b, boundary = _thresholds(cfg, rule, np.array([1.0 + joint]))
+    return float(b[0]), bool(boundary[0])
 
 
 def highest_throughput(cfg: NetworkConfig, rule: DecodingRule,
@@ -133,29 +136,18 @@ def highest_throughput(cfg: NetworkConfig, rule: DecodingRule,
 
     Under joint decoding the value is the Poisson-weighted sum of the per
     count objectives, each at its own optimal threshold; the weights follow
-    the series truncation policy.
+    the series truncation policy, and the thresholds of all counts are
+    solved together.
     """
-    e = 2.0 / cfg.alpha
     if rule is DecodingRule.IAN:
-        b, _ = optimal_sir_threshold(cfg, rule)
-        thresholds = np.array([b])
-        rates = np.array([math.log1p(b) / _LN2])
-        value = spatial_throughput_at(cfg, rule, b)
-        boundary = np.array([False])
+        w, edge = np.ones(1), 0.0
     else:
-        w = truncated_poisson_weights(cfg.mu, truncation)
-        thresholds = np.empty(len(w))
-        rates = np.empty(len(w))
-        boundary = np.empty(len(w), dtype=bool)
-        total = 0.0
-        for i, wi in enumerate(w):
-            b, bd = optimal_sir_threshold(cfg, rule, joint=i)
-            k = 1.0 + i
-            thresholds[i] = b
-            rates[i] = math.log1p(k * b) / (k * _LN2)
-            boundary[i] = bd
-            total += wi * rates[i] * math.exp(-cfg.mu * (b**e - 1.0))
-        value = cfg.lam * total
+        w, edge = truncated_poisson_weights(cfg.mu, truncation), 1.0
+    k = 1.0 + np.arange(len(w))
+    thresholds, boundary = _thresholds(cfg, rule, k)
+    rates = np.log1p(k * thresholds) / (k * _LN2)
+    success = np.exp(-cfg.mu * (thresholds ** (2.0 / cfg.alpha) - edge))
+    value = cfg.lam * float(np.sum(w * rates * success))
     return FixedRateSolution(
         rule=rule,
         sir_thresholds=thresholds,

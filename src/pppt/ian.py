@@ -8,15 +8,14 @@ R = log2(1 + SIR).
 
 All expectations are evaluated after the substitution u = mu * sir^(2/alpha)
 (mu = lam*pi*d^2), which turns every integrand into a smooth function times
-exp(-u) on [0, inf) — no endpoint singularities survive, so the adaptive
-quadrature stays cheap.
+exp(-u) on [0, inf) — no endpoint singularities survive, so the exp-sinh
+quadrature converges in a few levels.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.special import gamma
 
 from .model import DecodingRule, NetworkConfig, ThroughputValue
 from .numerics import (
@@ -24,7 +23,7 @@ from .numerics import (
     _LOG_LN4,
     BracketError,
     QuadratureSpec,
-    _log2_1p_scaled_pow,
+    _log2_1p_pow,
     _log_sir_at_rate,
     _scalar_or_array,
     find_root,
@@ -68,6 +67,28 @@ def pdf_sir(cfg: NetworkConfig, x):
     return _scalar_or_array(out)
 
 
+def _pdf_rate_above_edge(cfg: NetworkConfig, k, x, sir_edge: float = 0.0):
+    """Rate density with k messages sharing the rate, at rates x above its
+    support edge, for the SIR law truncated to sir > sir_edge (0 here, 1
+    under joint decoding).
+
+    Elementwise in (k, x); evaluated in log space so that the SIR matching
+    a large rate may overflow to inf and still give a density of 0.
+    """
+    e = 2.0 / cfg.alpha
+    t = k * x * _LN2
+    with np.errstate(over="ignore"):
+        b = np.expm1(t) / k  # the SIR matching rate x
+        logpdf = (
+            _LOG_LN4
+            + math.log(cfg.mu / cfg.alpha)
+            + t
+            + (e - 1.0) * np.log(b)
+            - cfg.mu * (b**e - sir_edge)
+        )
+        return np.exp(logpdf)
+
+
 def pdf_rate(cfg: NetworkConfig, x):
     """Density of the highest achievable rate in bits/s/Hz, supported on x > 0.
 
@@ -79,29 +100,31 @@ def pdf_rate(cfg: NetworkConfig, x):
     out = np.zeros_like(x)
     m = x > 0
     if np.any(m):
-        xm = x[m]
-        e = 2.0 / cfg.alpha
-        with np.errstate(over="ignore"):
-            s = np.expm1(xm * _LN2)  # 2^x - 1
-            logpdf = (
-                _LOG_LN4
-                + math.log(cfg.mu / cfg.alpha)
-                + xm * _LN2
-                + (e - 1.0) * np.log(s)
-                - cfg.mu * s**e
-            )
-            out[m] = np.exp(logpdf)
+        out[m] = _pdf_rate_above_edge(cfg, 1.0, x[m])
     return _scalar_or_array(out)
+
+
+def _rate_integrand(mu: float, half_alpha: float):
+    """(f, s): E[R] = int f(x) dx over (0, inf), with u = s*x and
+    f(x) = s * log2(1 + (u/mu)^(alpha/2)) * e^-u.
+
+    The rate bends from a power of u into a logarithm at u = mu (SIR = 1),
+    and u^(alpha/2) e^-u peaks at u = alpha/2; s = mu clipped to
+    [1, alpha/2] puts whichever carries the mass near x = 1, where the
+    exp-sinh nodes are densest (s = 1 doubles the nodes at alpha = 60).
+    """
+    s = min(max(mu, 1.0), half_alpha)
+
+    def f(x):
+        u = s * x
+        return s * _log2_1p_pow(1.0, np.log(u / mu), half_alpha) * np.exp(-u)
+
+    return f, s
 
 
 def mean_rate(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> float:
     """Expected highest achievable rate of the typical link, bits/s/Hz."""
-    mu, half_alpha = cfg.mu, cfg.alpha / 2.0
-
-    def integrand(u: float) -> float:
-        return _log2_1p_scaled_pow(1.0, u / mu, half_alpha) * math.exp(-u)
-
-    return integrate(integrand, 0.0, math.inf, spec)
+    return integrate(_rate_integrand(cfg.mu, cfg.alpha / 2.0)[0], spec)
 
 
 def cognitive_throughput(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> ThroughputValue:
@@ -131,11 +154,8 @@ def lower_bound(cfg: NetworkConfig, y: float) -> ThroughputValue:
 def upper_bound(cfg: NetworkConfig) -> ThroughputValue:
     """Jensen upper bound lam * log2(1 + E[sir]); E[sir] = Gamma(1+alpha/2) * mu^(-alpha/2)."""
     half_alpha = cfg.alpha / 2.0
-    log2_mean_sir = math.log2(float(gamma(1.0 + half_alpha))) - half_alpha * math.log2(cfg.mu)
-    if log2_mean_sir > 64.0:
-        value = cfg.lam * log2_mean_sir
-    else:
-        value = cfg.lam * math.log1p(2.0**log2_mean_sir) / _LN2
+    log_mean_sir = math.lgamma(1.0 + half_alpha) - half_alpha * math.log(cfg.mu)
+    value = cfg.lam * float(_log2_1p_pow(1.0, log_mean_sir, 1.0))
     return ThroughputValue(value=value, method="cognitive", rule=DecodingRule.IAN, kind="upper_bound")
 
 
@@ -146,9 +166,9 @@ def asymptote(cfg: NetworkConfig) -> ThroughputValue:
     ratio asymptote/upper_bound tend to 1, matching log2(1+x) ~ x/ln2.
     """
     half_alpha = cfg.alpha / 2.0
-    c = (math.pi * cfg.d * cfg.d) ** (-half_alpha) * float(gamma(1.0 + half_alpha)) / _LN2
+    log_c = math.lgamma(1.0 + half_alpha) - half_alpha * math.log(math.pi * cfg.d * cfg.d)
     return ThroughputValue(
-        value=c * cfg.lam ** (1.0 - half_alpha),
+        value=math.exp(log_c + (1.0 - half_alpha) * math.log(cfg.lam)) / _LN2,
         method="cognitive",
         rule=DecodingRule.IAN,
         kind="asymptote",
@@ -160,15 +180,8 @@ def _stationarity_residual(lam: float, d: float, alpha: float,
     # d(lam * E[R])/dlam = 0 is equivalent, after the u-substitution, to
     #   int u^(..) log2(1+x(u)) e^-u du  =  int (u-1) * same  du;
     # both sides are evaluated with the same quadrature and subtracted.
-    mu = lam * math.pi * d * d
-    half_alpha = alpha / 2.0
-
-    def phi(u: float) -> float:
-        return _log2_1p_scaled_pow(1.0, u / mu, half_alpha) * math.exp(-u)
-
-    lhs = integrate(phi, 0.0, math.inf, spec)
-    rhs = integrate(lambda u: (u - 1.0) * phi(u), 0.0, math.inf, spec)
-    return lhs - rhs
+    f, s = _rate_integrand(lam * math.pi * d * d, alpha / 2.0)
+    return integrate(f, spec) - integrate(lambda x: (s * x - 1.0) * f(x), spec)
 
 
 def optimal_density(d: float, alpha: float, spec: QuadratureSpec | None = None):

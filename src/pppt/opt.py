@@ -8,8 +8,8 @@ sir > 1; the joint-decode constraint is shared symmetrically, giving
 R = log2(1 + (1+n)*sir) / (1+n) on the support x > log2(2+n)/(1+n).
 Unconditional quantities are Poisson mixtures over n, truncated by the
 series policy in :mod:`pppt.numerics`.  The cognitive throughput takes the
-whole mixture inside one adaptive integral, so its quadrature tolerance
-bounds the error of the mixture mean rate E[R], not of each E[R | n];
+whole mixture inside one integral, so its quadrature tolerance bounds the
+error of the mixture mean rate E[R], not of each E[R | n];
 :func:`conditional_mean_rate` keeps the per-term integral.
 """
 from __future__ import annotations
@@ -17,15 +17,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gamma, gammaincc
 
+from .ian import _pdf_rate_above_edge
 from .model import DecodingRule, NetworkConfig, ThroughputValue
 from .numerics import (
     _LN2,
-    _LOG_LN4,
     QuadratureSpec,
     SeriesTruncation,
-    _log2_1p_scaled_pow,
+    _log2_1p_pow,
     _log_sir_at_rate,
     _scalar_or_array,
     integrate,
@@ -43,9 +42,6 @@ __all__ = [
     "truncated_sir_mean",
     "upper_bound",
 ]
-
-# closed-form moment overflows past exp(709); switch to quadrature well before
-_MOMENT_CLOSED_FORM_MAX_MU = 600.0
 
 
 def pdf_sir(cfg: NetworkConfig, x):
@@ -70,26 +66,6 @@ def conditional_support_edge(n: int) -> float:
     return math.log2(2.0 + n) / (1.0 + n)
 
 
-def _pdf_rate_above_edge(cfg: NetworkConfig, k, x):
-    """Rate density given k = 1+n decoded messages, at rates x above the edge.
-
-    Elementwise in (k, x); evaluated in log space so that the SIR matching
-    a large rate may overflow to inf and still give a density of 0.
-    """
-    e = 2.0 / cfg.alpha
-    t = k * x * _LN2
-    with np.errstate(over="ignore"):
-        b = np.expm1(t) / k  # the SIR matching rate x
-        logpdf = (
-            _LOG_LN4
-            + math.log(cfg.mu / cfg.alpha)
-            + t
-            + (e - 1.0) * np.log(b)
-            - cfg.mu * (b**e - 1.0)
-        )
-        return np.exp(logpdf)
-
-
 def pdf_rate_conditional(cfg: NetworkConfig, n: int, x):
     """Rate density given that 1+n messages are jointly decoded.
 
@@ -102,7 +78,7 @@ def pdf_rate_conditional(cfg: NetworkConfig, n: int, x):
     out = np.zeros_like(x)
     m = x > conditional_support_edge(n)
     if np.any(m):
-        out[m] = _pdf_rate_above_edge(cfg, 1.0 + n, x[m])
+        out[m] = _pdf_rate_above_edge(cfg, 1.0 + n, x[m], 1.0)
     return _scalar_or_array(out)
 
 
@@ -118,7 +94,7 @@ def pdf_rate(cfg: NetworkConfig, x, truncation: SeriesTruncation | None = None):
     k, xs = np.broadcast_arrays((1.0 + np.arange(len(w)))[:, None], x.reshape(1, -1))
     m = xs > edges[:, None]
     dens = np.zeros(m.shape)
-    dens[m] = _pdf_rate_above_edge(cfg, k[m], xs[m])
+    dens[m] = _pdf_rate_above_edge(cfg, k[m], xs[m], 1.0)
     return _scalar_or_array((w @ dens).reshape(x.shape))
 
 
@@ -134,10 +110,10 @@ def conditional_mean_rate(cfg: NetworkConfig, n: int,
         raise ValueError(f"joint-decode count must be >= 0, got {n}")
     mu, half_alpha, k = cfg.mu, cfg.alpha / 2.0, 1.0 + n
 
-    def integrand(t: float) -> float:
-        return _log2_1p_scaled_pow(k, (t + mu) / mu, half_alpha) * math.exp(-t)
+    def integrand(t):
+        return _log2_1p_pow(k, np.log1p(t / mu), half_alpha) * np.exp(-t)
 
-    return integrate(integrand, 0.0, math.inf, spec) / k
+    return integrate(integrand, spec) / k
 
 
 def cognitive_throughput(cfg: NetworkConfig, spec: QuadratureSpec | None = None,
@@ -148,19 +124,19 @@ def cognitive_throughput(cfg: NetworkConfig, spec: QuadratureSpec | None = None,
     shifted-exponential variable t of :func:`conditional_mean_rate`:
     E[R] = int e^-t * sum_i (w_i/k_i) * log2(1 + k_i*(1 + t/mu)^(alpha/2)) dt
     with k_i = 1+i, so the quadrature tolerance applies to E[R] itself.
+    Each level of the rule is one (nodes x terms) array; weights below
+    1e-17 of the largest cannot move E[R] and are left out.
     """
     w = truncated_poisson_weights(cfg.mu, truncation)
-    k = 1.0 + np.arange(len(w))
-    log_k, coef = np.log(k), w / k
+    i = np.flatnonzero(w >= 1e-17 * w.max())
+    k, coef = 1.0 + i, w[i] / (1.0 + i)
     mu, half_alpha = cfg.mu, cfg.alpha / 2.0
 
-    def integrand(t: float) -> float:
-        # log2(1 + k*y^p) = logaddexp(0, log k + p*log y) / ln2, overflow-free
-        log_pow = half_alpha * math.log1p(t / mu)
-        return float(coef @ np.logaddexp(0.0, log_k + log_pow)) * math.exp(-t) / _LN2
+    def integrand(t):
+        return _log2_1p_pow(k, np.log1p(t / mu)[:, None], half_alpha) @ coef * np.exp(-t)
 
     return ThroughputValue(
-        value=cfg.lam * integrate(integrand, 0.0, math.inf, spec),
+        value=cfg.lam * integrate(integrand, spec),
         method="cognitive",
         rule=DecodingRule.OPT,
         kind="quadrature",
@@ -202,15 +178,13 @@ def lower_bound(cfg: NetworkConfig, y,
 def truncated_sir_mean(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> float:
     """Mean of the >1-truncated SIR law.
 
-    Closed form e^mu * mu^(-alpha/2) * Gamma(1 + alpha/2, mu) while e^mu is
-    representable; for larger mu the identical shifted-exponential integral
-    int (1 + t/mu)^(alpha/2) e^-t dt is used instead (its value tends to 1).
+    The shifted-exponential integral int (1 + t/mu)^(alpha/2) e^-t dt, equal
+    to e^mu * mu^(-alpha/2) * Gamma(1 + alpha/2, mu) and tending to 1 as mu
+    grows.  The integrand is taken in log space, since the power alone
+    overflows at small mu and steep path loss (mu = 1e-9, alpha = 60).
     """
     mu, half_alpha = cfg.mu, cfg.alpha / 2.0
-    if mu <= _MOMENT_CLOSED_FORM_MAX_MU:
-        z = 1.0 + half_alpha
-        return math.exp(mu) * mu ** (-half_alpha) * float(gammaincc(z, mu) * gamma(z))
-    return integrate(lambda t: (1.0 + t / mu) ** half_alpha * math.exp(-t), 0.0, math.inf, spec)
+    return integrate(lambda t: np.exp(half_alpha * np.log1p(t / mu) - t), spec)
 
 
 def upper_bound(cfg: NetworkConfig, spec: QuadratureSpec | None = None,

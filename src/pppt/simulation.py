@@ -88,6 +88,16 @@ def default_window_radius(cfg: NetworkConfig) -> float:
     return max(100.0 * cfg.d, 20.0 / math.sqrt(cfg.lam))
 
 
+def _window(cfg: NetworkConfig, window_radius: float | None) -> float:
+    """The sampling window radius: the default one, or a given finite radius
+    above d (a smaller one leaves the link's own disc partly unsampled)."""
+    if window_radius is None:
+        return default_window_radius(cfg)
+    if not (math.isfinite(window_radius) and window_radius > cfg.d):
+        raise ValueError(f"window_radius must be finite and > d = {cfg.d}, got {window_radius}")
+    return window_radius
+
+
 def _check_mode(mode: str, rate_mode: str | None = None):
     if mode not in INTERFERENCE_MODES:
         raise ValueError(f"interference mode must be one of {INTERFERENCE_MODES}, got {mode!r}")
@@ -220,7 +230,7 @@ def estimate_cognitive(cfg: NetworkConfig, rule: DecodingRule, mode: str = "full
     the per-realization maximum rate, with its standard error."""
     _check_mode(mode, rate_mode)
     _check_realizations(n_realizations)
-    window = default_window_radius(cfg) if window_radius is None else window_radius
+    window = _window(cfg, window_radius)
     stats = _collect_stats(cfg, window, seed, n_realizations)
     rates = _rates_from_stats(cfg, stats, rule, mode, rate_mode)
     mean, stderr = _estimate_from_rates(cfg, rates)
@@ -246,7 +256,7 @@ def estimate_fixed_rate(cfg: NetworkConfig, rule: DecodingRule, solution: FixedR
     _check_realizations(n_realizations)
     if solution.rule is not rule:
         raise ValueError(f"solution was computed for {solution.rule}, not {rule}")
-    window = default_window_radius(cfg) if window_radius is None else window_radius
+    window = _window(cfg, window_radius)
     stats = _collect_stats(cfg, window, seed, n_realizations)
     achievable = _rates_from_stats(cfg, stats, rule, mode, rate_mode)
     if rule is DecodingRule.IAN:
@@ -279,7 +289,7 @@ def tightness_report(cfgs, n_realizations: int = 10_000, seed: int = 0,
     _check_realizations(n_realizations)
     rows = []
     for cfg in cfgs:
-        window = default_window_radius(cfg) if window_radius is None else window_radius
+        window = _window(cfg, window_radius)
         stats = _collect_stats(cfg, window, seed, n_realizations)
         ian_rates = _rates_from_stats(cfg, stats, DecodingRule.IAN, "full", rate_mode)
         opt_rates = _rates_from_stats(cfg, stats, DecodingRule.OPT, "full", rate_mode)

@@ -18,6 +18,17 @@ LAM_STAR_A4_D1 = 0.24525338409469832            # argmax density, alpha=4, d=1
 ASYMPTOTE_CONST_A4_D1 = 2.0 / (math.pi**2 * math.log(2.0))
 
 CFG1 = NetworkConfig(1 / math.pi, 1.0, 4.0)     # mu = 1
+
+# E[R] at small mu, where the rate turns from a power of u into a logarithm
+# at u = mu, far below the bulk of e^-u: mu * int log2(1 + v^(alpha/2))
+# e^(-mu*v) dv split at v = 1, computed with mpmath at 30 and at 40 digits
+# (agreeing on every digit shown), frozen.
+SMALL_MU_MEAN_RATES = [
+    (1e-5, 20.0, 157.769089641469074692642502701),
+    (1e-5, 60.0, 473.307262514279934953533454484),
+    (1e-6, 4.0, 38.1976493164334929652051796991),
+    (1e-7, 2.5, 28.0259388671842250195913486815),
+]
 NORMALIZATION_CFGS = [
     NetworkConfig(0.1, 1.0, 3.0),
     NetworkConfig(1.0, 1.0, 4.0),
@@ -97,6 +108,10 @@ class TestCognitiveThroughput:
 
     def test_mean_rate_pinned(self):
         assert ian.mean_rate(CFG1) == pytest.approx(MEAN_RATE_MU1_A4, rel=1e-9)
+
+    @pytest.mark.parametrize("mu,alpha,ref", SMALL_MU_MEAN_RATES)
+    def test_mean_rate_small_mu(self, mu, alpha, ref):
+        assert ian.mean_rate(NetworkConfig(mu / math.pi, 1.0, alpha)) == pytest.approx(ref, rel=1e-9)
 
     def test_vanishes_with_density(self):
         assert ian.cognitive_throughput(NetworkConfig(1e-12, 1.0, 4.0)).value < 1e-9

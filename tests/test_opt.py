@@ -165,8 +165,8 @@ class TestCognitiveThroughput:
             assert got == pytest.approx(mean_rate_term_sum(cfg, cap), rel=1e-8), mu
 
     def test_split_semi_infinite_range(self):
-        # mu = pi*1.5118, alpha = 4: an unsplit [0, 1) accepts one 21-point
-        # panel whose estimate is off by 3.5e-7 while claiming 1.6e-9
+        # mu = pi*1.5118, alpha = 4: a 21-point adaptive panel over the
+        # whole range claims 1.6e-9 here and is 3.5e-7 off
         cfg = NetworkConfig(1.5117750706156614, 1.0, 4.0)
         ref = cfg.lam * mean_rate_term_sum(cfg)
         assert opt.cognitive_throughput(cfg).value == pytest.approx(ref, rel=1e-9)
@@ -215,7 +215,7 @@ class TestUpperBound:
         # at mu = 1, alpha = 4 the mean is exactly 5
         assert opt.truncated_sir_mean(CFG1) == pytest.approx(5.0, rel=1e-12)
 
-    # mu = 599 is the last closed-form mu; cases at alpha = 4 keep the bare mu id
+    # cases at alpha = 4 keep the bare mu id
     @pytest.mark.parametrize("mu,alpha", MOMENT_CASES,
                              ids=[f"{mu}" if a == 4.0 else f"{mu}-{a}" for mu, a in MOMENT_CASES])
     def test_moment_against_direct_quadrature(self, mu, alpha):
@@ -225,7 +225,7 @@ class TestUpperBound:
         assert opt.truncated_sir_mean(cfg) == pytest.approx(ref, rel=1e-9)
 
     def test_moment_large_mu_path(self):
-        cfg = NetworkConfig(1000.0, 1.0, 4.0)  # mu ~ 3142, past the closed form
+        cfg = NetworkConfig(1000.0, 1.0, 4.0)  # mu ~ 3142, where e^mu overflows
         m = opt.truncated_sir_mean(cfg)
         assert m == pytest.approx(1.0 + 2.0 / cfg.mu, rel=1e-3)
         assert m > 1.0

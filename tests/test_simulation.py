@@ -249,6 +249,20 @@ class TestEstimateFixedRate:
 
 
 class TestEstimateTypes:
+    @pytest.mark.parametrize("window", [0.0, 0.5, -5.0, math.nan])
+    def test_window_must_exceed_link_distance(self, window):
+        # a window not above d leaves the noise set empty or cut short, and a
+        # negative radius would be squared into a valid-looking one
+        cfg = NetworkConfig(1.0, 1.0, 4.0)
+        sol = fixed_rate.highest_throughput(cfg, DecodingRule.IAN)
+        with pytest.raises(ValueError, match="window_radius"):
+            estimate_cognitive(cfg, DecodingRule.IAN, n_realizations=100, window_radius=window)
+        with pytest.raises(ValueError, match="window_radius"):
+            estimate_fixed_rate(cfg, DecodingRule.IAN, sol, n_realizations=100,
+                                window_radius=window)
+        with pytest.raises(ValueError, match="window_radius"):
+            tightness_report([cfg], n_realizations=100, window_radius=window)
+
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
             SimulationEstimate(-1.0, 0.0, 10, 0, "full")

@@ -4,8 +4,8 @@ Subcommands: pdf, sweep, figures, simulate, optimal-density, compare.
 Output is CSV with one leading ``#`` metadata line (tool version plus an
 echo of the request), or a JSON mirror via ``--format json``.  All
 randomness flows from ``--seed`` (default 0); nothing reads the clock.
-Sweep and figure cells are evaluated on a thread pool capped by the
-PPPT_THREADS environment variable and written once, in grid order.
+Sweep and figure cells are evaluated one after another and written once,
+in grid order.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,12 +27,6 @@ _METHODS = ("cognitive", "fixed", "bounds", "simulate")
 # figure 6 columns, all filled from one simulation.tightness_report row
 _TIGHTNESS_COLUMNS = ("c_ian_analytic", "c_opt_analytic", "c_ian_simulated", "c_ian_stderr",
                       "c_opt_simulated", "c_opt_stderr", "ratio_analytic", "ratio_simulated")
-
-
-def _thread_count(n_cells: int) -> int:
-    env = os.environ.get("PPPT_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(cap, n_cells))
 
 
 def _fmt(v) -> str:
@@ -148,25 +141,20 @@ def _sweep_cell(args, cfg, method, rule_name, detail):
 
 
 def _sweep(args, groups, meta: str) -> int:
-    """Evaluate every (lambda, column group) cell in parallel and emit the
-    table in grid order; a failed cell leaves NaN and one warning per column."""
+    """Evaluate every (lambda, column group) cell and emit the table in grid
+    order; a failed cell leaves NaN and one warning per column."""
     grid = _lambda_grid(args)
     cfgs = [_cfg(args, lam) for lam in grid]  # an invalid network is a usage error
     names = [name for g in groups for name in g[0]]
     starts = np.cumsum([0] + [len(g[0]) for g in groups])
-    cells = [(i, k) for i in range(len(grid)) for k in range(len(groups))]
     values = np.full((len(grid), len(names)), np.nan)
     failures = 0
-    with ThreadPoolExecutor(max_workers=_thread_count(len(cells))) as pool:
-        # the grid ascends and a Monte Carlo cell's cost grows with lambda:
-        # submit the costliest first so that no large cell starts last
-        futures = [pool.submit(_sweep_cell, args, cfgs[i], *groups[k][1:])
-                   for i, k in reversed(cells)][::-1]
-        for fut, (i, k) in zip(futures, cells):
+    for i, cfg in enumerate(cfgs):
+        for k, group in enumerate(groups):
             try:
-                values[i, starts[k]:starts[k + 1]] = fut.result()
+                values[i, starts[k]:starts[k + 1]] = _sweep_cell(args, cfg, *group[1:])
             except (ArithmeticError, ValueError) as exc:
-                for name in groups[k][0]:
+                for name in group[0]:
                     print(f"warning: cell lam={grid[i]:g} {name}: {exc}", file=sys.stderr)
                 failures += 1
     rows = [[float(lam)] + [float(v) for v in values[i]] for i, lam in enumerate(grid)]

@@ -195,7 +195,8 @@ def find_root(h, bracket, tol: float):
     # cur is the best point so far, blk the other end of its bracket, pre
     # the previous point; scur and spre are the last two steps
     blk, fblk, spre, scur = (np.zeros_like(cur) for _ in range(4))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # the interpolation step is formed on every bracket, used or not
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_ROOT_STEPS):
             crossed = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
             blk, fblk = np.where(crossed, pre, blk), np.where(crossed, fpre, fblk)

@@ -10,6 +10,11 @@ uniform per point — and never materializes planar coordinates.  It is the
 only sampler in the package, and every rate, per realization or per batch,
 comes from its statistics through one rate law.
 
+Only the near field r < R0 = min(W, 8*max(d, 1/sqrt(lam))) is drawn; the
+ring from R0 to the window radius W adds its Campbell mean (Haenggi &
+Ganti, FnT 2009, sec. 3) to every far-field sum.  ``_NEAR_FACTOR =
+math.inf`` draws the whole window, the exact reference mode.
+
 Realization ``i`` of a run seeded with ``s`` always draws from the stream
 keyed by (s, i), and every statistic is reduced per realization: far-field
 sums and minima by ``reduceat`` over that realization's points, decode-set
@@ -45,13 +50,15 @@ __all__ = [
 INTERFERENCE_MODES = ("full", "closest_only")
 RATE_MODES = ("exact_powers", "lower_bound_powers")
 
-# Cap applied when a realization carries no interference at all (empty
-# window, or empty noise set under joint decoding), where the
-# interference-limited rate is unbounded.  At the default window sizes the
-# empty-window probability is below 1e-40, so the cap is a formality.
+# Cap on the rate of a realization with no interference at all: an empty
+# window, or an empty noise set under joint decoding.  Past the near field
+# every realization carries the ring's mean, so the cap binds only where
+# the window lies inside the near field.
 RATE_CAP = 30.0
 
 _CHUNK_POINTS = 1 << 16
+
+_NEAR_FACTOR = 8.0  # R0 over max(d, 1/sqrt(lam))
 
 # fewest realizations an estimator accepts: below it the standard error is
 # itself too noisy to judge a gap by
@@ -83,8 +90,8 @@ class SimulationEstimate:
 
 
 def default_window_radius(cfg: NetworkConfig) -> float:
-    """max(100*d, 20/sqrt(lam)): keeps the truncated far-field interference
-    below ~1e-3 of the total for alpha = 4 while bounding the point count."""
+    """max(100*d, 20/sqrt(lam)): the outer edge of the mean far ring, which
+    keeps the clipped interference below ~1e-3 of the total for alpha = 4."""
     return max(100.0 * cfg.d, 20.0 / math.sqrt(cfg.lam))
 
 
@@ -124,8 +131,12 @@ class _RealizationStats:
 
 def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int,
                    n_realizations: int, chunk_points: int = _CHUNK_POINTS) -> _RealizationStats:
-    mean_count = cfg.lam * math.pi * window_radius * window_radius
-    r2_scale = window_radius * window_radius
+    near = min(window_radius, _NEAR_FACTOR * max(cfg.d, 1.0 / math.sqrt(cfg.lam)))
+    mean_count = cfg.lam * math.pi * near * near
+    r2_scale = near * near
+    # the Campbell mean of the ring near <= r < W; 0 when near = W
+    ring_mean = 2.0 * math.pi * cfg.lam * (near ** (2.0 - cfg.alpha)
+                                           - window_radius ** (2.0 - cfg.alpha)) / (cfg.alpha - 2.0)
     d2 = cfg.d * cfg.d
     half_alpha = cfg.alpha / 2.0
     n = n_realizations
@@ -181,7 +192,7 @@ def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int,
         r2_far_min[sl] = np.where(valid, np.minimum.reduceat(r2, safe), np.inf)
         start = stop
 
-    return _RealizationStats(s_dec, s_far, n_dec, r2_min, r2_far_min)
+    return _RealizationStats(s_dec, s_far + ring_mean, n_dec, r2_min, r2_far_min)
 
 
 def _rates_from_stats(cfg: NetworkConfig, stats: _RealizationStats, rule: DecodingRule,

@@ -98,32 +98,6 @@ class TestSweep:
         hi = column(header, rows, "upper_opt")
         assert all(l <= ci + 1e-9 <= hi + 2e-9 for l, ci, hi in zip(lo, c, hi))
 
-    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["sweep", "--lambda-min", "0.1", "--lambda-max", "1", "--points", "3",
-                "--rule", "ian", "--method", "cognitive"]
-        monkeypatch.setenv("PPPT_THREADS", "1")
-        assert main(argv + ["--out", str(a)]) == 0
-        monkeypatch.setenv("PPPT_THREADS", "8")
-        assert main(argv + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    @pytest.mark.parametrize("argv,name", [
-        (["figures", "--fig", "6"], "fig6.csv"),
-        (["sweep", "--method", "simulate"], "simulate.csv"),
-    ], ids=["figures-6", "sweep-simulate"])
-    def test_thread_cap_does_not_change_monte_carlo(self, argv, name, tmp_path, monkeypatch):
-        outputs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("PPPT_THREADS", threads)
-            where = tmp_path / threads
-            where.mkdir()
-            out = (["--out-dir", str(where)] if argv[0] == "figures"
-                   else ["--out", str(where / name)])
-            assert main(argv + ["--points", "3", "--realizations", "100"] + out) == 0
-            outputs.append((where / name).read_bytes())
-        assert outputs[0] == outputs[1]
-
     def test_one_sampling_pass_feeds_mean_and_stderr(self, tmp_path, monkeypatch):
         calls = []
         real = simulation.estimate_cognitive

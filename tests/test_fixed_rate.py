@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,17 @@ class TestHighestThroughput:
         sol = fixed_rate.highest_throughput(CFG1, DecodingRule.OPT)
         assert sol.throughput.value == pytest.approx(T_OPT_AT_INV_PI, rel=1e-9)
         assert len(sol.rates) == len(truncated_poisson_weights(CFG1.mu))
+
+    @pytest.mark.parametrize("rule", list(DecodingRule))
+    @pytest.mark.parametrize("alpha", [56.0, 60.0])
+    def test_steep_sparse_thresholds_warn_nothing(self, rule, alpha):
+        # Brent's discarded interpolation step overflowed here and printed
+        # a RuntimeWarning although the root was fine
+        cfg = NetworkConfig(3e-9 / math.pi, 1.0, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = fixed_rate.highest_throughput(cfg, rule)
+        assert math.isfinite(sol.throughput.value) and sol.throughput.value > 0.0
 
     def test_fixed_below_cognitive(self):
         for lam in np.geomspace(0.02, 5.0, 5):

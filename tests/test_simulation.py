@@ -23,6 +23,12 @@ CFG = NetworkConfig(1.0, 1.0, 4.0)
 IAN, OPT = DecodingRule.IAN, DecodingRule.OPT
 
 
+@pytest.fixture
+def reference_mode(monkeypatch):
+    """The kernel drawing the whole window: no near field, no ring."""
+    monkeypatch.setattr(simulation, "_NEAR_FACTOR", math.inf)
+
+
 def rate(dists, rule, mode="full", rate_mode="exact_powers", cfg=CFG):
     """The rate law on one realization given by its interferer distances,
     split at the link distance as the window kernel splits a batch."""
@@ -141,7 +147,8 @@ class TestEstimateCognitive:
         (0.3, 1.0, 4.0, None, 100, None),
         (0.02, 2.0, 3.0, 5.0, 300, 4),
     ], ids=["dense", "empty-decode-sets", "empty-windows-in-chunk"])
-    def test_kernel_matches_per_realization_oracle(self, lam, d, alpha, window, n, chunk_points):
+    def test_kernel_matches_per_realization_oracle(self, lam, d, alpha, window, n, chunk_points,
+                                                   reference_mode):
         cfg = NetworkConfig(lam, d, alpha)
         w = simulation.default_window_radius(cfg) if window is None else window
         kwargs = {} if chunk_points is None else {"chunk_points": chunk_points}
@@ -157,7 +164,7 @@ class TestEstimateCognitive:
             assert np.any(np.isinf(want["r2_min"]))
             assert np.any(np.isinf(want["r2_far_min"]) & (want["n_dec"] > 0))
 
-    def test_kernel_memory_is_chunk_sized(self):
+    def test_kernel_memory_is_chunk_sized(self, reference_mode):
         # 100 dense realizations hold 31M points; the kernel may keep only a
         # chunk of them alive at once (numpy reports its buffers to tracemalloc)
         cfg = NetworkConfig(10.0, 1.0, 4.0)
@@ -168,6 +175,50 @@ class TestEstimateCognitive:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+    def test_reference_mode_reproduces_full_window_draws(self, reference_mode):
+        # the five statistics of the whole-window kernel, frozen from its
+        # output before the near field was introduced; the power sums carry
+        # the last-digit latitude of numpy's pow
+        cfg = NetworkConfig(0.3, 1.0, 4.0)
+        got = _collect_stats(cfg, simulation.default_window_radius(cfg), seed=5, n_realizations=4)
+        np.testing.assert_array_equal(got.n_dec, [1.0, 1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(got.r2_min, [0.013601257419226798, 0.3641101955709214,
+                                                   0.04128683431914304, 0.1191335402594973])
+        np.testing.assert_array_equal(got.r2_far_min, [1.61943136282372, 1.206150971930775,
+                                                       3.4603617525574837, 2.4705665865953907])
+        np.testing.assert_allclose(got.s_dec, [5405.574778599252, 7.542830007432363,
+                                               601.9700115409795, 89.84903023281416],
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got.s_far, [1.1565444270898646, 1.3382774759347538,
+                                               0.35261176620168366, 0.4851656439225245],
+                                   rtol=1e-13, atol=0)
+
+    def test_near_field_is_the_window_when_the_window_is_small(self, monkeypatch):
+        # W below the near radius leaves no ring: the default kernel and the
+        # reference mode draw the same points and add nothing
+        cfg = NetworkConfig(0.3, 1.0, 4.0)
+        default = _collect_stats(cfg, 6.0, seed=5, n_realizations=200)
+        monkeypatch.setattr(simulation, "_NEAR_FACTOR", math.inf)
+        reference = _collect_stats(cfg, 6.0, seed=5, n_realizations=200)
+        for field in ("s_dec", "s_far", "n_dec", "r2_min", "r2_far_min"):
+            np.testing.assert_array_equal(getattr(default, field), getattr(reference, field))
+
+    def test_window_past_near_field_is_near_field_plus_ring_mean(self, monkeypatch):
+        # the default kernel on a wide window is the whole-window kernel on
+        # the near disc, from the same streams, with the ring's Campbell mean
+        # added to every far-field sum
+        cfg = NetworkConfig(0.02, 1.0, 3.0)
+        w = simulation.default_window_radius(cfg)
+        near = simulation._NEAR_FACTOR * max(cfg.d, 1.0 / math.sqrt(cfg.lam))
+        assert near < w
+        got = _collect_stats(cfg, w, seed=2, n_realizations=300)
+        monkeypatch.setattr(simulation, "_NEAR_FACTOR", math.inf)
+        disc = _collect_stats(cfg, near, seed=2, n_realizations=300)
+        ring = 2.0 * math.pi * cfg.lam * (1.0 / near - 1.0 / w)
+        for field in ("s_dec", "n_dec", "r2_min", "r2_far_min"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(disc, field))
+        np.testing.assert_allclose(got.s_far, disc.s_far + ring, rtol=1e-15, atol=0)
 
     def test_requires_enough_realizations(self):
         with pytest.raises(ValueError):

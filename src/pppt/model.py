@@ -11,7 +11,8 @@ Receivers of the interfering pairs are never materialized: every quantity
 computed downstream (interference, nearest-interferer distance, rates)
 depends only on the transmitters' distances to the typical receiver.  The
 window kernel in ``simulation`` is the only sampler and draws exactly those
-distances; ``rng_from_seed`` keys its per-realization streams.
+distances; ``rng_from_seed`` keys its two streams per run, one for the
+counts and one for the radii.
 """
 from __future__ import annotations
 
@@ -114,6 +115,7 @@ def rng_from_seed(seed) -> np.random.Generator:
     """PCG64 generator keyed by an integer or a tuple of integers.
 
     Tuples give counter-split streams: (base_seed, index) yields
-    independent, reproducible streams for parallel sweeps.
+    independent, reproducible streams; a Monte Carlo run seeded ``s``
+    reads its counts from (s, 0) and its radii from (s, 1).
     """
     return np.random.default_rng(_seed_key(seed))

@@ -15,13 +15,16 @@ ring from R0 to the window radius W adds its Campbell mean (Haenggi &
 Ganti, FnT 2009, sec. 3) to every far-field sum.  ``_NEAR_FACTOR =
 math.inf`` draws the whole window, the exact reference mode.
 
-Realization ``i`` of a run seeded with ``s`` always draws from the stream
-keyed by (s, i), and every statistic is reduced per realization: far-field
-sums and minima by ``reduceat`` over that realization's points, decode-set
-sums by ``bincount`` in draw order.  Results are therefore independent of
-chunk sizes and reproducible across runs.  Sample moments are reduced with
-numpy's pairwise summation, which is deterministic for a fixed realization
-count.
+A run seeded with ``s`` draws all its interferer counts in one call from
+the stream keyed by (s, 0), and the squared radii, realization after
+realization, from the stream keyed by (s, 1), one call per chunk.  Every
+statistic is reduced per realization: far-field sums and minima by
+``reduceat`` over that realization's points, decode-set sums by
+``bincount`` in draw order.  Results are therefore independent of chunk
+sizes and reproducible across runs, and realization ``i`` is the same in
+every run of at least ``i + 1`` realizations.  Sample moments are reduced
+with numpy's pairwise summation, which is deterministic for a fixed
+realization count.
 """
 from __future__ import annotations
 
@@ -50,10 +53,11 @@ __all__ = [
 INTERFERENCE_MODES = ("full", "closest_only")
 RATE_MODES = ("exact_powers", "lower_bound_powers")
 
-# Cap on the rate of a realization with no interference at all: an empty
-# window, or an empty noise set under joint decoding.  Past the near field
-# every realization carries the ring's mean, so the cap binds only where
-# the window lies inside the near field.
+# Stands in for the infinite rate of a realization with no interference at
+# all: an empty window, or an empty noise set under joint decoding.  Finite
+# rates are kept, also above it.  Past the near field every realization
+# carries the ring's mean, so the cap applies only where the window lies
+# inside the near field.
 RATE_CAP = 30.0
 
 _CHUNK_POINTS = 1 << 16
@@ -147,49 +151,35 @@ def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int,
     r2_min = np.full(n, np.inf)
     r2_far_min = np.full(n, np.inf)
 
+    counts = rng_from_seed((seed, 0)).poisson(mean_count, n)
+    ends = np.cumsum(counts)
+    radii = rng_from_seed((seed, 1))
+
     start = 0
     while start < n:
-        rngs = []
-        counts = []
-        total = 0
-        stop = start
-        while stop < n and (total < chunk_points or stop == start):
-            rng = rng_from_seed((seed, stop))
-            c = int(rng.poisson(mean_count))
-            rngs.append(rng)
-            counts.append(c)
-            total += c
-            stop += 1
-        if total == 0:
-            start = stop
-            continue
-
-        counts = np.asarray(counts, dtype=np.intp)
-        m = len(counts)
-        offsets = np.zeros(m, dtype=np.intp)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        r2 = np.empty(total)
-        for rng, o, c in zip(rngs, offsets.tolist(), counts.tolist()):
-            rng.random(out=r2[o:o + c])
+        base = int(ends[start - 1]) if start else 0
+        # as many realizations as fit in chunk_points, and at least one
+        stop = max(start + 1, int(np.searchsorted(ends, base + chunk_points, "right")))
+        r2 = radii.random(int(ends[stop - 1]) - base)
         r2 *= r2_scale
 
-        sl = slice(start, stop)
-        valid = counts > 0
-        safe = np.minimum(offsets, total - 1)  # reduceat needs in-range starts
-        # empty segments are artifacts of reduceat and are masked out
-        r2_min[sl] = np.where(valid, np.minimum.reduceat(r2, safe), np.inf)
+        # reduce over the realizations that have points: each segment then
+        # runs to the next one's first point, so it holds exactly its own
+        hit = start + np.flatnonzero(counts[start:stop])
+        first = ends[hit] - counts[hit] - base
+        r2_min[hit] = np.minimum.reduceat(r2, first)
         p = r2 ** (-half_alpha)
 
         # the decode set holds about lam*pi*d^2 points per realization: sum
         # it by index, then blank it out of the far-field reductions
         idx = np.flatnonzero(r2 < d2)
-        owner = np.searchsorted(offsets, idx, "right") - 1
-        s_dec[sl] = np.bincount(owner, weights=p[idx], minlength=m)
-        n_dec[sl] = np.bincount(owner, minlength=m)
+        owner = np.searchsorted(first, idx, "right") - 1
+        s_dec[hit] = np.bincount(owner, weights=p[idx], minlength=len(hit))
+        n_dec[hit] = np.bincount(owner, minlength=len(hit))
         p[idx] = 0.0
         r2[idx] = np.inf
-        s_far[sl] = np.where(valid, np.add.reduceat(p, safe), 0.0)
-        r2_far_min[sl] = np.where(valid, np.minimum.reduceat(r2, safe), np.inf)
+        s_far[hit] = np.add.reduceat(p, first)
+        r2_far_min[hit] = np.minimum.reduceat(r2, first)
         start = stop
 
     return _RealizationStats(s_dec, s_far + ring_mean, n_dec, r2_min, r2_far_min)
@@ -224,7 +214,7 @@ def _rates_from_stats(cfg: NetworkConfig, stats: _RealizationStats, rule: Decodi
                 interference = stats.r2_far_min ** (-half_alpha)
             numerator = sig + stats.s_dec if rate_mode == "exact_powers" else share * sig
         rate = np.log1p(np.divide(numerator, interference)) / (_LN2 * share)
-    return np.minimum(rate, RATE_CAP)
+    return np.where(np.isfinite(rate), rate, RATE_CAP)
 
 
 def _estimate_from_rates(cfg: NetworkConfig, rates: np.ndarray) -> tuple[float, float]:

@@ -67,6 +67,13 @@ class TestPerRealizationRates:
         assert rate([], IAN) == RATE_CAP
         assert rate([], OPT) == RATE_CAP
 
+    def test_finite_rate_above_cap_kept(self):
+        # the cap stands in for an infinite rate only: a lone interferer at
+        # 1000 d leaves SIR 1e12, about 39.9 bits
+        assert rate([1000.0], IAN) == pytest.approx(math.log2(1.0 + 1e12), rel=1e-12)
+        assert rate([0.5, 1000.0], OPT, "full", "lower_bound_powers") == pytest.approx(
+            0.5 * math.log2(1.0 + 2e12), rel=1e-12)
+
     def test_opt_worked_example(self):
         assert rate([0.5, 2.0], OPT, "full", "exact_powers") == pytest.approx(
             0.5 * math.log2(273.0), rel=1e-12)
@@ -127,14 +134,45 @@ class TestEstimateCognitive:
         for field in ("s_dec", "s_far", "n_dec", "r2_min", "r2_far_min"):
             np.testing.assert_array_equal(getattr(tiny, field), getattr(big, field))
 
+    @pytest.mark.parametrize("chunk_points", [None, 50],
+                             ids=["default-chunks", "sub-realization-chunks"])
+    def test_prefix_stable(self, chunk_points):
+        # realization i is the same in every run of at least i + 1
+        # realizations; about 200 points per realization and 39% empty decode
+        # sets, so 50-point chunks each hold a single realization
+        cfg = NetworkConfig(0.3, 1.0, 4.0)
+        w = simulation.default_window_radius(cfg)
+        kwargs = {} if chunk_points is None else {"chunk_points": chunk_points}
+        short = _collect_stats(cfg, w, seed=8, n_realizations=150, **kwargs)
+        long = _collect_stats(cfg, w, seed=8, n_realizations=400, **kwargs)
+        assert np.any(short.n_dec == 0) and np.all(np.isfinite(short.r2_min))
+        for field in ("s_dec", "s_far", "n_dec", "r2_min", "r2_far_min"):
+            np.testing.assert_array_equal(getattr(short, field), getattr(long, field)[:150])
+
+    def test_run_ending_in_empty_windows(self):
+        # a run whose last realization has no points: the last realization
+        # with points still reduces over all of its own points
+        cfg = NetworkConfig(0.02, 2.0, 3.0)
+        counts = rng_from_seed((11, 0)).poisson(cfg.lam * math.pi * 25.0, 300)
+        n = next(i for i in range(2, 300) if counts[i - 1] == 0 and counts[i - 2] >= 2)
+        got = _collect_stats(cfg, 5.0, seed=11, n_realizations=n)
+        want = self.oracle_stats(cfg, 5.0, seed=11, n_realizations=n)
+        for field in ("n_dec", "r2_min", "r2_far_min"):
+            np.testing.assert_array_equal(getattr(got, field), want[field])
+        for field in ("s_dec", "s_far"):
+            np.testing.assert_allclose(getattr(got, field), want[field], rtol=1e-13, atol=0)
+
     @staticmethod
     def oracle_stats(cfg, window_radius, seed, n_realizations):
-        """The five statistics, one realization at a time, from the same draws."""
+        """The five statistics, one realization at a time, from the same draws:
+        each count in turn from stream (seed, 0), each realization's radii in
+        turn from stream (seed, 1)."""
+        counts = rng_from_seed((seed, 0))
+        radii = rng_from_seed((seed, 1))
         rows = []
-        for i in range(n_realizations):
-            rng = rng_from_seed((seed, i))
-            c = rng.poisson(cfg.lam * math.pi * window_radius * window_radius)
-            r2 = window_radius * window_radius * rng.random(c)
+        for _ in range(n_realizations):
+            c = counts.poisson(cfg.lam * math.pi * window_radius * window_radius)
+            r2 = window_radius * window_radius * radii.random(c)
             dec = r2 < cfg.d * cfg.d
             p = r2 ** (-cfg.alpha / 2.0)
             rows.append((p[dec].sum(), p[~dec].sum(), dec.sum(),
@@ -178,20 +216,20 @@ class TestEstimateCognitive:
 
     def test_reference_mode_reproduces_full_window_draws(self, reference_mode):
         # the five statistics of the whole-window kernel, frozen from its
-        # output before the near field was introduced; the power sums carry
-        # the last-digit latitude of numpy's pow
+        # output when the runs moved to one counts stream and one radii
+        # stream; the power sums carry the last-digit latitude of numpy's pow
         cfg = NetworkConfig(0.3, 1.0, 4.0)
         got = _collect_stats(cfg, simulation.default_window_radius(cfg), seed=5, n_realizations=4)
-        np.testing.assert_array_equal(got.n_dec, [1.0, 1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(got.r2_min, [0.013601257419226798, 0.3641101955709214,
-                                                   0.04128683431914304, 0.1191335402594973])
-        np.testing.assert_array_equal(got.r2_far_min, [1.61943136282372, 1.206150971930775,
-                                                       3.4603617525574837, 2.4705665865953907])
-        np.testing.assert_allclose(got.s_dec, [5405.574778599252, 7.542830007432363,
-                                               601.9700115409795, 89.84903023281416],
+        np.testing.assert_array_equal(got.n_dec, [1.0, 1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(got.r2_min, [0.3641101955709214, 0.12005313674956497,
+                                                   2.1326290415635274, 0.5098673506387374])
+        np.testing.assert_array_equal(got.r2_far_min, [1.206150971930775, 1.4759547074316703,
+                                                       2.1326290415635274, 2.125252752395168])
+        np.testing.assert_allclose(got.s_dec, [7.542830007432363, 69.38298440224034,
+                                               0.0, 3.846675880795846],
                                    rtol=1e-13, atol=0)
-        np.testing.assert_allclose(got.s_far, [1.1565444270898646, 1.3382774759347538,
-                                               0.35261176620168366, 0.4851656439225245],
+        np.testing.assert_allclose(got.s_far, [1.3382823176446217, 1.6076642012502464,
+                                               0.4652382549275116, 0.46338461770434464],
                                    rtol=1e-13, atol=0)
 
     def test_near_field_is_the_window_when_the_window_is_small(self, monkeypatch):
@@ -231,6 +269,15 @@ class TestEstimateCognitive:
         analytic = ian.cognitive_throughput(cfg).value
         assert abs(est.mean - analytic) < 4.0 * est.stderr
 
+    def test_closest_only_matches_analytic_at_sparse_density(self):
+        # mu = 3.1e-5: an isolated link's rate often exceeds RATE_CAP, and a
+        # cap on finite rates would pull the estimate about 28 sigma low
+        cfg = NetworkConfig(1e-5, 1.0, 4.0)
+        est = estimate_cognitive(cfg, DecodingRule.IAN, mode="closest_only",
+                                 n_realizations=20_000, seed=19)
+        analytic = ian.cognitive_throughput(cfg).value
+        assert abs(est.mean - analytic) < 4.0 * est.stderr
+
     def test_full_below_closest_on_average(self):
         cfg = NetworkConfig(0.3, 1.0, 4.0)
         full = estimate_cognitive(cfg, DecodingRule.IAN, mode="full", n_realizations=2000, seed=3)
@@ -250,9 +297,11 @@ class TestEstimateCognitive:
         w = simulation.default_window_radius(cfg)
         rates_big, rates_small = [], []
         for seed in range(300):
-            # realization 0 of a run seeded `seed`, drawn as the window kernel draws it
-            rng = rng_from_seed((seed, 0))
-            r = 2.0 * w * np.sqrt(rng.random(rng.poisson(cfg.lam * math.pi * 4.0 * w * w)))
+            # realization 0 of a run seeded `seed`, drawn as the window kernel
+            # draws it: its count is the first of stream (seed, 0), its radii
+            # the first of stream (seed, 1)
+            count = rng_from_seed((seed, 0)).poisson(cfg.lam * math.pi * 4.0 * w * w)
+            r = 2.0 * w * np.sqrt(rng_from_seed((seed, 1)).random(count))
             rates_big.append(rate(r, IAN, cfg=cfg))
             rates_small.append(rate(r[r <= w], IAN, cfg=cfg))
         gap = cfg.lam * abs(np.mean(rates_big) - np.mean(rates_small))
@@ -266,6 +315,16 @@ class TestEstimateFixedRate:
         sol = fixed_rate.highest_throughput(cfg, DecodingRule.IAN)
         est = estimate_fixed_rate(cfg, DecodingRule.IAN, sol, n_realizations=3000,
                                   seed=29, mode="closest_only")
+        assert abs(est.mean - sol.throughput.value) < 4.0 * est.stderr
+
+    def test_rate_above_cap_is_achievable(self):
+        # at lam = 1e-7 the optimal fixed rate is 35.9 bits; a cap at 30 bits
+        # on finite rates would make every realization an outage
+        cfg = NetworkConfig(1e-7, 1.0, 4.0)
+        sol = fixed_rate.highest_throughput(cfg, DecodingRule.IAN)
+        assert sol.rates[0] > RATE_CAP
+        est = estimate_fixed_rate(cfg, DecodingRule.IAN, sol, n_realizations=20_000,
+                                  seed=23, mode="closest_only")
         assert abs(est.mean - sol.throughput.value) < 4.0 * est.stderr
 
     def test_full_below_closest(self):

@@ -3,10 +3,12 @@
 Transmitters cannot see their realization, so they pick one SIR threshold
 per joint-decode count (a single one under interference-as-noise), code at
 the matching rate, and accept outages.  The per-count objective
-rate * success-probability is concave in the threshold; its stationary
-point is found by bracketed root finding on the derivative of the log
-objective, never by iterating the fixed-point form (whose naive iteration
-collapses to the useless zero threshold).
+rate * success-probability, the Markov bound's term, comes from the helper
+in :mod:`pppt.ian` (k = 1, edge 0 under interference-as-noise; k = 1+n,
+edge 1 under joint decoding).  It is concave in the threshold; its
+stationary point is found by bracketed root finding on the derivative of
+the log objective, never by iterating the fixed-point form (whose naive
+iteration collapses to the useless zero threshold).
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ian, opt
+from .ian import _rate_times_success
 from .model import DecodingRule, NetworkConfig, ThroughputValue
 from .numerics import _LN2, QuadratureSpec, SeriesTruncation, find_root, truncated_poisson_weights
 
@@ -62,21 +65,16 @@ def spatial_throughput_at(cfg: NetworkConfig, rule: DecodingRule, sir: float,
     OPT: the per-count objective
     lam * log2(1+(1+joint)*sir)/(1+joint) * exp(-mu*(sir^(2/alpha)-1)),
     sir > 1 (the success event requires the nearest noise interferer beyond
-    the decode radius, which already exceeds d).
+    the decode radius, which already exceeds d).  ``sir`` must be finite.
     """
-    e = 2.0 / cfg.alpha
-    if rule is DecodingRule.IAN:
-        if joint != 0:
-            raise ValueError("interference-as-noise has no jointly decoded messages")
-        if not sir > 0:
-            raise ValueError(f"sir must be > 0, got {sir}")
-        return cfg.lam * math.log1p(sir) / _LN2 * math.exp(-cfg.mu * sir**e)
+    if rule is DecodingRule.IAN and joint != 0:
+        raise ValueError("interference-as-noise has no jointly decoded messages")
     if joint < 0:
         raise ValueError(f"joint must be >= 0, got {joint}")
-    if not sir > 1:
-        raise ValueError(f"sir must be > 1 under joint decoding, got {sir}")
-    k = 1.0 + joint
-    return cfg.lam * math.log1p(k * sir) / (k * _LN2) * math.exp(-cfg.mu * (sir**e - 1.0))
+    edge = 0.0 if rule is DecodingRule.IAN else 1.0
+    if not edge < sir < math.inf:
+        raise ValueError(f"sir must be finite and > {edge:g} under {rule.name}, got {sir}")
+    return float(_rate_times_success(cfg, 1.0 + joint, math.log(sir), edge))
 
 
 def _objective_slope(cfg: NetworkConfig, k, b):
@@ -146,8 +144,7 @@ def highest_throughput(cfg: NetworkConfig, rule: DecodingRule,
     k = 1.0 + np.arange(len(w))
     thresholds, boundary = _thresholds(cfg, rule, k)
     rates = np.log1p(k * thresholds) / (k * _LN2)
-    success = np.exp(-cfg.mu * (thresholds ** (2.0 / cfg.alpha) - edge))
-    value = cfg.lam * float(np.sum(w * rates * success))
+    value = float(np.sum(w * _rate_times_success(cfg, k, np.log(thresholds), edge)))
     return FixedRateSolution(
         rule=rule,
         sir_thresholds=thresholds,

@@ -6,10 +6,16 @@ interferer, Rayleigh-distributed with scale set by the density.  The highest
 decodable SIR is (r1/d)^alpha and the highest achievable rate follows by
 R = log2(1 + SIR).
 
-All expectations are evaluated after the substitution u = mu * sir^(2/alpha)
-(mu = lam*pi*d^2), which turns every integrand into a smooth function times
-exp(-u) on [0, inf) — no endpoint singularities survive, so the exp-sinh
-quadrature converges in a few levels.
+The noise rule is the k = 1, edge 0 member of the joint rule's family
+(k = 1+n messages at log2(1 + k*sir)/k, SIR law on sir > edge = 1; see
+:mod:`pppt.opt`).  The private helpers below take k and the edge and serve
+:mod:`pppt.opt` and :mod:`pppt.fixed_rate` too.
+
+All expectations are evaluated after the substitution
+u = mu * (sir^(2/alpha) - edge) (mu = lam*pi*d^2), which is Exp(1) and
+turns every integrand into a smooth function times exp(-u) on [0, inf) —
+no endpoint singularities survive, so the exp-sinh quadrature converges in
+a few levels.
 """
 from __future__ import annotations
 
@@ -28,7 +34,6 @@ from .numerics import (
     _scalar_or_array,
     find_root,
     integrate,
-    maximize_unimodal,
 )
 
 __all__ = [
@@ -51,42 +56,93 @@ def pdf_nearest_distance(cfg: NetworkConfig, x):
     return _scalar_or_array(out)
 
 
+def _pdf_sir(cfg: NetworkConfig, x, edge: float):
+    """SIR density on sir > edge (0 under the noise rule, 1 under the joint
+    rule): (2*mu/alpha) * x^(2/alpha - 1) * exp(-mu * (x^(2/alpha) - edge)),
+    zero at and below the edge."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    m = x > edge
+    xm, e = x[m], 2.0 / cfg.alpha
+    out[m] = (2.0 * cfg.mu / cfg.alpha) * xm ** (e - 1.0) * np.exp(-cfg.mu * (xm**e - edge))
+    return _scalar_or_array(out)
+
+
+def _rate_edge(k, edge: float):
+    """Smallest rate with positive density, log2(1 + k*edge)/k."""
+    return np.log2(1.0 + k * edge) / k
+
+
+def _pdf_rate(cfg: NetworkConfig, k, x, edge: float):
+    """Rate density with k messages sharing the rate log2(1 + k*sir)/k, for
+    the SIR law on sir > edge; zero at and below :func:`_rate_edge`.
+
+    Broadcast over (k, x); evaluated in log space so that the SIR matching
+    a large rate may overflow to inf and still give a density of 0.
+    """
+    k, x = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(x, dtype=float))
+    out = np.zeros(x.shape)
+    m = x > _rate_edge(k, edge)
+    km, e = k[m], 2.0 / cfg.alpha
+    t = km * x[m] * _LN2
+    with np.errstate(over="ignore"):
+        b = np.expm1(t) / km  # the SIR matching the rate
+        out[m] = np.exp(_LOG_LN4 + math.log(cfg.mu / cfg.alpha) + t + (e - 1.0) * np.log(b)
+                        - cfg.mu * (b**e - edge))
+    return out
+
+
+def _rate_integrand(mu: float, half_alpha: float, edge: float, k, coef):
+    """(f, s): sum_i coef_i * E[log2(1 + k_i*sir)] = int f(x) dx over
+    (0, inf) for the SIR law on sir > edge (0 or 1).
+
+    With u = mu*(sir^(2/alpha) - edge), which is Exp(1), and u = s*x,
+    f(x) = s * e^-u * sum_i coef_i * log2(1 + k_i*(edge + u/mu)^(alpha/2)).
+    Under the noise rule the rate bends from a power of u into a logarithm
+    at u = mu (SIR = 1), and u^(alpha/2) e^-u peaks at u = alpha/2; s = mu
+    clipped to [1, alpha/2] puts whichever carries the mass near x = 1,
+    where the exp-sinh nodes are densest (s = 1 doubles the nodes at
+    alpha = 60).
+    """
+    s = min(max(mu, 1.0), half_alpha)
+    k, coef = np.atleast_1d(k, coef)
+
+    def f(x):
+        u = s * x
+        # log(edge + u/mu); log1p keeps its digits near sir = 1
+        log_y = np.log1p(u / mu) if edge else np.log(u / mu)
+        return s * (_log2_1p_pow(k, log_y[:, None], half_alpha) @ coef) * np.exp(-u)
+
+    return f, s
+
+
+def _rate_times_success(cfg: NetworkConfig, k, log_b, edge: float):
+    """lam * log2(1 + k*b)/k * exp(-mu * (b^(2/alpha) - edge)), elementwise
+    in (k, log b), edge 0 or 1: the Markov lower bound at the rate
+    y = log2(1 + k*b)/k and the fixed-rate objective at the threshold b.
+
+    Taken from log b, so a b or k*b past the double range still gives a
+    finite value; past (2/alpha)*log b = 700 the success probability
+    underflows and the value is 0.
+    """
+    k, log_b = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(log_b, dtype=float))
+    z = (2.0 / cfg.alpha) * log_b
+    out = np.zeros(z.shape)
+    m = z < 700.0
+    km, zm = k[m], z[m]
+    excess = np.expm1(zm) if edge else np.exp(zm)  # b^(2/alpha) - edge
+    with np.errstate(over="ignore"):
+        out[m] = cfg.lam * _log2_1p_pow(km, log_b[m], 1.0) / km * np.exp(-cfg.mu * excess)
+    return out
+
+
 def pdf_sir(cfg: NetworkConfig, x):
     """Density of the highest decodable SIR, supported on x > 0.
 
     (2*mu/alpha) * x^(2/alpha - 1) * exp(-mu * x^(2/alpha)), the push-forward
     of the nearest-distance law through sir = (r1/d)^alpha.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    m = x > 0
-    if np.any(m):
-        xm = x[m]
-        e = 2.0 / cfg.alpha
-        out[m] = (2.0 * cfg.mu / cfg.alpha) * xm ** (e - 1.0) * np.exp(-cfg.mu * xm**e)
-    return _scalar_or_array(out)
-
-
-def _pdf_rate_above_edge(cfg: NetworkConfig, k, x, sir_edge: float = 0.0):
-    """Rate density with k messages sharing the rate, at rates x above its
-    support edge, for the SIR law truncated to sir > sir_edge (0 here, 1
-    under joint decoding).
-
-    Elementwise in (k, x); evaluated in log space so that the SIR matching
-    a large rate may overflow to inf and still give a density of 0.
-    """
-    e = 2.0 / cfg.alpha
-    t = k * x * _LN2
-    with np.errstate(over="ignore"):
-        b = np.expm1(t) / k  # the SIR matching rate x
-        logpdf = (
-            _LOG_LN4
-            + math.log(cfg.mu / cfg.alpha)
-            + t
-            + (e - 1.0) * np.log(b)
-            - cfg.mu * (b**e - sir_edge)
-        )
-        return np.exp(logpdf)
+    return _pdf_sir(cfg, x, 0.0)
 
 
 def pdf_rate(cfg: NetworkConfig, x):
@@ -96,35 +152,12 @@ def pdf_rate(cfg: NetworkConfig, x):
     x^(2/alpha - 1) near zero (integrable for alpha > 2) and decays
     double-exponentially in x.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    m = x > 0
-    if np.any(m):
-        out[m] = _pdf_rate_above_edge(cfg, 1.0, x[m])
-    return _scalar_or_array(out)
-
-
-def _rate_integrand(mu: float, half_alpha: float):
-    """(f, s): E[R] = int f(x) dx over (0, inf), with u = s*x and
-    f(x) = s * log2(1 + (u/mu)^(alpha/2)) * e^-u.
-
-    The rate bends from a power of u into a logarithm at u = mu (SIR = 1),
-    and u^(alpha/2) e^-u peaks at u = alpha/2; s = mu clipped to
-    [1, alpha/2] puts whichever carries the mass near x = 1, where the
-    exp-sinh nodes are densest (s = 1 doubles the nodes at alpha = 60).
-    """
-    s = min(max(mu, 1.0), half_alpha)
-
-    def f(x):
-        u = s * x
-        return s * _log2_1p_pow(1.0, np.log(u / mu), half_alpha) * np.exp(-u)
-
-    return f, s
+    return _scalar_or_array(_pdf_rate(cfg, 1.0, x, 0.0))
 
 
 def mean_rate(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> float:
     """Expected highest achievable rate of the typical link, bits/s/Hz."""
-    return integrate(_rate_integrand(cfg.mu, cfg.alpha / 2.0)[0], spec)
+    return integrate(_rate_integrand(cfg.mu, cfg.alpha / 2.0, 0.0, 1.0, 1.0)[0], spec)
 
 
 def cognitive_throughput(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> ThroughputValue:
@@ -141,13 +174,7 @@ def lower_bound(cfg: NetworkConfig, y: float) -> ThroughputValue:
     """Markov-inequality lower bound lam * y * P[R >= y], valid for any y > 0."""
     if not y > 0:
         raise ValueError(f"y must be > 0, got {y}")
-    # s = 2**y - 1 overflows once y > 1024, so s**e is taken from log s;
-    # past e*log s = 700 the survival underflows to 0
-    e = 2.0 / cfg.alpha
-    log_s = _log_sir_at_rate(y, 1.0)
-    value = 0.0
-    if e * log_s < 700.0:
-        value = cfg.lam * y * math.exp(-cfg.mu * math.exp(e * log_s))
+    value = float(_rate_times_success(cfg, 1.0, _log_sir_at_rate(y, 1.0), 0.0))
     return ThroughputValue(value=value, method="cognitive", rule=DecodingRule.IAN, kind="lower_bound")
 
 
@@ -180,7 +207,7 @@ def _stationarity_residual(lam: float, d: float, alpha: float,
     # d(lam * E[R])/dlam = 0 is equivalent, after the u-substitution, to
     #   int u^(..) log2(1+x(u)) e^-u du  =  int (u-1) * same  du;
     # both sides are evaluated with the same quadrature and subtracted.
-    f, s = _rate_integrand(lam * math.pi * d * d, alpha / 2.0)
+    f, s = _rate_integrand(lam * math.pi * d * d, alpha / 2.0, 0.0, 1.0, 1.0)
     return integrate(f, spec) - integrate(lambda x: (s * x - 1.0) * f(x), spec)
 
 
@@ -188,8 +215,9 @@ def optimal_density(d: float, alpha: float, spec: QuadratureSpec | None = None):
     """Density maximizing the cognitive throughput, with the value there.
 
     Solves the first-order condition by bracketed root finding over
-    lam in [1e-6, 1e3] / d^2; if numerical noise produces several sign
-    changes, the root closest to a golden-section argmax is kept.
+    lam in [1e-6, 1e3] / d^2, after locating its sign change on a 61-point
+    log grid.  Raises BracketError when the grid shows no sign change and
+    ArithmeticError when it shows several.
 
     Returns (lam_star, ThroughputValue).
     """
@@ -198,28 +226,16 @@ def optimal_density(d: float, alpha: float, spec: QuadratureSpec | None = None):
     if not alpha > 2:
         raise ValueError(f"alpha must be > 2, got {alpha}")
 
-    lo, hi = 1e-6 / (d * d), 1e3 / (d * d)
-    grid = np.geomspace(lo, hi, 61)
+    grid = np.geomspace(1e-6 / (d * d), 1e3 / (d * d), 61)
     res = np.array([_stationarity_residual(l, d, alpha, spec) for l in grid])
     sign_flips = np.nonzero(np.sign(res[:-1]) * np.sign(res[1:]) < 0)[0]
     if sign_flips.size == 0:
         raise BracketError("stationarity residual has no sign change on the density bracket")
-
-    roots = [
-        find_root(lambda l: _stationarity_residual(l, d, alpha, spec),
-                  (grid[i], grid[i + 1]), tol=1e-12)
-        for i in sign_flips
-    ]
-    if len(roots) == 1:
-        lam_star = roots[0]
-    else:
-        # tie-break: golden-section argmax of the throughput itself
-        t_star, _ = maximize_unimodal(
-            lambda t: math.exp(t) * mean_rate(NetworkConfig(math.exp(t), d, alpha), spec),
-            (math.log(lo), math.log(hi)),
-            tol=1e-10,
+    if sign_flips.size > 1:
+        raise ArithmeticError(
+            f"stationarity residual changes sign {sign_flips.size} times on the density bracket"
         )
-        lam_g = math.exp(t_star)
-        lam_star = min(roots, key=lambda r: abs(math.log(r) - math.log(lam_g)))
-
+    i = sign_flips[0]
+    lam_star = find_root(lambda l: _stationarity_residual(l, d, alpha, spec),
+                         (grid[i], grid[i + 1]), tol=1e-12)
     return lam_star, cognitive_throughput(NetworkConfig(lam_star, d, alpha), spec)

@@ -45,12 +45,13 @@ def _log2_1p_pow(k, log_y, p):
     return np.logaddexp(0.0, np.log(k) + p * log_y) / _LN2
 
 
-def _log_sir_at_rate(y: float, k: float) -> float:
+def _log_sir_at_rate(y, k):
     """log b for the SIR b with log2(1 + k * b) / k = y: the inverse of the
-    rate law with k messages, finite where b = expm1(k * y * ln2) / k
-    overflows (k * y * ln2 > 709)."""
-    x = k * y * _LN2
-    return x + math.log(-math.expm1(-x)) - math.log(k)
+    rate law with k messages, elementwise, finite where
+    b = expm1(k * y * ln2) / k overflows (k * y * ln2 > 709)."""
+    with np.errstate(over="ignore"):  # k * y past the double range is inf, b too
+        x = k * y * _LN2
+    return x + np.log(-np.expm1(-x)) - np.log(k)
 
 
 def _scalar_or_array(out: np.ndarray):

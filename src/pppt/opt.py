@@ -4,8 +4,10 @@ The receiver jointly decodes every interferer closer than its own
 transmitter (there are n of them, Poisson with mean mu = lam*pi*d^2) and
 treats the rest as noise.  Conditioned on n, the nearest noise interferer
 lies beyond d, so the SIR law is the interference-as-noise one truncated to
-sir > 1; the joint-decode constraint is shared symmetrically, giving
-R = log2(1 + (1+n)*sir) / (1+n) on the support x > log2(2+n)/(1+n).
+sir > 1; the joint-decode constraint is shared symmetrically among k = 1+n
+messages, giving R = log2(1 + k*sir) / k on the support x > log2(1+k)/k.
+The noise rule is this family's one-term member (k = 1, SIR edge 0); both
+rules share the private helpers of :mod:`pppt.ian`, called here with edge 1.
 Unconditional quantities are Poisson mixtures over n, truncated by the
 series policy in :mod:`pppt.numerics`.  The cognitive throughput takes the
 whole mixture inside one integral, so its quadrature tolerance bounds the
@@ -14,17 +16,14 @@ error of the mixture mean rate E[R], not of each E[R | n];
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .ian import _pdf_rate_above_edge
+from .ian import _pdf_rate, _pdf_sir, _rate_edge, _rate_integrand, _rate_times_success
 from .model import DecodingRule, NetworkConfig, ThroughputValue
 from .numerics import (
     _LN2,
     QuadratureSpec,
     SeriesTruncation,
-    _log2_1p_pow,
     _log_sir_at_rate,
     _scalar_or_array,
     integrate,
@@ -51,19 +50,12 @@ def pdf_sir(cfg: NetworkConfig, x):
     the nearest noise interferer being farther than d, hence exactly zero
     at and below 1.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    m = x > 1.0
-    if np.any(m):
-        xm = x[m]
-        e = 2.0 / cfg.alpha
-        out[m] = (2.0 * cfg.mu / cfg.alpha) * xm ** (e - 1.0) * np.exp(-cfg.mu * (xm**e - 1.0))
-    return _scalar_or_array(out)
+    return _pdf_sir(cfg, x, 1.0)
 
 
 def conditional_support_edge(n: int) -> float:
     """Smallest rate with positive density when 1+n messages are decoded."""
-    return math.log2(2.0 + n) / (1.0 + n)
+    return float(_rate_edge(1.0 + n, 1.0))
 
 
 def pdf_rate_conditional(cfg: NetworkConfig, n: int, x):
@@ -74,12 +66,7 @@ def pdf_rate_conditional(cfg: NetworkConfig, n: int, x):
     """
     if n < 0:
         raise ValueError(f"joint-decode count must be >= 0, got {n}")
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    m = x > conditional_support_edge(n)
-    if np.any(m):
-        out[m] = _pdf_rate_above_edge(cfg, 1.0 + n, x[m], 1.0)
-    return _scalar_or_array(out)
+    return _scalar_or_array(_pdf_rate(cfg, 1.0 + n, x, 1.0))
 
 
 def pdf_rate(cfg: NetworkConfig, x, truncation: SeriesTruncation | None = None):
@@ -90,11 +77,7 @@ def pdf_rate(cfg: NetworkConfig, x, truncation: SeriesTruncation | None = None):
     """
     w = truncated_poisson_weights(cfg.mu, truncation)
     x = np.asarray(x, dtype=float)
-    edges = np.array([conditional_support_edge(i) for i in range(len(w))])
-    k, xs = np.broadcast_arrays((1.0 + np.arange(len(w)))[:, None], x.reshape(1, -1))
-    m = xs > edges[:, None]
-    dens = np.zeros(m.shape)
-    dens[m] = _pdf_rate_above_edge(cfg, k[m], xs[m], 1.0)
+    dens = _pdf_rate(cfg, (1.0 + np.arange(len(w)))[:, None], x.reshape(1, -1), 1.0)
     return _scalar_or_array((w @ dens).reshape(x.shape))
 
 
@@ -103,17 +86,14 @@ def conditional_mean_rate(cfg: NetworkConfig, n: int,
     """Expected rate given 1+n jointly decoded messages, bits/s/Hz.
 
     Computed from the shifted-exponential form of the truncated SIR law:
-    with t = mu*(sir^(2/alpha) - 1) ~ Exp(1),
-    E[R | n] = (1+n)^-1 * E[ log2(1 + (1+n) * ((t+mu)/mu)^(alpha/2)) ].
+    with u = mu*(sir^(2/alpha) - 1) ~ Exp(1),
+    E[R | n] = (1+n)^-1 * E[ log2(1 + (1+n) * (1 + u/mu)^(alpha/2)) ].
     """
     if n < 0:
         raise ValueError(f"joint-decode count must be >= 0, got {n}")
-    mu, half_alpha, k = cfg.mu, cfg.alpha / 2.0, 1.0 + n
-
-    def integrand(t):
-        return _log2_1p_pow(k, np.log1p(t / mu), half_alpha) * np.exp(-t)
-
-    return integrate(integrand, spec) / k
+    k = 1.0 + n
+    f, _ = _rate_integrand(cfg.mu, cfg.alpha / 2.0, 1.0, k, 1.0)
+    return integrate(f, spec) / k
 
 
 def cognitive_throughput(cfg: NetworkConfig, spec: QuadratureSpec | None = None,
@@ -121,22 +101,20 @@ def cognitive_throughput(cfg: NetworkConfig, spec: QuadratureSpec | None = None,
     """Density times expected maximum rate under joint decoding.
 
     The Poisson mixture is summed inside one integral over the shared
-    shifted-exponential variable t of :func:`conditional_mean_rate`:
-    E[R] = int e^-t * sum_i (w_i/k_i) * log2(1 + k_i*(1 + t/mu)^(alpha/2)) dt
+    shifted-exponential variable u = mu*(sir^(2/alpha) - 1) of
+    :func:`conditional_mean_rate`:
+    E[R] = int e^-u * sum_i (w_i/k_i) * log2(1 + k_i*(1 + u/mu)^(alpha/2)) du
     with k_i = 1+i, so the quadrature tolerance applies to E[R] itself.
-    Each level of the rule is one (nodes x terms) array; weights below
-    1e-17 of the largest cannot move E[R] and are left out.
+    The quadrature runs in x = u/s with the noise rule's scale
+    s = mu clipped to [1, alpha/2].  Each level of the rule is one
+    (nodes x terms) array; weights below 1e-17 of the largest cannot move
+    E[R] and are left out.
     """
     w = truncated_poisson_weights(cfg.mu, truncation)
     i = np.flatnonzero(w >= 1e-17 * w.max())
-    k, coef = 1.0 + i, w[i] / (1.0 + i)
-    mu, half_alpha = cfg.mu, cfg.alpha / 2.0
-
-    def integrand(t):
-        return _log2_1p_pow(k, np.log1p(t / mu)[:, None], half_alpha) @ coef * np.exp(-t)
-
+    f, _ = _rate_integrand(cfg.mu, cfg.alpha / 2.0, 1.0, 1.0 + i, w[i] / (1.0 + i))
     return ThroughputValue(
-        value=cfg.lam * integrate(integrand, spec),
+        value=cfg.lam * integrate(f, spec),
         method="cognitive",
         rule=DecodingRule.OPT,
         kind="quadrature",
@@ -152,23 +130,18 @@ def lower_bound(cfg: NetworkConfig, y,
     Poisson weight times y_i times the conditional survival probability at
     y_i.
     """
-    schedule = y if callable(y) else (lambda i, _y=float(y): _y)
     w = truncated_poisson_weights(cfg.mu, truncation)
-    e = 2.0 / cfg.alpha
-    total = 0.0
-    for i, wi in enumerate(w):
-        yi = float(schedule(i))
-        if not yi > conditional_support_edge(i):
-            raise ValueError(
-                f"scheduled rate {yi} at joint count {i} is not above the "
-                f"support edge {conditional_support_edge(i)}"
-            )
-        # past e*log b = 700 the survival underflows to 0
-        log_b = _log_sir_at_rate(yi, 1.0 + i)
-        if e * log_b < 700.0:
-            total += wi * yi * math.exp(-cfg.mu * math.expm1(e * log_b))
+    k = 1.0 + np.arange(len(w))
+    ys = np.array([float(y(i)) for i in range(len(w))]) if callable(y) else np.full(len(w), float(y))
+    below = np.flatnonzero(~(ys > _rate_edge(k, 1.0)))
+    if below.size:
+        i = below[0]
+        raise ValueError(
+            f"scheduled rate {ys[i]} at joint count {i} is not above the "
+            f"support edge {conditional_support_edge(i)}"
+        )
     return ThroughputValue(
-        value=cfg.lam * total,
+        value=float(w @ _rate_times_success(cfg, k, _log_sir_at_rate(ys, k), 1.0)),
         method="cognitive",
         rule=DecodingRule.OPT,
         kind="lower_bound",

@@ -57,6 +57,21 @@ class TestSpatialThroughputAt:
         with pytest.raises(ValueError):
             fixed_rate.spatial_throughput_at(CFG1, DecodingRule.OPT, 2.0, joint=-1)
 
+    @pytest.mark.parametrize("rule", list(DecodingRule))
+    @pytest.mark.parametrize("sir", [math.inf, math.nan])
+    def test_non_finite_threshold_rejected(self, rule, sir):
+        # inf used to come back as log1p(inf) * 0 = NaN
+        with pytest.raises(ValueError):
+            fixed_rate.spatial_throughput_at(CFG1, rule, sir)
+
+    @pytest.mark.parametrize("rule,joint", [(DecodingRule.IAN, 0), (DecodingRule.OPT, 0),
+                                            (DecodingRule.OPT, 5)])
+    def test_huge_threshold_gives_zero(self, rule, joint):
+        # (1+joint)*sir overflows a double at joint = 5; the success
+        # probability exp(-sqrt(1e308)) is 0 either way
+        cfg = NetworkConfig(1.0, 1.0, 4.0)
+        assert fixed_rate.spatial_throughput_at(cfg, rule, 1e308, joint) == 0.0
+
 
 class TestOptimalSirThreshold:
     def test_pinned_root(self):

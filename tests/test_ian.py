@@ -131,6 +131,7 @@ class TestBounds:
 
     def test_lower_vanishes(self):
         assert ian.lower_bound(CFG1, 1e-12).value < 1e-11
+        assert ian.lower_bound(CFG1, math.inf).value == 0.0
 
     @pytest.mark.parametrize("y,want", [(1025.0, 1.37640827877701e-15),
                                         (1100.0, 1.47594003142716e-54)])
@@ -215,6 +216,15 @@ class TestOptimalDensity:
             assert tv.value >= nearby
         if alpha == 20.0:
             assert lam_star == pytest.approx(0.1412, abs=5e-5)
+
+    def test_several_sign_changes_raise(self, monkeypatch):
+        # sin(log lam + 1/2) crosses zero at lam = e^(j*pi - 1/2),
+        # j = -4..2, on the bracket [1e-6, 1e3], and at no grid point; no
+        # real residual has shown more than one
+        monkeypatch.setattr(ian, "_stationarity_residual",
+                            lambda lam, d, alpha, spec: math.sin(math.log(lam) + 0.5))
+        with pytest.raises(ArithmeticError, match="changes sign 7 times"):
+            ian.optimal_density(1.0, 4.0)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

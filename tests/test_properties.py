@@ -3,7 +3,9 @@
 mu = lam*pi*d^2 from 1e-9 to 1e4 and alpha from 2.05 to 60: every value is
 finite, the bounds sandwich the cognitive throughput, cognitive rates beat
 fixed rates, joint decoding beats interference as noise, and (lam, d)
-enter only through mu.  Orderings allow a relative slack of 1e-9.
+enter only through mu.  Orderings allow a relative slack of 1e-9.  The
+noise-rule Markov bound at y is the fixed-rate objective at the matching
+threshold 2^y - 1.
 """
 import math
 
@@ -66,3 +68,12 @@ def test_per_unit_density_depends_only_on_mu(x, alpha, d):
         # the absolute floor only forgives values in the subnormal range
         assert math.isclose(base[key], moved[key], rel_tol=SLACK, abs_tol=1e-300), \
             (key, base[key], moved[key])
+
+
+@given(x=log10_mu, alpha=alphas, y=y_ian)
+@settings(max_examples=40, deadline=None)
+def test_noise_rule_bound_is_fixed_rate_objective(x, alpha, y):
+    cfg = NetworkConfig(10.0**x / math.pi, 1.0, alpha)
+    bound = ian.lower_bound(cfg, y).value
+    objective = fixed_rate.spatial_throughput_at(cfg, DecodingRule.IAN, 2.0**y - 1.0)
+    assert math.isclose(bound, objective, rel_tol=1e-12, abs_tol=0.0), (bound, objective)

@@ -233,7 +233,7 @@ def _cmd_simulate(args) -> int:
     else:
         sol = fixed_rate.highest_throughput(cfg, rule)
         est = simulation.estimate_fixed_rate(
-            cfg, rule, sol, n_realizations=args.realizations,
+            cfg, sol, n_realizations=args.realizations,
             seed=args.seed, mode=mode, rate_mode=rmode)
     meta = (f"simulate method={args.method} rule={args.rule} lam={cfg.lam} d={cfg.d} "
             f"alpha={cfg.alpha} mode={args.mode} rate_mode={args.rate_mode} "

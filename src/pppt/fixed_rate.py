@@ -20,7 +20,8 @@ import numpy as np
 from . import ian, opt
 from .ian import _rate_times_success
 from .model import DecodingRule, NetworkConfig, ThroughputValue
-from .numerics import _LN2, QuadratureSpec, SeriesTruncation, find_root, truncated_poisson_weights
+from .numerics import _LN2, SeriesTruncation, find_root, truncated_poisson_weights
+from .opt import _check_count
 
 __all__ = [
     "BOUNDARY_SIR",
@@ -57,6 +58,12 @@ class FixedRateSolution:
             arr.setflags(write=False)
 
 
+def _check_joint(rule: DecodingRule, joint) -> None:
+    _check_count(joint)
+    if rule is DecodingRule.IAN and joint != 0:
+        raise ValueError("interference-as-noise has no jointly decoded messages")
+
+
 def spatial_throughput_at(cfg: NetworkConfig, rule: DecodingRule, sir: float,
                           joint: int = 0) -> float:
     """Expected spatial throughput of the fixed-rate scheme at a threshold.
@@ -67,10 +74,7 @@ def spatial_throughput_at(cfg: NetworkConfig, rule: DecodingRule, sir: float,
     sir > 1 (the success event requires the nearest noise interferer beyond
     the decode radius, which already exceeds d).  ``sir`` must be finite.
     """
-    if rule is DecodingRule.IAN and joint != 0:
-        raise ValueError("interference-as-noise has no jointly decoded messages")
-    if joint < 0:
-        raise ValueError(f"joint must be >= 0, got {joint}")
+    _check_joint(rule, joint)
     edge = 0.0 if rule is DecodingRule.IAN else 1.0
     if not edge < sir < math.inf:
         raise ValueError(f"sir must be finite and > {edge:g} under {rule.name}, got {sir}")
@@ -120,10 +124,7 @@ def optimal_sir_threshold(cfg: NetworkConfig, rule: DecodingRule, joint: int = 0
     slope, or, under joint decoding, the support boundary with the flag set
     when the slope is already negative there.
     """
-    if rule is DecodingRule.IAN and joint != 0:
-        raise ValueError("interference-as-noise has no jointly decoded messages")
-    if joint < 0:
-        raise ValueError(f"joint must be >= 0, got {joint}")
+    _check_joint(rule, joint)
     b, boundary = _thresholds(cfg, rule, np.array([1.0 + joint]))
     return float(b[0]), bool(boundary[0])
 
@@ -154,17 +155,16 @@ def highest_throughput(cfg: NetworkConfig, rule: DecodingRule,
     )
 
 
-def compare_cognitive_vs_fixed(cfg: NetworkConfig, spec: QuadratureSpec | None = None,
-                               truncation: SeriesTruncation | None = None) -> dict:
+def compare_cognitive_vs_fixed(cfg: NetworkConfig) -> dict:
     """All four throughputs and the cognitive-minus-fixed gaps at one config.
 
     The gaps are nonnegative up to quadrature noise; a violation beyond
     -1e-9 indicates an internal inconsistency and raises.
     """
-    c_ian = ian.cognitive_throughput(cfg, spec).value
-    c_opt = opt.cognitive_throughput(cfg, spec, truncation).value
+    c_ian = ian.cognitive_throughput(cfg).value
+    c_opt = opt.cognitive_throughput(cfg).value
     t_ian = highest_throughput(cfg, DecodingRule.IAN).throughput.value
-    t_opt = highest_throughput(cfg, DecodingRule.OPT, truncation).throughput.value
+    t_opt = highest_throughput(cfg, DecodingRule.OPT).throughput.value
     report = {
         "c_ian": c_ian,
         "t_ian": t_ian,

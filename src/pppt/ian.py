@@ -202,32 +202,30 @@ def asymptote(cfg: NetworkConfig) -> ThroughputValue:
     )
 
 
-def _stationarity_residual(lam: float, d: float, alpha: float,
-                           spec: QuadratureSpec | None) -> float:
+def _stationarity_residual(mu: float, alpha: float) -> float:
     # d(lam * E[R])/dlam = 0 is equivalent, after the u-substitution, to
     #   int u^(..) log2(1+x(u)) e^-u du  =  int (u-1) * same  du;
     # both sides are evaluated with the same quadrature and subtracted.
-    f, s = _rate_integrand(lam * math.pi * d * d, alpha / 2.0, 0.0, 1.0, 1.0)
-    return integrate(f, spec) - integrate(lambda x: (s * x - 1.0) * f(x), spec)
+    f, s = _rate_integrand(mu, alpha / 2.0, 0.0, 1.0, 1.0)
+    return integrate(f) - integrate(lambda x: (s * x - 1.0) * f(x))
 
 
-def optimal_density(d: float, alpha: float, spec: QuadratureSpec | None = None):
+def optimal_density(d: float, alpha: float):
     """Density maximizing the cognitive throughput, with the value there.
 
-    Solves the first-order condition by bracketed root finding over
-    lam in [1e-6, 1e3] / d^2, after locating its sign change on a 61-point
-    log grid.  Raises BracketError when the grid shows no sign change and
-    ArithmeticError when it shows several.
+    The first-order condition depends on mu = lam*pi*d^2 and alpha only, so
+    it is solved in mu, once for every d: bracketed root finding over
+    mu in pi*[1e-6, 1e3], after locating its sign change on a 61-point log
+    grid, then lam* = mu*/(pi*d^2).  Raises ValueError for an invalid d or
+    alpha, or a d at which lam* is not a positive double; BracketError
+    when the grid shows no sign change and ArithmeticError when it shows
+    several.
 
     Returns (lam_star, ThroughputValue).
     """
-    if not d > 0:
-        raise ValueError(f"d must be > 0, got {d}")
-    if not alpha > 2:
-        raise ValueError(f"alpha must be > 2, got {alpha}")
-
-    grid = np.geomspace(1e-6 / (d * d), 1e3 / (d * d), 61)
-    res = np.array([_stationarity_residual(l, d, alpha, spec) for l in grid])
+    NetworkConfig(1.0, d, alpha)  # checks d and alpha before any quadrature
+    grid = math.pi * np.geomspace(1e-6, 1e3, 61)
+    res = np.array([_stationarity_residual(mu, alpha) for mu in grid])
     sign_flips = np.nonzero(np.sign(res[:-1]) * np.sign(res[1:]) < 0)[0]
     if sign_flips.size == 0:
         raise BracketError("stationarity residual has no sign change on the density bracket")
@@ -236,6 +234,7 @@ def optimal_density(d: float, alpha: float, spec: QuadratureSpec | None = None):
             f"stationarity residual changes sign {sign_flips.size} times on the density bracket"
         )
     i = sign_flips[0]
-    lam_star = find_root(lambda l: _stationarity_residual(l, d, alpha, spec),
-                         (grid[i], grid[i + 1]), tol=1e-12)
-    return lam_star, cognitive_throughput(NetworkConfig(lam_star, d, alpha), spec)
+    mu_star = find_root(lambda mu: _stationarity_residual(mu, alpha),
+                        (grid[i], grid[i + 1]), tol=1e-12)
+    cfg = NetworkConfig(mu_star / (math.pi * d) / d, d, alpha)
+    return cfg.lam, cognitive_throughput(cfg)

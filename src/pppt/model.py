@@ -103,19 +103,12 @@ class ThroughputValue:
             raise ValueError(f"rule must be a DecodingRule, got {self.rule!r}")
 
 
-def _seed_key(seed) -> object:
-    # np.random.SeedSequence wants non-negative entropy; fold negative ints
-    # into the 64-bit range so "any integer" is a valid seed.
-    if isinstance(seed, (int, np.integer)):
-        return int(seed) % 2**64
-    return tuple(int(s) % 2**64 for s in seed)
+def rng_from_seed(key: tuple[int, int]) -> np.random.Generator:
+    """PCG64 generator keyed by a (seed, stream) pair.
 
-
-def rng_from_seed(seed) -> np.random.Generator:
-    """PCG64 generator keyed by an integer or a tuple of integers.
-
-    Tuples give counter-split streams: (base_seed, index) yields
-    independent, reproducible streams; a Monte Carlo run seeded ``s``
-    reads its counts from (s, 0) and its radii from (s, 1).
+    Each pair yields an independent, reproducible stream; a Monte Carlo run
+    seeded ``s`` reads its counts from (s, 0) and its radii from (s, 1).
+    np.random.SeedSequence wants non-negative entropy, so negative integers
+    are folded into the 64-bit range and any integer is a valid seed.
     """
-    return np.random.default_rng(_seed_key(seed))
+    return np.random.default_rng(tuple(int(k) % 2**64 for k in key))

@@ -102,23 +102,18 @@ class SeriesTruncation:
     """Stopping policy for Poisson-weighted series.
 
     Summation stops once the accumulated probability mass reaches
-    1 - mass_tol, and never runs past the hard cap.  The default cap,
-    mean + 12*sqrt(mean) + 20, keeps the neglected mass far below mass_tol
-    for any mean of practical size.
+    1 - mass_tol, and never runs past the cap mean + 12*sqrt(mean) + 20,
+    which keeps the neglected mass far below mass_tol for any mean of
+    practical size.
     """
 
     mass_tol: float = 1e-10
-    hard_cap: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.mass_tol < 1.0:
             raise ValueError("mass_tol must be in (0, 1)")
-        if self.hard_cap is not None and self.hard_cap < 0:
-            raise ValueError("hard_cap must be >= 0")
 
     def cap_for(self, mean: float) -> int:
-        if self.hard_cap is not None:
-            return self.hard_cap
         return int(math.ceil(mean + 12.0 * math.sqrt(mean) + 20.0))
 
 
@@ -151,9 +146,12 @@ def integrate(f, spec: QuadratureSpec | None = None) -> float:
     double-exponentially, an integrable power singularity at 0 included;
     t in [-4.5, 3.7] spans x in (2e-31, 6e13), beyond which x^-1/2 at 0 or
     e^-x at infinity leave below 1e-15.  h halves from 1/2 until two levels
-    agree within max(abs_tol, rel_tol * |I|).  Raises QuadratureError,
-    carrying the last estimate and level difference, when the next level
-    would exceed ``spec.max_subdivisions`` nodes or the sum is not finite.
+    agree within max(abs_tol, rel_tol * |I|).  A zero integral needs a
+    positive ``abs_tol`` above the rounding noise of the sum: the default
+    1e-300 is below it, so the rule never converges there.  Raises
+    QuadratureError, carrying the last estimate and level difference, when
+    the next level would exceed ``spec.max_subdivisions`` nodes or the sum
+    is not finite.
     """
     spec = spec or DEFAULT_QUADRATURE
     total, diff, nodes, level = math.nan, math.inf, 0, 0
@@ -264,7 +262,7 @@ def truncated_poisson_weights(mean: float, truncation: SeriesTruncation | None =
     if mean == 0.0:
         return np.array([1.0])
     cap = truncation.cap_for(mean)
-    m = min(int(mean), cap)
+    m = int(mean)
     if m < 30:
         log_pm = m * math.log(mean) - mean - math.lgamma(m + 1.0)
     else:  # Stirling series for lgamma(m+1) - (m+1/2)log m + m - log(2 pi)/2

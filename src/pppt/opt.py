@@ -53,8 +53,14 @@ def pdf_sir(cfg: NetworkConfig, x):
     return _pdf_sir(cfg, x, 1.0)
 
 
+def _check_count(n) -> None:
+    if not (isinstance(n, (int, np.integer)) and n >= 0):
+        raise ValueError(f"joint-decode count must be an integer >= 0, got {n!r}")
+
+
 def conditional_support_edge(n: int) -> float:
     """Smallest rate with positive density when 1+n messages are decoded."""
+    _check_count(n)
     return float(_rate_edge(1.0 + n, 1.0))
 
 
@@ -64,36 +70,33 @@ def pdf_rate_conditional(cfg: NetworkConfig, n: int, x):
     Zero at and below log2(2+n)/(1+n); above it, the push-forward of the
     truncated SIR density through (1+n)*R = log2(1 + (1+n)*sir).
     """
-    if n < 0:
-        raise ValueError(f"joint-decode count must be >= 0, got {n}")
+    _check_count(n)
     return _scalar_or_array(_pdf_rate(cfg, 1.0 + n, x, 1.0))
 
 
-def pdf_rate(cfg: NetworkConfig, x, truncation: SeriesTruncation | None = None):
+def pdf_rate(cfg: NetworkConfig, x):
     """Unconditional rate density: Poisson mixture of the conditional ones.
 
     All conditional densities are evaluated at once as a (terms x points)
     array and contracted with the Poisson weights.
     """
-    w = truncated_poisson_weights(cfg.mu, truncation)
+    w = truncated_poisson_weights(cfg.mu)
     x = np.asarray(x, dtype=float)
     dens = _pdf_rate(cfg, (1.0 + np.arange(len(w)))[:, None], x.reshape(1, -1), 1.0)
     return _scalar_or_array((w @ dens).reshape(x.shape))
 
 
-def conditional_mean_rate(cfg: NetworkConfig, n: int,
-                          spec: QuadratureSpec | None = None) -> float:
+def conditional_mean_rate(cfg: NetworkConfig, n: int) -> float:
     """Expected rate given 1+n jointly decoded messages, bits/s/Hz.
 
     Computed from the shifted-exponential form of the truncated SIR law:
     with u = mu*(sir^(2/alpha) - 1) ~ Exp(1),
     E[R | n] = (1+n)^-1 * E[ log2(1 + (1+n) * (1 + u/mu)^(alpha/2)) ].
     """
-    if n < 0:
-        raise ValueError(f"joint-decode count must be >= 0, got {n}")
+    _check_count(n)
     k = 1.0 + n
     f, _ = _rate_integrand(cfg.mu, cfg.alpha / 2.0, 1.0, k, 1.0)
-    return integrate(f, spec) / k
+    return integrate(f) / k
 
 
 def cognitive_throughput(cfg: NetworkConfig, spec: QuadratureSpec | None = None,

@@ -37,7 +37,7 @@ from . import ian as _ian_analytic
 from . import opt as _opt_analytic
 from .fixed_rate import FixedRateSolution
 from .model import DecodingRule, NetworkConfig, rng_from_seed
-from .numerics import _LN2, QuadratureSpec, SeriesTruncation
+from .numerics import _LN2
 
 __all__ = [
     "INTERFERENCE_MODES",
@@ -97,23 +97,6 @@ def default_window_radius(cfg: NetworkConfig) -> float:
     """max(100*d, 20/sqrt(lam)): the outer edge of the mean far ring, which
     keeps the clipped interference below ~1e-3 of the total for alpha = 4."""
     return max(100.0 * cfg.d, 20.0 / math.sqrt(cfg.lam))
-
-
-def _window(cfg: NetworkConfig, window_radius: float | None) -> float:
-    """The sampling window radius: the default one, or a given finite radius
-    above d (a smaller one leaves the link's own disc partly unsampled)."""
-    if window_radius is None:
-        return default_window_radius(cfg)
-    if not (math.isfinite(window_radius) and window_radius > cfg.d):
-        raise ValueError(f"window_radius must be finite and > d = {cfg.d}, got {window_radius}")
-    return window_radius
-
-
-def _check_mode(mode: str, rate_mode: str | None = None):
-    if mode not in INTERFERENCE_MODES:
-        raise ValueError(f"interference mode must be one of {INTERFERENCE_MODES}, got {mode!r}")
-    if rate_mode is not None and rate_mode not in RATE_MODES:
-        raise ValueError(f"rate mode must be one of {RATE_MODES}, got {rate_mode!r}")
 
 
 def _check_realizations(n_realizations: int):
@@ -217,10 +200,35 @@ def _rates_from_stats(cfg: NetworkConfig, stats: _RealizationStats, rule: Decodi
     return np.where(np.isfinite(rate), rate, RATE_CAP)
 
 
-def _estimate_from_rates(cfg: NetworkConfig, rates: np.ndarray) -> tuple[float, float]:
-    mean = cfg.lam * float(np.mean(rates))
-    stderr = cfg.lam * float(np.std(rates, ddof=1)) / math.sqrt(len(rates)) if len(rates) > 1 else 0.0
-    return mean, stderr
+def _sample(cfg: NetworkConfig, n_realizations: int, seed: int, window_radius: float | None,
+            mode: str, rate_mode: str) -> _RealizationStats:
+    """One validated pass of the window kernel, shared by every estimator.
+
+    The window is the default one, or a given finite radius above d (a
+    smaller one leaves the link's own disc partly unsampled).
+    """
+    if mode not in INTERFERENCE_MODES:
+        raise ValueError(f"interference mode must be one of {INTERFERENCE_MODES}, got {mode!r}")
+    if rate_mode not in RATE_MODES:
+        raise ValueError(f"rate mode must be one of {RATE_MODES}, got {rate_mode!r}")
+    _check_realizations(n_realizations)
+    if window_radius is None:
+        window_radius = default_window_radius(cfg)
+    elif not (math.isfinite(window_radius) and window_radius > cfg.d):
+        raise ValueError(f"window_radius must be finite and > d = {cfg.d}, got {window_radius}")
+    return _collect_stats(cfg, window_radius, seed, n_realizations)
+
+
+def _estimate(cfg: NetworkConfig, rule: DecodingRule, values: np.ndarray, seed: int,
+              mode: str, rate_mode: str) -> SimulationEstimate:
+    """lam times the sample mean of the per-realization ``values``, with its
+    standard error; the rate mode is recorded under joint decoding only."""
+    return SimulationEstimate(
+        mean=cfg.lam * float(np.mean(values)),
+        stderr=cfg.lam * float(np.std(values, ddof=1)) / math.sqrt(len(values)),
+        n_realizations=len(values), seed=seed, interference_mode=mode,
+        rate_mode=rate_mode if rule is DecodingRule.OPT else None,
+    )
 
 
 def estimate_cognitive(cfg: NetworkConfig, rule: DecodingRule, mode: str = "full",
@@ -229,23 +237,16 @@ def estimate_cognitive(cfg: NetworkConfig, rule: DecodingRule, mode: str = "full
                        window_radius: float | None = None) -> SimulationEstimate:
     """Simulated cognitive spatial throughput: lam times the sample mean of
     the per-realization maximum rate, with its standard error."""
-    _check_mode(mode, rate_mode)
-    _check_realizations(n_realizations)
-    window = _window(cfg, window_radius)
-    stats = _collect_stats(cfg, window, seed, n_realizations)
-    rates = _rates_from_stats(cfg, stats, rule, mode, rate_mode)
-    mean, stderr = _estimate_from_rates(cfg, rates)
-    return SimulationEstimate(
-        mean=mean, stderr=stderr, n_realizations=n_realizations, seed=seed,
-        interference_mode=mode, rate_mode=rate_mode if rule is DecodingRule.OPT else None,
-    )
+    stats = _sample(cfg, n_realizations, seed, window_radius, mode, rate_mode)
+    return _estimate(cfg, rule, _rates_from_stats(cfg, stats, rule, mode, rate_mode),
+                     seed, mode, rate_mode)
 
 
-def estimate_fixed_rate(cfg: NetworkConfig, rule: DecodingRule, solution: FixedRateSolution,
+def estimate_fixed_rate(cfg: NetworkConfig, solution: FixedRateSolution,
                         n_realizations: int = 10_000, seed: int = 0, mode: str = "full",
                         rate_mode: str = "lower_bound_powers",
                         window_radius: float | None = None) -> SimulationEstimate:
-    """Simulated fixed-rate spatial throughput.
+    """Simulated fixed-rate spatial throughput of ``solution`` under its rule.
 
     A realization succeeds when the predetermined rate for its realized
     joint-decode count is achievable there; the estimate is lam times the
@@ -253,12 +254,8 @@ def estimate_fixed_rate(cfg: NetworkConfig, rule: DecodingRule, solution: FixedR
     the analytic optimizer that produced ``solution``; counts beyond the
     solution's table (vanishing Poisson tail) count as outages.
     """
-    _check_mode(mode, rate_mode)
-    _check_realizations(n_realizations)
-    if solution.rule is not rule:
-        raise ValueError(f"solution was computed for {solution.rule}, not {rule}")
-    window = _window(cfg, window_radius)
-    stats = _collect_stats(cfg, window, seed, n_realizations)
+    rule = solution.rule
+    stats = _sample(cfg, n_realizations, seed, window_radius, mode, rate_mode)
     achievable = _rates_from_stats(cfg, stats, rule, mode, rate_mode)
     if rule is DecodingRule.IAN:
         target = np.full(n_realizations, solution.rates[0])
@@ -267,46 +264,36 @@ def estimate_fixed_rate(cfg: NetworkConfig, rule: DecodingRule, solution: FixedR
         inside = counts < len(solution.rates)
         target = np.where(inside, solution.rates[np.minimum(counts, len(solution.rates) - 1)], np.inf)
     contrib = np.where(achievable >= target, target, 0.0)
-    mean, stderr = _estimate_from_rates(cfg, contrib)
-    return SimulationEstimate(
-        mean=mean, stderr=stderr, n_realizations=n_realizations, seed=seed,
-        interference_mode=mode, rate_mode=rate_mode if rule is DecodingRule.OPT else None,
-    )
+    return _estimate(cfg, rule, contrib, seed, mode, rate_mode)
 
 
 def tightness_report(cfgs, n_realizations: int = 10_000, seed: int = 0,
-                     rate_mode: str = "lower_bound_powers",
-                     spec: QuadratureSpec | None = None,
-                     truncation: SeriesTruncation | None = None,
                      window_radius: float | None = None) -> list[dict]:
     """Analytic vs full-interference simulated throughput, per configuration.
 
     One sampling pass per configuration feeds both decoding rules, so the
-    two simulated columns see identical realizations.  The default
-    ``lower_bound_powers`` mirrors the power accounting of the analytic
-    joint-decoding chain; ``exact_powers`` brackets it from above.
+    two simulated columns see identical realizations.  Decoded powers are
+    counted as ``lower_bound_powers``, the power accounting of the analytic
+    joint-decoding chain.
     """
-    _check_mode("full", rate_mode)
-    _check_realizations(n_realizations)
+    mode, rate_mode = "full", "lower_bound_powers"
     rows = []
     for cfg in cfgs:
-        window = _window(cfg, window_radius)
-        stats = _collect_stats(cfg, window, seed, n_realizations)
-        ian_rates = _rates_from_stats(cfg, stats, DecodingRule.IAN, "full", rate_mode)
-        opt_rates = _rates_from_stats(cfg, stats, DecodingRule.OPT, "full", rate_mode)
-        sim_ian, se_ian = _estimate_from_rates(cfg, ian_rates)
-        sim_opt, se_opt = _estimate_from_rates(cfg, opt_rates)
-        c_ian = _ian_analytic.cognitive_throughput(cfg, spec).value
-        c_opt = _opt_analytic.cognitive_throughput(cfg, spec, truncation).value
+        stats = _sample(cfg, n_realizations, seed, window_radius, mode, rate_mode)
+        sim_ian, sim_opt = (_estimate(cfg, rule, _rates_from_stats(cfg, stats, rule, mode, rate_mode),
+                                      seed, mode, rate_mode)
+                            for rule in (DecodingRule.IAN, DecodingRule.OPT))
+        c_ian = _ian_analytic.cognitive_throughput(cfg).value
+        c_opt = _opt_analytic.cognitive_throughput(cfg).value
         rows.append({
             "lam": cfg.lam,
             "c_ian_analytic": c_ian,
             "c_opt_analytic": c_opt,
-            "c_ian_simulated": sim_ian,
-            "c_ian_stderr": se_ian,
-            "c_opt_simulated": sim_opt,
-            "c_opt_stderr": se_opt,
+            "c_ian_simulated": sim_ian.mean,
+            "c_ian_stderr": sim_ian.stderr,
+            "c_opt_simulated": sim_opt.mean,
+            "c_opt_stderr": sim_opt.stderr,
             "ratio_analytic": c_ian / c_opt,
-            "ratio_simulated": sim_ian / sim_opt,
+            "ratio_simulated": sim_ian.mean / sim_opt.mean,
         })
     return rows

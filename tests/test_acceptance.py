@@ -189,7 +189,7 @@ def test_criterion_8_simulation_consistency():
                                             n_realizations=10_000, seed=seed)
         worst_z = max(worst_z, abs(est.mean - ian.cognitive_throughput(cfg).value) / est.stderr)
         sol = fixed_rate.highest_throughput(cfg, DecodingRule.IAN)
-        estf = simulation.estimate_fixed_rate(cfg, DecodingRule.IAN, sol, n_realizations=10_000,
+        estf = simulation.estimate_fixed_rate(cfg, sol, n_realizations=10_000,
                                               seed=seed, mode="closest_only")
         worst_z = max(worst_z, abs(estf.mean - sol.throughput.value) / estf.stderr)
     report("8 simulation consistency", worst_z <= 3.0, f"worst |z| = {worst_z:.2f}")

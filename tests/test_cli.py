@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from pppt import ian, simulation
+from pppt import ian, opt, simulation
 from pppt.cli import main
-from pppt.model import DecodingRule
+from pppt.model import DecodingRule, NetworkConfig
 from pppt.numerics import QuadratureError
 
 
@@ -54,6 +54,17 @@ class TestPdf:
         xs = np.array(column(header, rows, "x"))
         dens = np.array(column(header, rows, "density"))
         assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-3)
+
+    def test_opt_mixture_without_count(self, tmp_path):
+        out = tmp_path / "pdf.csv"
+        rc = main(["pdf", "--rule", "opt", "--lambda", "0.3", "--x-min", "0.5",
+                   "--x-max", "4", "--points", "8", "--out", str(out)])
+        assert rc == 0
+        header, rows = read_csv(out)
+        xs = np.array(column(header, rows, "x"))
+        want = opt.pdf_rate(NetworkConfig(0.3, 1.0, 4.0), xs)
+        np.testing.assert_array_equal(column(header, rows, "density"),
+                                      [float(format(v, ".12g")) for v in want])
 
     def test_json_mirror(self, tmp_path):
         out = tmp_path / "pdf.json"
@@ -289,6 +300,12 @@ class TestScalarCommands:
         header, rows = read_csv(out)
         assert float(rows[0][header.index("gap_ian")]) >= 0
         assert float(rows[0][header.index("gap_opt")]) >= 0
+
+    @pytest.mark.parametrize("flag,value", [("--alpha", "inf"), ("--d", "1e-200"),
+                                            ("--d", "1e200"), ("--d", "inf")])
+    def test_optimal_density_usage_errors(self, flag, value, capsys):
+        assert main(["optimal-density", flag, value]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_io_failure_exit_code(self, tmp_path):
         assert main(["compare", "--lambda", "1.0",

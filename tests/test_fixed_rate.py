@@ -56,6 +56,8 @@ class TestSpatialThroughputAt:
             fixed_rate.spatial_throughput_at(CFG1, DecodingRule.OPT, 1.0)
         with pytest.raises(ValueError):
             fixed_rate.spatial_throughput_at(CFG1, DecodingRule.OPT, 2.0, joint=-1)
+        with pytest.raises(ValueError, match="joint-decode count"):
+            fixed_rate.spatial_throughput_at(CFG1, DecodingRule.OPT, 2.0, joint=1.5)
 
     @pytest.mark.parametrize("rule", list(DecodingRule))
     @pytest.mark.parametrize("sir", [math.inf, math.nan])
@@ -126,6 +128,16 @@ class TestOptimalSirThreshold:
             for i in range(6)
         ]
         assert all(flags)
+
+    @pytest.mark.parametrize("rule,joint", [(DecodingRule.IAN, 1), (DecodingRule.OPT, -1),
+                                            (DecodingRule.OPT, 1.5), (DecodingRule.OPT, 2.0)])
+    def test_argument_errors(self, rule, joint):
+        with pytest.raises(ValueError):
+            fixed_rate.optimal_sir_threshold(CFG1, rule, joint=joint)
+
+    def test_numpy_integer_joint(self):
+        b, _ = fixed_rate.optimal_sir_threshold(CFG1, DecodingRule.OPT, joint=np.int64(1))
+        assert b == fixed_rate.optimal_sir_threshold(CFG1, DecodingRule.OPT, joint=1)[0]
 
     def test_never_returns_support_edge_ian(self):
         for mu in (0.01, 1.0, 50.0):

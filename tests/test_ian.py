@@ -218,16 +218,25 @@ class TestOptimalDensity:
             assert lam_star == pytest.approx(0.1412, abs=5e-5)
 
     def test_several_sign_changes_raise(self, monkeypatch):
-        # sin(log lam + 1/2) crosses zero at lam = e^(j*pi - 1/2),
-        # j = -4..2, on the bracket [1e-6, 1e3], and at no grid point; no
+        # sin(log(mu/pi) + 1/2) crosses zero at mu = pi*e^(j*pi - 1/2),
+        # j = -4..2, on the bracket pi*[1e-6, 1e3], and at no grid point; no
         # real residual has shown more than one
         monkeypatch.setattr(ian, "_stationarity_residual",
-                            lambda lam, d, alpha, spec: math.sin(math.log(lam) + 0.5))
+                            lambda mu, alpha: math.sin(math.log(mu / math.pi) + 0.5))
         with pytest.raises(ArithmeticError, match="changes sign 7 times"):
             ian.optimal_density(1.0, 4.0)
 
-    def test_rejects_bad_parameters(self):
+    @pytest.mark.parametrize("d,alpha", [(0.0, 4.0), (1.0, 2.0), (1.0, math.inf),
+                                         (math.inf, 4.0), (1e-200, 4.0), (1e200, 4.0)])
+    def test_rejects_bad_parameters(self, d, alpha):
+        # lam* = mu*/(pi*d^2) overflows at d = 1e-200 and underflows at 1e200
         with pytest.raises(ValueError):
-            ian.optimal_density(0.0, 4.0)
-        with pytest.raises(ValueError):
-            ian.optimal_density(1.0, 2.0)
+            ian.optimal_density(d, alpha)
+
+    @pytest.mark.parametrize("d", [1e-3, 10.0, 1e3, 1e4])
+    def test_same_mu_at_every_distance(self, d):
+        # the root is found in mu, so lam* * d^2 keeps its digits at any d
+        lam_1, tv_1 = ian.optimal_density(1.0, 4.0)
+        lam_d, tv_d = ian.optimal_density(d, 4.0)
+        assert lam_d * d * d == pytest.approx(lam_1, rel=1e-12, abs=0.0)
+        assert tv_d.value * d * d == pytest.approx(tv_1.value, rel=1e-12, abs=0.0)

@@ -81,6 +81,19 @@ class TestConditionalRatePdf:
         with pytest.raises(ValueError):
             opt.pdf_rate_conditional(CFG1, -1, 1.0)
 
+    @pytest.mark.parametrize("n", [-1, 1.5, 2.0])
+    def test_every_count_argument_checked(self, n):
+        with pytest.raises(ValueError, match="joint-decode count"):
+            opt.pdf_rate_conditional(CFG1, n, 1.0)
+        with pytest.raises(ValueError, match="joint-decode count"):
+            opt.conditional_support_edge(n)
+        with pytest.raises(ValueError, match="joint-decode count"):
+            opt.conditional_mean_rate(CFG1, n)
+
+    def test_numpy_integer_count(self):
+        want = opt.pdf_rate_conditional(CFG1, 1, 2.0)
+        assert opt.pdf_rate_conditional(CFG1, np.int64(1), 2.0) == want
+
     @pytest.mark.parametrize("n", [0, 1, 2, 5])
     def test_normalization(self, n):
         edge = opt.conditional_support_edge(n)
@@ -159,10 +172,11 @@ class TestCognitiveThroughput:
     def test_mixture_matches_term_sum(self, alpha):
         for mu in np.geomspace(1e-6, 5e3, 9):
             cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
-            # a hard cap at mu cuts the reference's terms; both sides share it
-            cap = SeriesTruncation(hard_cap=int(mu)) if mu > 100 else None
-            got = opt.cognitive_throughput(cfg, truncation=cap).value / cfg.lam
-            assert got == pytest.approx(mean_rate_term_sum(cfg, cap), rel=1e-8), mu
+            # stopping at half the mass cuts the reference's terms near the
+            # mean; both sides share the cut
+            cut = SeriesTruncation(mass_tol=0.5) if mu > 100 else None
+            got = opt.cognitive_throughput(cfg, truncation=cut).value / cfg.lam
+            assert got == pytest.approx(mean_rate_term_sum(cfg, cut), rel=1e-8), mu
 
     def test_split_semi_infinite_range(self):
         # mu = pi*1.5118, alpha = 4: a 21-point adaptive panel over the
@@ -253,7 +267,7 @@ class TestUpperBound:
 
 
 class TestTruncationControl:
-    def test_hard_cap_respected(self):
-        short = opt.cognitive_throughput(CFG1, truncation=SeriesTruncation(hard_cap=2)).value
+    def test_coarse_mass_tol_respected(self):
+        short = opt.cognitive_throughput(CFG1, truncation=SeriesTruncation(mass_tol=0.5)).value
         full = opt.cognitive_throughput(CFG1).value
         assert short < full  # dropped tail mass can only lower the series

@@ -75,5 +75,8 @@ def test_per_unit_density_depends_only_on_mu(x, alpha, d):
 def test_noise_rule_bound_is_fixed_rate_objective(x, alpha, y):
     cfg = NetworkConfig(10.0**x / math.pi, 1.0, alpha)
     bound = ian.lower_bound(cfg, y).value
-    objective = fixed_rate.spatial_throughput_at(cfg, DecodingRule.IAN, 2.0**y - 1.0)
+    # 2^y - 1 by expm1: the subtraction loses digits at small y, which the
+    # success probability amplifies by up to mu
+    threshold = math.expm1(y * math.log(2.0))
+    objective = fixed_rate.spatial_throughput_at(cfg, DecodingRule.IAN, threshold)
     assert math.isclose(bound, objective, rel_tol=1e-12, abs_tol=0.0), (bound, objective)

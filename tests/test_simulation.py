@@ -313,7 +313,7 @@ class TestEstimateFixedRate:
     def test_closest_only_matches_analytic(self):
         cfg = NetworkConfig(0.1, 1.0, 4.0)
         sol = fixed_rate.highest_throughput(cfg, DecodingRule.IAN)
-        est = estimate_fixed_rate(cfg, DecodingRule.IAN, sol, n_realizations=3000,
+        est = estimate_fixed_rate(cfg, sol, n_realizations=3000,
                                   seed=29, mode="closest_only")
         assert abs(est.mean - sol.throughput.value) < 4.0 * est.stderr
 
@@ -323,15 +323,15 @@ class TestEstimateFixedRate:
         cfg = NetworkConfig(1e-7, 1.0, 4.0)
         sol = fixed_rate.highest_throughput(cfg, DecodingRule.IAN)
         assert sol.rates[0] > RATE_CAP
-        est = estimate_fixed_rate(cfg, DecodingRule.IAN, sol, n_realizations=20_000,
+        est = estimate_fixed_rate(cfg, sol, n_realizations=20_000,
                                   seed=23, mode="closest_only")
         assert abs(est.mean - sol.throughput.value) < 4.0 * est.stderr
 
     def test_full_below_closest(self):
         cfg = NetworkConfig(0.3, 1.0, 4.0)
         sol = fixed_rate.highest_throughput(cfg, DecodingRule.IAN)
-        full = estimate_fixed_rate(cfg, DecodingRule.IAN, sol, 2000, seed=4, mode="full")
-        clo = estimate_fixed_rate(cfg, DecodingRule.IAN, sol, 2000, seed=4, mode="closest_only")
+        full = estimate_fixed_rate(cfg, sol, 2000, seed=4, mode="full")
+        clo = estimate_fixed_rate(cfg, sol, 2000, seed=4, mode="closest_only")
         assert full.mean <= clo.mean
 
     def test_unreachable_threshold_gives_zero(self):
@@ -342,18 +342,13 @@ class TestEstimateFixedRate:
             throughput=ThroughputValue(0.0, "fixed_rate", DecodingRule.IAN, "quadrature"),
             at_boundary=np.array([False]),
         )
-        est = estimate_fixed_rate(CFG, DecodingRule.IAN, huge, 500, seed=1)
+        est = estimate_fixed_rate(CFG, huge, 500, seed=1)
         assert est.mean == 0.0
-
-    def test_rule_mismatch_rejected(self):
-        sol = fixed_rate.highest_throughput(CFG, DecodingRule.IAN)
-        with pytest.raises(ValueError):
-            estimate_fixed_rate(CFG, DecodingRule.OPT, sol, 500, seed=0)
 
     def test_opt_consistency(self):
         cfg = NetworkConfig(0.2, 1.0, 4.0)
         sol = fixed_rate.highest_throughput(cfg, DecodingRule.OPT)
-        est = estimate_fixed_rate(cfg, DecodingRule.OPT, sol, n_realizations=3000,
+        est = estimate_fixed_rate(cfg, sol, n_realizations=3000,
                                   seed=31, mode="closest_only")
         assert abs(est.mean - sol.throughput.value) < 4.0 * est.stderr
 
@@ -368,7 +363,7 @@ class TestEstimateTypes:
         with pytest.raises(ValueError, match="window_radius"):
             estimate_cognitive(cfg, DecodingRule.IAN, n_realizations=100, window_radius=window)
         with pytest.raises(ValueError, match="window_radius"):
-            estimate_fixed_rate(cfg, DecodingRule.IAN, sol, n_realizations=100,
+            estimate_fixed_rate(cfg, sol, n_realizations=100,
                                 window_radius=window)
         with pytest.raises(ValueError, match="window_radius"):
             tightness_report([cfg], n_realizations=100, window_radius=window)

@@ -61,10 +61,15 @@ def _check_points(points: int) -> None:
         raise ValueError("--points must be >= 2")
 
 
-def _lambda_grid(args) -> np.ndarray:
-    if args.log:
-        return np.geomspace(args.lambda_min, args.lambda_max, args.points)
-    return np.linspace(args.lambda_min, args.lambda_max, args.points)
+def _grid(lo: float, hi: float, points: int, log: bool, flag: str) -> np.ndarray:
+    """``points`` values from ``lo`` to ``hi``, log-spaced if ``log``.  The
+    bounds must be finite, and positive on a log grid, where numpy would
+    warn and fill the cells with NaN."""
+    floor = 0.0 if log else -math.inf
+    if not (floor < lo < math.inf and floor < hi < math.inf):
+        raise ValueError(f"--{flag}-min and --{flag}-max must be finite"
+                         + (" and > 0 on a log grid" if log else "") + f", got {lo} and {hi}")
+    return (np.geomspace if log else np.linspace)(lo, hi, points)
 
 
 def _cfg(args, lam=None) -> NetworkConfig:
@@ -74,12 +79,12 @@ def _cfg(args, lam=None) -> NetworkConfig:
 # ------------------------------------------------------------------ pdf
 
 def _cmd_pdf(args) -> int:
+    if args.n is not None and args.rule != "opt":
+        raise ValueError("--n applies to --rule opt only")
+    _check_points(args.points)
     cfg = _cfg(args)
     rule = _RULES[args.rule]
-    if args.grid_log:
-        xs = np.geomspace(args.x_min, args.x_max, args.points)
-    else:
-        xs = np.linspace(args.x_min, args.x_max, args.points)
+    xs = _grid(args.x_min, args.x_max, args.points, args.grid_log, "x")
     if rule is DecodingRule.IAN:
         dens = np.asarray(ian.pdf_rate(cfg, xs))
         what = "ian rate pdf"
@@ -143,7 +148,7 @@ def _sweep_cell(args, cfg, method, rule_name, detail):
 def _sweep(args, groups, meta: str) -> int:
     """Evaluate every (lambda, column group) cell and emit the table in grid
     order; a failed cell leaves NaN and one warning per column."""
-    grid = _lambda_grid(args)
+    grid = _grid(args.lambda_min, args.lambda_max, args.points, args.log, "lambda")
     cfgs = [_cfg(args, lam) for lam in grid]  # an invalid network is a usage error
     names = [name for g in groups for name in g[0]]
     starts = np.cumsum([0] + [len(g[0]) for g in groups])

@@ -8,11 +8,11 @@ in :mod:`pppt.ian` (k = 1, edge 0 under interference-as-noise; k = 1+n,
 edge 1 under joint decoding).  It is concave in the threshold; its
 stationary point is found by bracketed root finding on the derivative of
 the log objective, never by iterating the fixed-point form (whose naive
-iteration collapses to the useless zero threshold).
+iteration collapses to the useless zero threshold).  ``highest_throughput``
+solves the thresholds of all counts in one pass and returns them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +21,12 @@ from . import ian, opt
 from .ian import _rate_times_success
 from .model import DecodingRule, NetworkConfig, ThroughputValue
 from .numerics import _LN2, SeriesTruncation, find_root, truncated_poisson_weights
-from .opt import _check_count
 
 __all__ = [
     "BOUNDARY_SIR",
     "FixedRateSolution",
     "compare_cognitive_vs_fixed",
     "highest_throughput",
-    "optimal_sir_threshold",
-    "spatial_throughput_at",
 ]
 
 # supremum sits on the open boundary sir -> 1+ when no interior stationary
@@ -56,29 +53,6 @@ class FixedRateSolution:
     def __post_init__(self):
         for arr in (self.sir_thresholds, self.rates, self.at_boundary):
             arr.setflags(write=False)
-
-
-def _check_joint(rule: DecodingRule, joint) -> None:
-    _check_count(joint)
-    if rule is DecodingRule.IAN and joint != 0:
-        raise ValueError("interference-as-noise has no jointly decoded messages")
-
-
-def spatial_throughput_at(cfg: NetworkConfig, rule: DecodingRule, sir: float,
-                          joint: int = 0) -> float:
-    """Expected spatial throughput of the fixed-rate scheme at a threshold.
-
-    IAN: lam * log2(1+sir) * exp(-mu * sir^(2/alpha)), sir > 0, joint = 0.
-    OPT: the per-count objective
-    lam * log2(1+(1+joint)*sir)/(1+joint) * exp(-mu*(sir^(2/alpha)-1)),
-    sir > 1 (the success event requires the nearest noise interferer beyond
-    the decode radius, which already exceeds d).  ``sir`` must be finite.
-    """
-    _check_joint(rule, joint)
-    edge = 0.0 if rule is DecodingRule.IAN else 1.0
-    if not edge < sir < math.inf:
-        raise ValueError(f"sir must be finite and > {edge:g} under {rule.name}, got {sir}")
-    return float(_rate_times_success(cfg, 1.0 + joint, math.log(sir), edge))
 
 
 def _objective_slope(cfg: NetworkConfig, k, b):
@@ -115,18 +89,6 @@ def _thresholds(cfg: NetworkConfig, rule: DecodingRule, k: np.ndarray):
             hi[rising] *= 2.0
         b[~boundary] = find_root(lambda x: _objective_slope(cfg, k_in, x), (lo, hi), tol=1e-12)
     return b, boundary
-
-
-def optimal_sir_threshold(cfg: NetworkConfig, rule: DecodingRule, joint: int = 0):
-    """Threshold maximizing the fixed-rate objective for one joint count.
-
-    Returns (sir, at_boundary): the unique sign change of the rescaled
-    slope, or, under joint decoding, the support boundary with the flag set
-    when the slope is already negative there.
-    """
-    _check_joint(rule, joint)
-    b, boundary = _thresholds(cfg, rule, np.array([1.0 + joint]))
-    return float(b[0]), bool(boundary[0])
 
 
 def highest_throughput(cfg: NetworkConfig, rule: DecodingRule,

@@ -1,11 +1,10 @@
-"""Quadrature, root finding, scalar maximization, and Poisson-series helpers.
+"""Quadrature, root finding, and Poisson-series helpers.
 
 Every integral the package needs runs over (0, inf), so one rule serves
 them all: the exp-sinh double-exponential rule of Takahasi & Mori (Publ.
 RIMS 9, 1974), with the integrand evaluated on a numpy array of nodes per
 level.  The root finder is Brent's method over arrays of brackets, so many
-roots are found in one pass; the unimodal maximizer is a plain
-golden-section search.  Only numpy and the standard library are used.
+roots are found in one pass.  Only numpy and the standard library are used.
 All functions here are pure and safe to call from any thread.
 """
 from __future__ import annotations
@@ -23,11 +22,8 @@ __all__ = [
     "SeriesTruncation",
     "find_root",
     "integrate",
-    "maximize_unimodal",
     "truncated_poisson_weights",
 ]
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # exp-sinh rule: trapezoid nodes t = j*h on [_T_MIN, _T_MAX], first h = _H0
 _T_MIN, _T_MAX, _H0 = -4.5, 3.7, 0.5
@@ -221,29 +217,6 @@ def find_root(h, bracket, tol: float):
             cur = np.where(done, cur, cur + step)
             fcur = f(cur)
     raise ArithmeticError(f"root finding did not converge in {_MAX_ROOT_STEPS} steps")
-
-
-def maximize_unimodal(g, bracket, tol: float):
-    """Golden-section maximization of a unimodal function.
-
-    Returns (argmax, max); the argmax is within ``tol`` of the true one
-    provided ``g`` is quasi-concave on the bracket.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    gc, gd = g(c), g(d)
-    while hi - lo > tol:
-        if gc >= gd:
-            hi, d, gd = d, c, gc
-            c = hi - _INVPHI * (hi - lo)
-            gc = g(c)
-        else:
-            lo, c, gc = c, d, gd
-            d = lo + _INVPHI * (hi - lo)
-            gd = g(d)
-    x = 0.5 * (lo + hi)
-    return x, g(x)
 
 
 def truncated_poisson_weights(mean: float, truncation: SeriesTruncation | None = None) -> np.ndarray:

@@ -14,7 +14,9 @@ from scipy.integrate import quad
 
 from pppt import fixed_rate, ian, opt, simulation
 from pppt.model import DecodingRule, NetworkConfig
-from pppt.numerics import maximize_unimodal, truncated_poisson_weights
+from pppt.numerics import truncated_poisson_weights
+
+from golden_section import maximize_unimodal
 
 GRID = np.geomspace(0.01, 10.0, 20)           # shared density grid, d=1, alpha=4
 SIM_GRID = np.geomspace(0.01, 10.0, 10)       # tightness-study grid
@@ -167,12 +169,12 @@ def test_criterion_7_fixed_rate_oracle():
         mu = float(np.exp(rng.uniform(np.log(0.2), np.log(20.0))))
         alpha = float(rng.uniform(2.5, 6.0))
         cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
-        root, _ = fixed_rate.optimal_sir_threshold(cfg, DecodingRule.IAN)
+        root = fixed_rate.highest_throughput(cfg, DecodingRule.IAN).sir_thresholds[0]
         b = np.arange(1e-4, 400.0, 1e-4)
         grid_argmax = float(b[np.argmax(np.log2(1.0 + b) * np.exp(-mu * b ** (2.0 / alpha)))])
         worst = max(worst, abs(root - grid_argmax) / max(1.0, grid_argmax))
-    pinned, _ = fixed_rate.optimal_sir_threshold(NetworkConfig(1 / math.pi, 1.0, 4.0),
-                                                 DecodingRule.IAN)
+    pinned = fixed_rate.highest_throughput(NetworkConfig(1 / math.pi, 1.0, 4.0),
+                                           DecodingRule.IAN).sir_thresholds[0]
     pin_err = abs(pinned - BETA_STAR_MU1_A4)
     ok = worst <= 1e-3 and pin_err <= 1e-3
     report("7 fixed-rate threshold oracle", ok,

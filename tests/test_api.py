@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -18,6 +19,28 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
+
+
+@pytest.fixture(scope="module")
+def referenced_names():
+    """Every name the library and the demos load in code, bare or as an
+    attribute; definitions, imports and docstrings do not count."""
+    names = set()
+    for path in [*(ROOT / "src" / "pppt").glob("*.py"), *(ROOT / "demos").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES[1:])
+def test_every_public_name_has_a_caller(name, referenced_names):
+    # a name only the tests use is dead API: tests reach private helpers instead
+    module = importlib.import_module(name)
+    unused = sorted(set(module.__all__) - referenced_names)
+    assert not unused, f"nothing in src/ or demos/ uses {name} names {unused}"
 
 
 def test_cli_import_needs_numpy_only():

@@ -76,6 +76,21 @@ class TestPdf:
         assert len(payload["rows"]) == 4
         assert payload["meta"]["tool"].startswith("pppt ")
 
+    @pytest.mark.parametrize("argv", [
+        ["--grid-log", "--x-min", "-1"],
+        ["--x-max", "inf"],
+        ["--n", "3"],
+        ["--points", "0"],
+    ], ids=["log-x-negative", "x-infinite", "n-under-ian", "no-points"])
+    def test_invalid_input_is_usage_error(self, argv, tmp_path, capsys):
+        # each would write a misleading table: NaN x cells, an n the
+        # density ignores, or a header without rows
+        out = tmp_path / "pdf.csv"
+        assert main(["pdf", "--rule", "ian", "--lambda", "0.3", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
 
 class TestSweep:
     def test_deterministic_output(self, tmp_path):
@@ -151,9 +166,10 @@ class TestSweep:
         ["--alpha", "2"],
         ["--d", "-1"],
         ["--no-log", "--lambda-min", "0"],
+        ["--lambda-min", "-1", "--lambda-max", "1"],
         ["--method", "bounds", "--y-ian", "-1"],
         ["--method", "bounds", "--y-opt", "1"],
-    ], ids=["alpha", "d", "lambda-zero", "y-ian", "y-opt"])
+    ], ids=["alpha", "d", "lambda-zero", "log-lambda-negative", "y-ian", "y-opt"])
     def test_invalid_input_is_usage_error(self, argv, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--points", "3", *argv, "--out", str(out)]) == 2

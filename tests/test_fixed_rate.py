@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pppt import fixed_rate, ian, opt
+from pppt.ian import _rate_times_success
 from pppt.model import DecodingRule, NetworkConfig
 from pppt.numerics import truncated_poisson_weights
 
@@ -33,51 +34,38 @@ def objective_grid_argmax(cfg, joint=0, step=1e-4, hi=400.0):
     return float(b[np.argmax(s)])
 
 
-class TestSpatialThroughputAt:
+def threshold(cfg, rule, joint=0):
+    """Optimal threshold and boundary flag of one joint-decode count."""
+    sol = fixed_rate.highest_throughput(cfg, rule)
+    return float(sol.sir_thresholds[joint]), bool(sol.at_boundary[joint])
+
+
+class TestRateTimesSuccess:
+    # the fixed-rate objective at a threshold, from the shared ian helper
     def test_ian_direct_substitution(self):
-        v = fixed_rate.spatial_throughput_at(CFG1, DecodingRule.IAN, 1.0)
+        v = _rate_times_success(CFG1, 1.0, math.log(1.0), 0.0)
         assert v == pytest.approx(1.0 / (math.e * math.pi), rel=1e-14)
 
     def test_ian_concave_hump_limits(self):
-        assert fixed_rate.spatial_throughput_at(CFG1, DecodingRule.IAN, 1e-12) < 1e-11
-        assert fixed_rate.spatial_throughput_at(CFG1, DecodingRule.IAN, 1e12) < 1e-11
+        assert _rate_times_success(CFG1, 1.0, math.log(1e-12), 0.0) < 1e-11
+        assert _rate_times_success(CFG1, 1.0, math.log(1e12), 0.0) < 1e-11
 
     def test_opt_term_matches_formula(self):
-        v = fixed_rate.spatial_throughput_at(CFG1, DecodingRule.OPT, 2.0, joint=1)
+        v = _rate_times_success(CFG1, 2.0, math.log(2.0), 1.0)
         expected = CFG1.lam * math.log2(5.0) / 2.0 * math.exp(-(math.sqrt(2.0) - 1.0))
         assert v == pytest.approx(expected, rel=1e-14)
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            fixed_rate.spatial_throughput_at(CFG1, DecodingRule.IAN, 0.0)
-        with pytest.raises(ValueError):
-            fixed_rate.spatial_throughput_at(CFG1, DecodingRule.IAN, 1.0, joint=1)
-        with pytest.raises(ValueError):
-            fixed_rate.spatial_throughput_at(CFG1, DecodingRule.OPT, 1.0)
-        with pytest.raises(ValueError):
-            fixed_rate.spatial_throughput_at(CFG1, DecodingRule.OPT, 2.0, joint=-1)
-        with pytest.raises(ValueError, match="joint-decode count"):
-            fixed_rate.spatial_throughput_at(CFG1, DecodingRule.OPT, 2.0, joint=1.5)
-
-    @pytest.mark.parametrize("rule", list(DecodingRule))
-    @pytest.mark.parametrize("sir", [math.inf, math.nan])
-    def test_non_finite_threshold_rejected(self, rule, sir):
-        # inf used to come back as log1p(inf) * 0 = NaN
-        with pytest.raises(ValueError):
-            fixed_rate.spatial_throughput_at(CFG1, rule, sir)
-
-    @pytest.mark.parametrize("rule,joint", [(DecodingRule.IAN, 0), (DecodingRule.OPT, 0),
-                                            (DecodingRule.OPT, 5)])
-    def test_huge_threshold_gives_zero(self, rule, joint):
+    @pytest.mark.parametrize("edge,joint", [(0.0, 0), (1.0, 0), (1.0, 5)])
+    def test_huge_threshold_gives_zero(self, edge, joint):
         # (1+joint)*sir overflows a double at joint = 5; the success
         # probability exp(-sqrt(1e308)) is 0 either way
         cfg = NetworkConfig(1.0, 1.0, 4.0)
-        assert fixed_rate.spatial_throughput_at(cfg, rule, 1e308, joint) == 0.0
+        assert _rate_times_success(cfg, 1.0 + joint, math.log(1e308), edge) == 0.0
 
 
 class TestOptimalSirThreshold:
     def test_pinned_root(self):
-        b, boundary = fixed_rate.optimal_sir_threshold(CFG1, DecodingRule.IAN)
+        b, boundary = threshold(CFG1, DecodingRule.IAN)
         assert b == pytest.approx(BETA_STAR_MU1_A4, rel=1e-9)
         assert not boundary
 
@@ -85,13 +73,13 @@ class TestOptimalSirThreshold:
         # the root must satisfy b = ((2/alpha) mu (1+b) ln(1+b))^(alpha/(alpha-2))
         for mu, alpha in [(1.0, 4.0), (0.3, 3.0), (5.0, 6.0)]:
             cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
-            b, _ = fixed_rate.optimal_sir_threshold(cfg, DecodingRule.IAN)
+            b, _ = threshold(cfg, DecodingRule.IAN)
             rhs = ((2.0 / alpha) * mu * (1.0 + b) * math.log1p(b)) ** (alpha / (alpha - 2.0))
             assert rhs == pytest.approx(b, rel=1e-8)
 
     def test_depends_only_on_density_distance_product(self):
-        a, _ = fixed_rate.optimal_sir_threshold(NetworkConfig(1.0, 1.0, 4.0), DecodingRule.IAN)
-        b, _ = fixed_rate.optimal_sir_threshold(NetworkConfig(0.25, 2.0, 4.0), DecodingRule.IAN)
+        a, _ = threshold(NetworkConfig(1.0, 1.0, 4.0), DecodingRule.IAN)
+        b, _ = threshold(NetworkConfig(0.25, 2.0, 4.0), DecodingRule.IAN)
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_grid_search_agreement(self):
@@ -101,48 +89,35 @@ class TestOptimalSirThreshold:
             mu = float(np.exp(rng.uniform(np.log(0.2), np.log(20.0))))
             alpha = float(rng.uniform(2.5, 6.0))
             cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
-            root, boundary = fixed_rate.optimal_sir_threshold(cfg, DecodingRule.IAN)
+            root, boundary = threshold(cfg, DecodingRule.IAN)
             grid = objective_grid_argmax(cfg)
             assert abs(root - grid) <= max(1e-3, 1e-3 * grid)
             assert not boundary
 
     def test_opt_thresholds_and_boundary(self):
+        sol = fixed_rate.highest_throughput(CFG1, DecodingRule.OPT)
         for i, ref in enumerate(OPT_THRESHOLDS_MU1_A4):
-            b, boundary = fixed_rate.optimal_sir_threshold(CFG1, DecodingRule.OPT, joint=i)
-            assert b == pytest.approx(ref, rel=1e-9)
-            assert not boundary
-        b, boundary = fixed_rate.optimal_sir_threshold(CFG1, DecodingRule.OPT, joint=3)
+            assert sol.sir_thresholds[i] == pytest.approx(ref, rel=1e-9)
+            assert not sol.at_boundary[i]
+        b, boundary = sol.sir_thresholds[3], sol.at_boundary[3]
         assert boundary and b == pytest.approx(1.0, abs=1e-8)
         assert b > 1.0  # the support edge itself is never returned
 
     def test_opt_grid_search_agreement(self):
         for joint in (1, 2):
-            root, _ = fixed_rate.optimal_sir_threshold(CFG1, DecodingRule.OPT, joint=joint)
+            root, _ = threshold(CFG1, DecodingRule.OPT, joint=joint)
             grid = objective_grid_argmax(CFG1, joint=joint, hi=50.0)
             assert abs(root - grid) <= 1e-3
 
     def test_boundary_dominates_at_high_density(self):
         cfg = NetworkConfig(10.0, 1.0, 4.0)
-        flags = [
-            fixed_rate.optimal_sir_threshold(cfg, DecodingRule.OPT, joint=i)[1]
-            for i in range(6)
-        ]
-        assert all(flags)
-
-    @pytest.mark.parametrize("rule,joint", [(DecodingRule.IAN, 1), (DecodingRule.OPT, -1),
-                                            (DecodingRule.OPT, 1.5), (DecodingRule.OPT, 2.0)])
-    def test_argument_errors(self, rule, joint):
-        with pytest.raises(ValueError):
-            fixed_rate.optimal_sir_threshold(CFG1, rule, joint=joint)
-
-    def test_numpy_integer_joint(self):
-        b, _ = fixed_rate.optimal_sir_threshold(CFG1, DecodingRule.OPT, joint=np.int64(1))
-        assert b == fixed_rate.optimal_sir_threshold(CFG1, DecodingRule.OPT, joint=1)[0]
+        flags = fixed_rate.highest_throughput(cfg, DecodingRule.OPT).at_boundary[:6]
+        assert len(flags) == 6 and all(flags)
 
     def test_never_returns_support_edge_ian(self):
         for mu in (0.01, 1.0, 50.0):
             cfg = NetworkConfig(mu / math.pi, 1.0, 4.0)
-            b, _ = fixed_rate.optimal_sir_threshold(cfg, DecodingRule.IAN)
+            b, _ = threshold(cfg, DecodingRule.IAN)
             assert b > 0.0
 
 

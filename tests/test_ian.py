@@ -6,7 +6,8 @@ from scipy.integrate import quad
 
 from pppt import ian
 from pppt.model import NetworkConfig
-from pppt.numerics import maximize_unimodal
+
+from golden_section import maximize_unimodal
 
 # Frozen before this module was written, by three mutually independent
 # oracles (a 4e6-point midpoint Riemann sum, a 1e7-draw Monte Carlo over the

@@ -13,9 +13,10 @@ from pppt.numerics import (
     SeriesTruncation,
     find_root,
     integrate,
-    maximize_unimodal,
     truncated_poisson_weights,
 )
+
+from golden_section import maximize_unimodal
 
 # Reference values computed with 40-digit arithmetic (mpmath 1.3), frozen.
 GAMMA_REFS = [
@@ -130,6 +131,7 @@ class TestFindRoot:
 
 
 class TestMaximizeUnimodal:
+    # the golden-section reference that tests of ian.optimal_density use
     def test_parabola(self):
         x, v = maximize_unimodal(lambda x: -((x - 3.0) ** 2), (0.0, 10.0), tol=1e-8)
         assert x == pytest.approx(3.0, abs=1e-6)

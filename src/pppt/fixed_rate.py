@@ -9,7 +9,7 @@ edge 1 under joint decoding).  It is concave in the threshold; its
 stationary point is found by bracketed root finding on the derivative of
 the log objective, never by iterating the fixed-point form (whose naive
 iteration collapses to the useless zero threshold).  ``highest_throughput``
-solves the thresholds of all counts in one pass and returns them.
+solves the threshold of each count and returns them.
 """
 from __future__ import annotations
 
@@ -67,11 +67,11 @@ def _objective_slope(cfg: NetworkConfig, k, b):
 
 
 def _thresholds(cfg: NetworkConfig, rule: DecodingRule, k: np.ndarray):
-    """Optimal thresholds and boundary flags for the decode shares ``k``,
-    solved together: the sign change of the rescaled slope, bracketed
-    below from 1e-9 down under interference-as-noise or by the support
-    edge sir = 1 under joint decoding (a slope already >= 0 there flags the
-    boundary), and above by doubling from 2.
+    """Optimal thresholds and boundary flags for the decode shares ``k``:
+    the sign change of the rescaled slope, bracketed below from 1e-9 down
+    under interference-as-noise or by the support edge sir = 1 under joint
+    decoding (a slope already >= 0 there flags the boundary), and above by
+    doubling from 2, then solved share by share.
     """
     if rule is DecodingRule.IAN:
         lo = 1e-9
@@ -82,12 +82,12 @@ def _thresholds(cfg: NetworkConfig, rule: DecodingRule, k: np.ndarray):
         lo = 1.0
         boundary = _objective_slope(cfg, k, lo) >= 0.0
     b = np.full(k.shape, BOUNDARY_SIR)
-    k_in = k[~boundary]
-    if k_in.size:
-        hi = np.full(k_in.shape, 2.0)
-        while np.any(rising := _objective_slope(cfg, k_in, hi) < 0.0):
-            hi[rising] *= 2.0
-        b[~boundary] = find_root(lambda x: _objective_slope(cfg, k_in, x), (lo, hi), tol=1e-12)
+    interior = np.flatnonzero(~boundary)
+    hi = np.full(interior.shape, 2.0)
+    while np.any(rising := _objective_slope(cfg, k[interior], hi) < 0.0):
+        hi[rising] *= 2.0
+    for j, hi_j in zip(interior, hi):
+        b[j] = find_root(lambda x: _objective_slope(cfg, k[j], x), (lo, hi_j), tol=1e-12)
     return b, boundary
 
 
@@ -97,8 +97,7 @@ def highest_throughput(cfg: NetworkConfig, rule: DecodingRule,
 
     Under joint decoding the value is the Poisson-weighted sum of the per
     count objectives, each at its own optimal threshold; the weights follow
-    the series truncation policy, and the thresholds of all counts are
-    solved together.
+    the series truncation policy.
     """
     if rule is DecodingRule.IAN:
         w, edge = np.ones(1), 0.0

@@ -223,7 +223,7 @@ def optimal_density(d: float, alpha: float):
 
     Returns (lam_star, ThroughputValue).
     """
-    NetworkConfig(1.0, d, alpha)  # checks d and alpha before any quadrature
+    NetworkConfig(max(d, 1.0) ** -2, d, alpha)  # checks d and alpha before any quadrature, mu <= pi
     grid = math.pi * np.geomspace(1e-6, 1e3, 61)
     res = np.array([_stationarity_residual(mu, alpha) for mu in grid])
     sign_flips = np.nonzero(np.sign(res[:-1]) * np.sign(res[1:]) < 0)[0]

@@ -47,7 +47,7 @@ class NetworkConfig:
     """Parameters of the bipolar Poisson network.
 
     lam
-        Transmitter density in nodes/m^2, > 0.
+        Transmitter density in nodes/m^2, > 0, with lam*pi*d^2 <= 1e7.
     d
         TX-RX separation in meters, > 0.
     alpha
@@ -61,12 +61,14 @@ class NetworkConfig:
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"density lam must be finite and > 0, got {self.lam}")
         if not (math.isfinite(self.d) and self.d > 0):
             raise ValueError(f"link distance d must be finite and > 0, got {self.d}")
         if not (math.isfinite(self.alpha) and self.alpha > 2):
             raise ValueError(f"path-loss exponent alpha must be > 2, got {self.alpha}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"density lam must be finite and > 0, got {self.lam}")
+        if not self.mu <= 1e7:  # 10x the documented 1e6; the joint rule keeps ~mu series terms
+            raise ValueError(f"mu = lam*pi*d^2 must be <= 1e7, got {self.mu:g}")
 
     @property
     def mu(self) -> float:

@@ -3,12 +3,13 @@
 Every integral the package needs runs over (0, inf), so one rule serves
 them all: the exp-sinh double-exponential rule of Takahasi & Mori (Publ.
 RIMS 9, 1974), with the integrand evaluated on a numpy array of nodes per
-level.  The root finder is Brent's method over arrays of brackets, so many
-roots are found in one pass.  Only numpy and the standard library are used.
+level.  The root finder is Brent's method on one scalar bracket, as
+scipy's brentq runs it.  Only numpy and the standard library are used.
 All functions here are pure and safe to call from any thread.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ __all__ = [
 # exp-sinh rule: trapezoid nodes t = j*h on [_T_MIN, _T_MAX], first h = _H0
 _T_MIN, _T_MAX, _H0 = -4.5, 3.7, 0.5
 _EPS = float(np.finfo(float).eps)
-_MAX_ROOT_STEPS = 100  # Brent's method runs out of these only on a non-finite function
+_MAX_ROOT_STEPS = 100  # brentq's default maxiter
 
 # Shared by the analytic and simulation modules; private, so kept out of
 # __all__.
@@ -167,55 +168,52 @@ def integrate(f, spec: QuadratureSpec | None = None) -> float:
         level += 1
 
 
-def find_root(h, bracket, tol: float):
-    """Roots of ``h`` inside sign-changing brackets [lo, hi], elementwise.
-
-    ``lo`` and ``hi`` are scalars or arrays of one shape that ``h`` maps
-    elementwise, so many roots are found in one pass.  Brent's method
-    (Algorithms for Minimization without Derivatives, 1973, ch. 4) runs on
-    every bracket at once; a root is returned once its bracket is narrower
-    than tol + 4*eps*|root|.
+def find_root(h, bracket, tol: float) -> float:
+    """Root of ``h`` in the bracket (lo, hi): Brent's method (Algorithms for
+    Minimization without Derivatives, 1973, ch. 4) step for step as scipy's
+    brentq, stopping where h is 0 or the bracket is below tol + 4*eps*|root|.
+    Raises BracketError when h is NaN or of one sign at the ends, and
+    ArithmeticError when h turns NaN inside or the steps run out.
     """
-    def f(x):
-        return np.asarray(h(x[()]), dtype=float)
-
-    pre, cur = (np.array(v, dtype=float) for v in np.broadcast_arrays(*bracket))
-    fpre, fcur = f(pre), f(cur)
-    bad = ~(fpre * fcur <= 0.0)
-    if bad.any():
-        raise BracketError(f"no sign change on [{pre[bad][0]}, {cur[bad][0]}]: "
-                           f"h={fpre[bad][0]!r}, {fcur[bad][0]!r}")
-    at_lo = fpre == 0.0
-    cur, fcur = np.where(at_lo, pre, cur), np.where(at_lo, 0.0, fcur)
+    pre, cur = float(bracket[0]), float(bracket[1])
+    fpre, fcur = float(h(pre)), float(h(cur))
+    same_sign = fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) == (fcur < 0.0)
+    if same_sign or math.isnan(fpre) or math.isnan(fcur):
+        raise BracketError(f"no sign change on [{pre}, {cur}]: h={fpre!r}, {fcur!r}")
+    if fpre == 0.0 or fcur == 0.0:
+        return pre if fpre == 0.0 else cur
     # cur is the best point so far, blk the other end of its bracket, pre
     # the previous point; scur and spre are the last two steps
-    blk, fblk, spre, scur = (np.zeros_like(cur) for _ in range(4))
-    # the interpolation step is formed on every bracket, used or not
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_MAX_ROOT_STEPS):
-            crossed = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
-            blk, fblk = np.where(crossed, pre, blk), np.where(crossed, fpre, fblk)
-            spre, scur = np.where(crossed, cur - pre, spre), np.where(crossed, cur - pre, scur)
-            swap = np.abs(fblk) < np.abs(fcur)
-            pre, cur, blk = np.where(swap, cur, pre), np.where(swap, blk, cur), np.where(swap, cur, blk)
-            fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                                np.where(swap, fcur, fblk))
-            delta = (tol + 4.0 * _EPS * np.abs(cur)) / 2.0
-            sbis = (blk - cur) / 2.0
-            done = (fcur == 0.0) | (np.abs(sbis) < delta)
-            if done.all():
-                return float(cur) if cur.ndim == 0 else cur
-            dpre = (fpre - fcur) / (pre - cur)
-            dblk = (fblk - fcur) / (blk - cur)
-            stry = np.where(pre == blk, -fcur * (cur - pre) / (fcur - fpre),
-                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
-            interpolate = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                           & (2.0 * np.abs(stry) < np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta)))
-            spre, scur = np.where(interpolate, scur, sbis), np.where(interpolate, stry, sbis)
-            pre, fpre = cur, fcur
-            step = np.where(np.abs(scur) > delta, scur, np.where(sbis > 0.0, delta, -delta))
-            cur = np.where(done, cur, cur + step)
-            fcur = f(cur)
+    blk = fblk = spre = scur = 0.0
+    for _ in range(_MAX_ROOT_STEPS):
+        if (fpre < 0.0) != (fcur < 0.0):
+            blk, fblk = pre, fpre
+            spre = scur = cur - pre
+        if abs(fblk) < abs(fcur):
+            pre, cur, blk = cur, blk, cur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + 4.0 * _EPS * abs(cur)) / 2.0
+        sbis = (blk - cur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return cur
+        stry = math.inf  # bisect unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            with contextlib.suppress(ZeroDivisionError):  # an underflow bisects, as in brentq
+                if pre == blk:  # secant
+                    stry = -fcur * (cur - pre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (pre - cur)
+                    dblk = (fblk - fcur) / (blk - cur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        pre, fpre = cur, fcur
+        cur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(h(cur))
+        if math.isnan(fcur):
+            raise ArithmeticError(f"h({cur!r}) is NaN inside the bracket")
     raise ArithmeticError(f"root finding did not converge in {_MAX_ROOT_STEPS} steps")
 
 

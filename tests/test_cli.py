@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +323,14 @@ class TestScalarCommands:
     def test_optimal_density_usage_errors(self, flag, value, capsys):
         assert main(["optimal-density", flag, value]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("lam", ["1e20", "1e300"])
+    def test_compare_density_past_mu_bound(self, lam, capsys):
+        # numpy's size error at 1e20, its divide-by-zero warning at 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", "--lambda", lam]) == 2
+        assert capsys.readouterr().err.startswith("error: mu = lam*pi*d^2 must be <= 1e7")
 
     def test_io_failure_exit_code(self, tmp_path):
         assert main(["compare", "--lambda", "1.0",

@@ -18,10 +18,17 @@ class TestNetworkConfig:
         with pytest.raises(ValueError):
             NetworkConfig(lam, d, alpha)
 
+    @pytest.mark.parametrize("lam,d", [(1.01e7 / math.pi, 1.0), (1e20, 1.0), (1e300, 1.0),
+                                       (1.0, 1e200)])
+    def test_rejects_mu_past_bound(self, lam, d):
+        with pytest.raises(ValueError, match="mu = lam"):
+            NetworkConfig(lam, d, 4.0)
+
     def test_mu(self):
         cfg = NetworkConfig(2.0, 0.5, 3.0)
         assert cfg.mu == pytest.approx(2.0 * math.pi * 0.25, rel=1e-15)
         assert NetworkConfig(1 / math.pi, 1.0, 4.0).mu == pytest.approx(1.0, rel=1e-15)
+        assert NetworkConfig(0.99e7 / math.pi, 1.0, 4.0).mu == pytest.approx(0.99e7, rel=1e-15)
 
     def test_frozen(self):
         cfg = NetworkConfig(1.0, 1.0, 4.0)

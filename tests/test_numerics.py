@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.optimize import brentq
 
+from pppt import fixed_rate
+from pppt.model import DecodingRule, NetworkConfig
 from pppt.numerics import (
     BracketError,
     QuadratureError,
@@ -38,6 +41,20 @@ UPPER_GAMMA_REFS = [
     (4.0, 50.0, 2.5614955230869606509e-17),
     (2.5, 300.0, 2.6884809777468196255e-127),
     (3.0, 700.0, 4.8450647729566389185e-299),
+]
+# (h, lo, hi) with one sign change: secant, inverse quadratic and bisection
+# steps, a root at a zero of h, and values so small that the interpolation's
+# difference quotients underflow
+SMOOTH_ROOTS = [
+    (lambda x: x - 1.0, 0.0, 2.0),
+    (lambda x: x * x - 2.0, 1.0, 2.0),
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.tanh(3.0 * (x - 0.7)), 0.0, 2.0),
+    (lambda x: math.cos(x), 0.0, 3.0),
+    (lambda x: math.exp(x) - 2.0, -5.0, 5.0),
+    (lambda x: math.atan(x - math.pi), -10.0, 100.0),
+    (lambda x: 1e300 * (x - 0.25), 0.0, 1.0),
+    (lambda x: 1e-200 * (x**3 - 2.0), 0.0, 4.0),
 ]
 
 
@@ -120,9 +137,53 @@ class TestFindRoot:
         root = find_root(lambda x: x * x - 2.0, (1.0, 2.0), tol=1e-12)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
-    def test_bracket_must_change_sign(self):
+    @pytest.mark.parametrize("scale", [1.0, 1e-200])
+    def test_bracket_must_change_sign(self, scale):
+        # at 1e-200 the product of the end values underflows to 0
         with pytest.raises(BracketError):
-            find_root(lambda x: x * x + 1.0, (-1.0, 1.0), tol=1e-9)
+            find_root(lambda x: scale * (x * x + 1.0), (-1.0, 1.0), tol=1e-9)
+
+    @pytest.mark.parametrize("bracket", [(1.0, 3.0), (-1.0, 1.0)])
+    def test_root_at_an_end(self, bracket):
+        assert find_root(lambda x: x - 1.0, bracket, tol=1e-12) == 1.0
+
+    @pytest.mark.parametrize("bracket", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.5)])
+    def test_nan_at_an_end_is_no_bracket(self, bracket):
+        # h(0) is NaN; h(0.5) = 0 does not rescue the bracket
+        h = lambda x: math.nan if x == 0.0 else x - 0.5
+        with pytest.raises(BracketError):
+            find_root(h, bracket, tol=1e-12)
+
+    def test_nan_inside_raises(self):
+        # the first secant step lands at 0.5, where h is NaN
+        h = lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5
+        with pytest.raises(ArithmeticError, match="NaN"):
+            find_root(h, (0.0, 1.0), tol=1e-12)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
+    @pytest.mark.parametrize("h,lo,hi", SMOOTH_ROOTS)
+    def test_matches_brentq(self, h, lo, hi, tol):
+        assert find_root(h, (lo, hi), tol) == brentq(h, lo, hi, xtol=tol)
+
+    @pytest.mark.parametrize("rule", list(DecodingRule))
+    @pytest.mark.parametrize("alpha", [2.05, 4.0, 20.0, 60.0])
+    def test_thresholds_match_brentq(self, alpha, rule, monkeypatch):
+        # every threshold solve of highest_throughput, the ill-posed
+        # alpha = 20, lam >= 39 cells included: the analytic benchmark's
+        # fixed-rate references hold these roots
+        pairs = []
+
+        def both(h, bracket, tol):
+            root = find_root(h, bracket, tol)
+            pairs.append((root, brentq(h, *bracket, xtol=tol)))
+            return root
+
+        monkeypatch.setattr(fixed_rate, "find_root", both)
+        for lam in (1e-3, 0.1, 1.0, 39.0, 412.0, 1e3):
+            fixed_rate.highest_throughput(NetworkConfig(lam, 1.0, alpha), rule)
+        assert pairs
+        for root, ref in pairs:
+            assert root == ref
 
     def test_residual_bound(self):
         h = lambda x: math.tanh(3.0 * (x - 0.7))

@@ -223,7 +223,10 @@ def optimal_density(d: float, alpha: float):
 
     Returns (lam_star, ThroughputValue).
     """
-    NetworkConfig(max(d, 1.0) ** -2, d, alpha)  # checks d and alpha before any quadrature, mu <= pi
+    # d and alpha before any quadrature; lam* = mu*/(pi*d^2) once mu* is known
+    if not (math.isfinite(d) and d > 0):
+        raise ValueError(f"link distance d must be finite and > 0, got {d}")
+    NetworkConfig(1.0, 1.0, alpha)
     grid = math.pi * np.geomspace(1e-6, 1e3, 61)
     res = np.array([_stationarity_residual(mu, alpha) for mu in grid])
     sign_flips = np.nonzero(np.sign(res[:-1]) * np.sign(res[1:]) < 0)[0]
@@ -236,5 +239,9 @@ def optimal_density(d: float, alpha: float):
     i = sign_flips[0]
     mu_star = find_root(lambda mu: _stationarity_residual(mu, alpha),
                         (grid[i], grid[i + 1]), tol=1e-12)
-    cfg = NetworkConfig(mu_star / (math.pi * d) / d, d, alpha)
+    lam_star = mu_star / (math.pi * d) / d
+    if not 0.0 < lam_star < math.inf:
+        raise ValueError(f"optimal density lam* = mu*/(pi*d^2) = {lam_star} is not a positive "
+                         f"finite double at d = {d}")
+    cfg = NetworkConfig(lam_star, d, alpha)
     return cfg.lam, cognitive_throughput(cfg)

@@ -126,18 +126,29 @@ class TestSweep:
         assert all(l <= ci + 1e-9 <= hi + 2e-9 for l, ci, hi in zip(lo, c, hi))
 
     def test_one_sampling_pass_feeds_mean_and_stderr(self, tmp_path, monkeypatch):
-        calls = []
+        simulation._sample.cache_clear()  # a pass left by an earlier test would hide a draw
+        calls, passes = [], []
         real = simulation.estimate_cognitive
+        real_collect = simulation._collect_stats
 
         def counting(cfg, rule, **kwargs):
             calls.append((cfg.lam, rule))
             return real(cfg, rule, **kwargs)
 
+        def collecting(*args):
+            passes.append(real_collect(*args))
+            return passes[-1]
+
         monkeypatch.setattr(simulation, "estimate_cognitive", counting)
+        monkeypatch.setattr(simulation, "_collect_stats", collecting)
         out = tmp_path / "sim.csv"
         assert main(["sweep", "--points", "2", "--method", "simulate", "--realizations", "100",
                      "--out", str(out)]) == 0
-        assert len(calls) == len(set(calls)) == 4  # 2 densities x 2 rules, each sampled once
+        assert len(calls) == len(set(calls)) == 4  # 2 densities x 2 rules, one call per cell
+        assert len(passes) == 2  # one draw per density feeds both rules
+        for stats in passes:  # a shared pass cannot be written through
+            assert not any(getattr(stats, f).flags.writeable
+                           for f in ("s_dec", "s_far", "n_dec", "r2_min", "r2_far_min"))
         header, rows = read_csv(out)
         assert header == ["lambda", "sim_ian", "sim_ian_stderr", "sim_opt", "sim_opt_stderr"]
 
@@ -322,7 +333,10 @@ class TestScalarCommands:
                                             ("--d", "1e200"), ("--d", "inf")])
     def test_optimal_density_usage_errors(self, flag, value, capsys):
         assert main(["optimal-density", flag, value]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if value in ("1e-200", "1e200"):  # lam* overflows or underflows: blame d, not lam
+            assert f"at d = {float(value)}" in err
 
     @pytest.mark.parametrize("lam", ["1e20", "1e300"])
     def test_compare_density_past_mu_bound(self, lam, capsys):

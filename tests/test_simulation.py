@@ -128,6 +128,28 @@ class TestEstimateCognitive:
         b = estimate_cognitive(CFG, DecodingRule.IAN, n_realizations=300, seed=5)
         assert a == b
 
+    def test_last_pass_reused_for_equal_arguments_only(self, monkeypatch):
+        simulation._sample.cache_clear()
+        passes = []
+        real = simulation._collect_stats
+
+        def counting(*args):
+            passes.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simulation, "_collect_stats", counting)
+        ian_est = estimate_cognitive(CFG, IAN, n_realizations=300, seed=5)
+        opt_est = estimate_cognitive(CFG, OPT, n_realizations=300, seed=5)
+        assert len(passes) == 1
+        estimate_cognitive(CFG, OPT, n_realizations=300, seed=6)
+        estimate_cognitive(CFG, OPT, n_realizations=400, seed=6)
+        assert len(passes) == 3
+        # the reused pass gives the numbers of a fresh draw
+        for rule, est in ((IAN, ian_est), (OPT, opt_est)):
+            simulation._sample.cache_clear()
+            assert estimate_cognitive(CFG, rule, n_realizations=300, seed=5) == est
+        assert len(passes) == 5
+
     def test_chunking_does_not_change_results(self):
         tiny = _collect_stats(CFG, 100.0, seed=9, n_realizations=200, chunk_points=500)
         big = _collect_stats(CFG, 100.0, seed=9, n_realizations=200, chunk_points=10_000_000)

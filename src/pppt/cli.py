@@ -245,8 +245,8 @@ def _cmd_simulate(args) -> int:
             f"realizations={args.realizations} seed={args.seed}")
     _emit(args, meta,
           ["mean", "stderr", "n_realizations", "seed", "interference_mode", "rate_mode"],
-          [[est.mean, est.stderr, est.n_realizations, est.seed,
-            est.interference_mode, est.rate_mode or ""]])
+          [[est.mean, est.stderr, args.realizations, args.seed,
+            mode, rmode if rule is DecodingRule.OPT else ""]])
     return 0
 
 

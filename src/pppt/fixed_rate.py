@@ -111,7 +111,7 @@ def highest_throughput(cfg: NetworkConfig, rule: DecodingRule,
         rule=rule,
         sir_thresholds=thresholds,
         rates=rates,
-        throughput=ThroughputValue(value=value, method="fixed_rate", rule=rule, kind="quadrature"),
+        throughput=ThroughputValue(value),
         at_boundary=boundary,
     )
 

@@ -20,10 +20,11 @@ a few levels.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .model import DecodingRule, NetworkConfig, ThroughputValue
+from .model import NetworkConfig, ThroughputValue
 from .numerics import (
     _LN2,
     _LOG_LN4,
@@ -162,12 +163,7 @@ def mean_rate(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> float:
 
 def cognitive_throughput(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> ThroughputValue:
     """Density times expected per-realization maximum rate, bits/s/Hz/m^2."""
-    return ThroughputValue(
-        value=cfg.lam * mean_rate(cfg, spec),
-        method="cognitive",
-        rule=DecodingRule.IAN,
-        kind="quadrature",
-    )
+    return ThroughputValue(cfg.lam * mean_rate(cfg, spec))
 
 
 def lower_bound(cfg: NetworkConfig, y: float) -> ThroughputValue:
@@ -175,7 +171,7 @@ def lower_bound(cfg: NetworkConfig, y: float) -> ThroughputValue:
     if not y > 0:
         raise ValueError(f"y must be > 0, got {y}")
     value = float(_rate_times_success(cfg, 1.0, _log_sir_at_rate(y, 1.0), 0.0))
-    return ThroughputValue(value=value, method="cognitive", rule=DecodingRule.IAN, kind="lower_bound")
+    return ThroughputValue(value)
 
 
 def upper_bound(cfg: NetworkConfig) -> ThroughputValue:
@@ -183,7 +179,7 @@ def upper_bound(cfg: NetworkConfig) -> ThroughputValue:
     half_alpha = cfg.alpha / 2.0
     log_mean_sir = math.lgamma(1.0 + half_alpha) - half_alpha * math.log(cfg.mu)
     value = cfg.lam * float(_log2_1p_pow(1.0, log_mean_sir, 1.0))
-    return ThroughputValue(value=value, method="cognitive", rule=DecodingRule.IAN, kind="upper_bound")
+    return ThroughputValue(value)
 
 
 def asymptote(cfg: NetworkConfig) -> ThroughputValue:
@@ -194,12 +190,7 @@ def asymptote(cfg: NetworkConfig) -> ThroughputValue:
     """
     half_alpha = cfg.alpha / 2.0
     log_c = math.lgamma(1.0 + half_alpha) - half_alpha * math.log(math.pi * cfg.d * cfg.d)
-    return ThroughputValue(
-        value=math.exp(log_c + (1.0 - half_alpha) * math.log(cfg.lam)) / _LN2,
-        method="cognitive",
-        rule=DecodingRule.IAN,
-        kind="asymptote",
-    )
+    return ThroughputValue(math.exp(log_c + (1.0 - half_alpha) * math.log(cfg.lam)) / _LN2)
 
 
 def _stationarity_residual(mu: float, alpha: float) -> float:
@@ -217,9 +208,9 @@ def optimal_density(d: float, alpha: float):
     it is solved in mu, once for every d: bracketed root finding over
     mu in pi*[1e-6, 1e3], after locating its sign change on a 61-point log
     grid, then lam* = mu*/(pi*d^2).  Raises ValueError for an invalid d or
-    alpha, or a d at which lam* is not a positive double; BracketError
-    when the grid shows no sign change and ArithmeticError when it shows
-    several.
+    alpha, or a d at which lam* or its throughput is not a normal positive
+    double (a subnormal one has lost digits); BracketError when the grid
+    shows no sign change and ArithmeticError when it shows several.
 
     Returns (lam_star, ThroughputValue).
     """
@@ -240,8 +231,11 @@ def optimal_density(d: float, alpha: float):
     mu_star = find_root(lambda mu: _stationarity_residual(mu, alpha),
                         (grid[i], grid[i + 1]), tol=1e-12)
     lam_star = mu_star / (math.pi * d) / d
-    if not 0.0 < lam_star < math.inf:
-        raise ValueError(f"optimal density lam* = mu*/(pi*d^2) = {lam_star} is not a positive "
-                         f"finite double at d = {d}")
-    cfg = NetworkConfig(lam_star, d, alpha)
-    return cfg.lam, cognitive_throughput(cfg)
+    # a subnormal double keeps too few digits to carry lam* * d^2
+    if sys.float_info.min <= lam_star < math.inf:
+        cfg = NetworkConfig(lam_star, d, alpha)
+        value = cfg.lam * mean_rate(cfg)
+        if sys.float_info.min <= value < math.inf:
+            return cfg.lam, ThroughputValue(value)
+    raise ValueError(f"optimal density lam* = mu*/(pi*d^2) = {lam_star} or its throughput is "
+                     f"not a normal positive double at d = {d}")

@@ -26,8 +26,6 @@ __all__ = [
     "DecodingRule",
     "NetworkConfig",
     "ThroughputValue",
-    "THROUGHPUT_KINDS",
-    "THROUGHPUT_METHODS",
 ]
 
 
@@ -36,10 +34,6 @@ class DecodingRule(enum.Enum):
 
     IAN = "ian"  # treat every interferer as noise
     OPT = "opt"  # jointly decode interferers closer than the link distance
-
-
-THROUGHPUT_METHODS = ("cognitive", "fixed_rate")
-THROUGHPUT_KINDS = ("quadrature", "lower_bound", "upper_bound", "asymptote")
 
 
 @dataclass(frozen=True)
@@ -82,27 +76,17 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class ThroughputValue:
-    """A spatial throughput in bits/s/Hz/m^2, tagged with its provenance.
+    """A spatial throughput in bits/s/Hz/m^2, finite and >= 0.
 
-    ``method`` is "cognitive" (rates tuned per realization) or "fixed_rate"
-    (predetermined rates, outages allowed); ``kind`` records how the number
-    was obtained (quadrature / lower_bound / upper_bound / asymptote).
+    Which throughput it is (rule, cognitive or fixed-rate, quadrature or
+    bound) is the function that returned it.
     """
 
     value: float
-    method: str
-    rule: DecodingRule
-    kind: str
 
     def __post_init__(self):
         if not (math.isfinite(self.value) and self.value >= 0):
             raise ValueError(f"throughput must be finite and >= 0, got {self.value}")
-        if self.method not in THROUGHPUT_METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.kind not in THROUGHPUT_KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if not isinstance(self.rule, DecodingRule):
-            raise ValueError(f"rule must be a DecodingRule, got {self.rule!r}")
 
 
 def rng_from_seed(key: tuple[int, int]) -> np.random.Generator:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ian import _pdf_rate, _pdf_sir, _rate_edge, _rate_integrand, _rate_times_success
-from .model import DecodingRule, NetworkConfig, ThroughputValue
+from .model import NetworkConfig, ThroughputValue
 from .numerics import (
     _LN2,
     QuadratureSpec,
@@ -116,12 +116,7 @@ def cognitive_throughput(cfg: NetworkConfig, spec: QuadratureSpec | None = None,
     w = truncated_poisson_weights(cfg.mu, truncation)
     i = np.flatnonzero(w >= 1e-17 * w.max())
     f, _ = _rate_integrand(cfg.mu, cfg.alpha / 2.0, 1.0, 1.0 + i, w[i] / (1.0 + i))
-    return ThroughputValue(
-        value=cfg.lam * integrate(f, spec),
-        method="cognitive",
-        rule=DecodingRule.OPT,
-        kind="quadrature",
-    )
+    return ThroughputValue(cfg.lam * integrate(f, spec))
 
 
 def lower_bound(cfg: NetworkConfig, y,
@@ -143,12 +138,7 @@ def lower_bound(cfg: NetworkConfig, y,
             f"scheduled rate {ys[i]} at joint count {i} is not above the "
             f"support edge {conditional_support_edge(i)}"
         )
-    return ThroughputValue(
-        value=float(w @ _rate_times_success(cfg, k, _log_sir_at_rate(ys, k), 1.0)),
-        method="cognitive",
-        rule=DecodingRule.OPT,
-        kind="lower_bound",
-    )
+    return ThroughputValue(float(w @ _rate_times_success(cfg, k, _log_sir_at_rate(ys, k), 1.0)))
 
 
 def truncated_sir_mean(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> float:
@@ -170,9 +160,4 @@ def upper_bound(cfg: NetworkConfig, spec: QuadratureSpec | None = None,
     mean_sir = truncated_sir_mean(cfg, spec)
     i = np.arange(len(w))
     value = cfg.lam * float(np.sum(w / (1.0 + i) * np.log1p((1.0 + i) * mean_sir) / _LN2))
-    return ThroughputValue(
-        value=value,
-        method="cognitive",
-        rule=DecodingRule.OPT,
-        kind="upper_bound",
-    )
+    return ThroughputValue(value)

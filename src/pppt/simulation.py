@@ -77,26 +77,21 @@ _MIN_REALIZATIONS = 100
 
 @dataclass(frozen=True)
 class SimulationEstimate:
-    """Monte Carlo mean and standard error of a spatial throughput."""
+    """Monte Carlo mean and standard error of a spatial throughput, both
+    finite and >= 0.
+
+    The realization count, seed and modes that produced it are the
+    estimator's own arguments.
+    """
 
     mean: float
     stderr: float
-    n_realizations: int
-    seed: int
-    interference_mode: str
-    rate_mode: str | None = None
 
     def __post_init__(self):
         if not (self.mean >= 0 and math.isfinite(self.mean)):
             raise ValueError(f"mean must be finite and >= 0, got {self.mean}")
         if not (self.stderr >= 0 and math.isfinite(self.stderr)):
             raise ValueError(f"stderr must be finite and >= 0, got {self.stderr}")
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be >= 1")
-        if self.interference_mode not in INTERFERENCE_MODES:
-            raise ValueError(f"unknown interference mode {self.interference_mode!r}")
-        if self.rate_mode is not None and self.rate_mode not in RATE_MODES:
-            raise ValueError(f"unknown rate mode {self.rate_mode!r}")
 
 
 def default_window_radius(cfg: NetworkConfig) -> float:
@@ -188,30 +183,24 @@ def _rates_from_stats(cfg: NetworkConfig, stats: _RealizationStats, rule: Decodi
                       mode: str, rate_mode: str) -> np.ndarray:
     """The cognitive rate law, log2(1 + share * SIR) / share per realization.
 
-    share = 1 under interference as noise and 1 + n_dec under joint
-    decoding, whose decode set holds the interferers strictly closer than
-    the link distance (ties go to the noise set); a realization with no
-    interference gets RATE_CAP.  As the analytic chains do, ``closest_only``
-    replaces the (noise-set) interference by its nearest interferer's power
-    and ``lower_bound_powers`` each decoded power by the link's own;
-    ``exact_powers`` keeps the decoded powers.
+    share = 1 + n for n jointly decoded interferers.  Under joint decoding
+    the decode set holds the interferers strictly closer than the link
+    distance (ties go to the noise set); interference as noise is the same
+    law with an empty decode set, so every interferer is noise.  A
+    realization with no interference gets RATE_CAP.  As the analytic chains
+    do, ``closest_only`` replaces the noise-set interference by its nearest
+    interferer's power and ``lower_bound_powers`` each decoded power by the
+    link's own; ``exact_powers`` keeps the decoded powers.
     """
-    half_alpha = cfg.alpha / 2.0
+    if rule is DecodingRule.IAN:
+        n, s_dec, s_noise, r2_noise = 0.0, 0.0, stats.s_dec + stats.s_far, stats.r2_min
+    else:
+        n, s_dec, s_noise, r2_noise = stats.n_dec, stats.s_dec, stats.s_far, stats.r2_far_min
     sig = cfg.d ** (-cfg.alpha)
+    share = 1.0 + n
     with np.errstate(divide="ignore", over="ignore"):
-        if rule is DecodingRule.IAN:
-            share, numerator = 1.0, sig
-            if mode == "full":
-                interference = stats.s_dec + stats.s_far
-            else:
-                interference = stats.r2_min ** (-half_alpha)
-        else:
-            share = 1.0 + stats.n_dec
-            if mode == "full":
-                interference = stats.s_far
-            else:
-                interference = stats.r2_far_min ** (-half_alpha)
-            numerator = sig + stats.s_dec if rate_mode == "exact_powers" else share * sig
+        numerator = sig + s_dec if rate_mode == "exact_powers" else share * sig
+        interference = s_noise if mode == "full" else r2_noise ** (-cfg.alpha / 2.0)
         rate = np.log1p(np.divide(numerator, interference)) / (_LN2 * share)
     return np.where(np.isfinite(rate), rate, RATE_CAP)
 
@@ -240,15 +229,12 @@ def _sample(cfg: NetworkConfig, n_realizations: int, seed: int, window_radius: f
     return _collect_stats(cfg, window_radius, seed, n_realizations)
 
 
-def _estimate(cfg: NetworkConfig, rule: DecodingRule, values: np.ndarray, seed: int,
-              mode: str, rate_mode: str) -> SimulationEstimate:
+def _estimate(cfg: NetworkConfig, values: np.ndarray) -> SimulationEstimate:
     """lam times the sample mean of the per-realization ``values``, with its
-    standard error; the rate mode is recorded under joint decoding only."""
+    standard error."""
     return SimulationEstimate(
         mean=cfg.lam * float(np.mean(values)),
         stderr=cfg.lam * float(np.std(values, ddof=1)) / math.sqrt(len(values)),
-        n_realizations=len(values), seed=seed, interference_mode=mode,
-        rate_mode=rate_mode if rule is DecodingRule.OPT else None,
     )
 
 
@@ -259,8 +245,7 @@ def estimate_cognitive(cfg: NetworkConfig, rule: DecodingRule, mode: str = "full
     """Simulated cognitive spatial throughput: lam times the sample mean of
     the per-realization maximum rate, with its standard error."""
     stats = _sample(cfg, n_realizations, seed, window_radius, mode, rate_mode)
-    return _estimate(cfg, rule, _rates_from_stats(cfg, stats, rule, mode, rate_mode),
-                     seed, mode, rate_mode)
+    return _estimate(cfg, _rates_from_stats(cfg, stats, rule, mode, rate_mode))
 
 
 def estimate_fixed_rate(cfg: NetworkConfig, solution: FixedRateSolution,
@@ -278,14 +263,12 @@ def estimate_fixed_rate(cfg: NetworkConfig, solution: FixedRateSolution,
     rule = solution.rule
     stats = _sample(cfg, n_realizations, seed, window_radius, mode, rate_mode)
     achievable = _rates_from_stats(cfg, stats, rule, mode, rate_mode)
-    if rule is DecodingRule.IAN:
-        target = np.full(n_realizations, solution.rates[0])
-    else:
-        counts = stats.n_dec.astype(np.intp)
-        inside = counts < len(solution.rates)
-        target = np.where(inside, solution.rates[np.minimum(counts, len(solution.rates) - 1)], np.inf)
+    # the noise rule decodes no interferer; a count past the table meets
+    # the infinite rate appended to it
+    counts = stats.n_dec.astype(np.intp) if rule is DecodingRule.OPT else 0
+    target = np.append(solution.rates, np.inf)[np.minimum(counts, len(solution.rates))]
     contrib = np.where(achievable >= target, target, 0.0)
-    return _estimate(cfg, rule, contrib, seed, mode, rate_mode)
+    return _estimate(cfg, contrib)
 
 
 def tightness_report(cfgs, n_realizations: int = 10_000, seed: int = 0,
@@ -301,8 +284,7 @@ def tightness_report(cfgs, n_realizations: int = 10_000, seed: int = 0,
     rows = []
     for cfg in cfgs:
         stats = _sample(cfg, n_realizations, seed, window_radius, mode, rate_mode)
-        sim_ian, sim_opt = (_estimate(cfg, rule, _rates_from_stats(cfg, stats, rule, mode, rate_mode),
-                                      seed, mode, rate_mode)
+        sim_ian, sim_opt = (_estimate(cfg, _rates_from_stats(cfg, stats, rule, mode, rate_mode))
                             for rule in (DecodingRule.IAN, DecodingRule.OPT))
         c_ian = _ian_analytic.cognitive_throughput(cfg).value
         c_opt = _opt_analytic.cognitive_throughput(cfg).value

@@ -281,7 +281,10 @@ class TestSimulateCommand:
         assert rc == 0
         header, rows = read_csv(out)
         assert float(rows[0][header.index("mean")]) > 0
-        assert rows[0][header.index("interference_mode")] == "closest_only"
+        echo = dict(zip(header[2:], rows[0][2:]))
+        # the noise rule has no decoded powers to account, so no rate mode
+        assert echo == {"n_realizations": "300", "seed": "3",
+                        "interference_mode": "closest_only", "rate_mode": ""}
 
     def test_default_seed_is_zero(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -297,6 +300,9 @@ class TestSimulateCommand:
         assert rc == 0
         header, rows = read_csv(out)
         assert float(rows[0][header.index("mean")]) >= 0
+        echo = dict(zip(header[2:], rows[0][2:]))
+        assert echo == {"n_realizations": "300", "seed": "0",
+                        "interference_mode": "closest_only", "rate_mode": "lower_bound_powers"}
 
 
 class TestRealizationFloor:
@@ -330,12 +336,13 @@ class TestScalarCommands:
         assert float(rows[0][header.index("gap_opt")]) >= 0
 
     @pytest.mark.parametrize("flag,value", [("--alpha", "inf"), ("--d", "1e-200"),
-                                            ("--d", "1e200"), ("--d", "inf")])
+                                            ("--d", "1e200"), ("--d", "1e160"), ("--d", "inf")])
     def test_optimal_density_usage_errors(self, flag, value, capsys):
         assert main(["optimal-density", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        if value in ("1e-200", "1e200"):  # lam* overflows or underflows: blame d, not lam
+        # lam* overflows, underflows or is subnormal (1e160): blame d, not lam
+        if value in ("1e-200", "1e200", "1e160"):
             assert f"at d = {float(value)}" in err
 
     @pytest.mark.parametrize("lam", ["1e20", "1e300"])

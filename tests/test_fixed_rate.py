@@ -125,7 +125,6 @@ class TestHighestThroughput:
     def test_ian_pinned(self):
         sol = fixed_rate.highest_throughput(CFG1, DecodingRule.IAN)
         assert sol.throughput.value == pytest.approx(T_IAN_AT_INV_PI, rel=1e-10)
-        assert sol.throughput.method == "fixed_rate"
         assert sol.rates[0] == pytest.approx(math.log2(1.0 + BETA_STAR_MU1_A4), rel=1e-9)
 
     def test_opt_pinned(self):

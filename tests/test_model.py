@@ -38,21 +38,13 @@ class TestNetworkConfig:
 
 class TestThroughputValue:
     def test_valid(self):
-        tv = ThroughputValue(0.1, "cognitive", DecodingRule.IAN, "quadrature")
+        tv = ThroughputValue(0.1)
         assert tv.value == 0.1
 
     @pytest.mark.parametrize("value", [-1e-6, math.nan, math.inf])
     def test_invalid_value(self, value):
         with pytest.raises(ValueError):
-            ThroughputValue(value, "cognitive", DecodingRule.IAN, "quadrature")
-
-    def test_invalid_tags(self):
-        with pytest.raises(ValueError):
-            ThroughputValue(1.0, "psychic", DecodingRule.IAN, "quadrature")
-        with pytest.raises(ValueError):
-            ThroughputValue(1.0, "cognitive", DecodingRule.IAN, "guesswork")
-        with pytest.raises(ValueError):
-            ThroughputValue(1.0, "cognitive", "ian", "quadrature")
+            ThroughputValue(value)
 
 
 class TestSampling:

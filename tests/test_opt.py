@@ -151,7 +151,6 @@ class TestCognitiveThroughput:
     def test_pinned_value(self):
         tv = opt.cognitive_throughput(CFG1)
         assert tv.value == pytest.approx(C_OPT_AT_INV_PI, rel=1e-8)
-        assert tv.kind == "quadrature"
 
     def test_vanishes_with_density(self):
         assert opt.cognitive_throughput(NetworkConfig(1e-12, 1.0, 4.0)).value < 1e-9

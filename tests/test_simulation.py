@@ -361,7 +361,7 @@ class TestEstimateFixedRate:
             rule=DecodingRule.IAN,
             sir_thresholds=np.array([1e9]),
             rates=np.array([math.log2(1.0 + 1e9)]),
-            throughput=ThroughputValue(0.0, "fixed_rate", DecodingRule.IAN, "quadrature"),
+            throughput=ThroughputValue(0.0),
             at_boundary=np.array([False]),
         )
         est = estimate_fixed_rate(CFG, huge, 500, seed=1)
@@ -391,16 +391,11 @@ class TestEstimateTypes:
             tightness_report([cfg], n_realizations=100, window_radius=window)
 
     def test_estimate_validation(self):
-        with pytest.raises(ValueError):
-            SimulationEstimate(-1.0, 0.0, 10, 0, "full")
-        with pytest.raises(ValueError):
-            SimulationEstimate(1.0, -1.0, 10, 0, "full")
-        with pytest.raises(ValueError):
-            SimulationEstimate(1.0, 0.1, 0, 0, "full")
-        with pytest.raises(ValueError):
-            SimulationEstimate(1.0, 0.1, 10, 0, "diagonal")
-        with pytest.raises(ValueError):
-            SimulationEstimate(1.0, 0.1, 10, 0, "full", "psychic_powers")
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="mean"):
+                SimulationEstimate(bad, 0.0)
+            with pytest.raises(ValueError, match="stderr"):
+                SimulationEstimate(1.0, bad)
 
 
 class TestTightnessReport:

@@ -56,15 +56,12 @@ def _emit(args, meta: str, header: list[str], rows: list[list]) -> None:
             fh.write(text)
 
 
-def _check_points(points: int) -> None:
+def _grid(lo: float, hi: float, points: int, log: bool, flag: str) -> np.ndarray:
+    """``points`` >= 2 values from ``lo`` to ``hi``, log-spaced if ``log``.
+    The bounds must be finite, and positive on a log grid, where numpy
+    would warn and fill the cells with NaN."""
     if points < 2:
         raise ValueError("--points must be >= 2")
-
-
-def _grid(lo: float, hi: float, points: int, log: bool, flag: str) -> np.ndarray:
-    """``points`` values from ``lo`` to ``hi``, log-spaced if ``log``.  The
-    bounds must be finite, and positive on a log grid, where numpy would
-    warn and fill the cells with NaN."""
     floor = 0.0 if log else -math.inf
     if not (floor < lo < math.inf and floor < hi < math.inf):
         raise ValueError(f"--{flag}-min and --{flag}-max must be finite"
@@ -81,10 +78,9 @@ def _cfg(args, lam=None) -> NetworkConfig:
 def _cmd_pdf(args) -> int:
     if args.n is not None and args.rule != "opt":
         raise ValueError("--n applies to --rule opt only")
-    _check_points(args.points)
+    xs = _grid(args.x_min, args.x_max, args.points, args.grid_log, "x")
     cfg = _cfg(args)
     rule = _RULES[args.rule]
-    xs = _grid(args.x_min, args.x_max, args.points, args.grid_log, "x")
     if rule is DecodingRule.IAN:
         dens = np.asarray(ian.pdf_rate(cfg, xs))
         what = "ian rate pdf"
@@ -145,47 +141,41 @@ def _sweep_cell(args, cfg, method, rule_name, detail):
     return est.mean, est.stderr
 
 
-def _sweep(args, groups, meta: str) -> int:
-    """Evaluate every (lambda, column group) cell and emit the table in grid
-    order; a failed cell leaves NaN and one warning per column."""
+def _sweep(args, groups):
+    """Evaluate every (lambda, column group) cell in grid order: the header,
+    the rows and whether a cell failed.  A numerical failure leaves NaN and
+    one warning per column; invalid input raises from the first cell that
+    reads it."""
     grid = _grid(args.lambda_min, args.lambda_max, args.points, args.log, "lambda")
     cfgs = [_cfg(args, lam) for lam in grid]  # an invalid network is a usage error
     names = [name for g in groups for name in g[0]]
     starts = np.cumsum([0] + [len(g[0]) for g in groups])
     values = np.full((len(grid), len(names)), np.nan)
-    failures = 0
+    failed = False
     for i, cfg in enumerate(cfgs):
         for k, group in enumerate(groups):
             try:
                 values[i, starts[k]:starts[k + 1]] = _sweep_cell(args, cfg, *group[1:])
-            except (ArithmeticError, ValueError) as exc:
+            except ArithmeticError as exc:
                 for name in group[0]:
                     print(f"warning: cell lam={grid[i]:g} {name}: {exc}", file=sys.stderr)
-                failures += 1
+                failed = True
     rows = [[float(lam)] + [float(v) for v in values[i]] for i, lam in enumerate(grid)]
-    _emit(args, meta, ["lambda"] + names, rows)
-    return 1 if failures else 0
+    return ["lambda"] + names, rows, failed
 
 
 def _cmd_sweep(args) -> int:
     if not args.lambda_min < args.lambda_max:
         raise ValueError("--lambda-min must be below --lambda-max")
-    _check_points(args.points)
     rules = args.rule or ["ian", "opt"]
     methods = args.method or ["cognitive"]
-    if "simulate" in methods:
-        simulation._check_realizations(args.realizations)
-    if "bounds" in methods:
-        edge = opt.conditional_support_edge(0)  # the widest joint-rule edge
-        if not args.y_ian > 0:
-            raise ValueError(f"--y-ian must be > 0, got {args.y_ian}")
-        if not args.y_opt > edge:
-            raise ValueError(f"--y-opt must be > {edge:g}, got {args.y_opt}")
+    header, rows, failed = _sweep(args, _sweep_columns(rules, methods))
     meta = (f"sweep lambda=[{args.lambda_min},{args.lambda_max}]x{args.points} "
             f"scale={'log' if args.log else 'linear'} d={args.d} alpha={args.alpha} "
             f"rules={'+'.join(rules)} methods={'+'.join(methods)} "
             f"realizations={args.realizations} seed={args.seed}")
-    return _sweep(args, _sweep_columns(rules, methods), meta)
+    _emit(args, meta, header, rows)
+    return int(failed)
 
 
 # -------------------------------------------------------------- figures
@@ -205,15 +195,14 @@ def _cmd_figures(args) -> int:
     ns.lambda_min, ns.lambda_max, ns.log = 0.01, 10.0, True
     ns.y_ian, ns.y_opt = 1.0, 2.0
     ns.points = (10 if fig == 6 else 30) if args.points is None else args.points
-    _check_points(ns.points)
     if fig == 6:  # analytic vs full-interference simulation, one sampling pass per density
-        simulation._check_realizations(ns.realizations)
         groups = [(_TIGHTNESS_COLUMNS, "tightness", None, None)]
     else:
         groups = _sweep_columns(*_FIGURE_PLANS[fig])
         if fig == 3:  # throughput next to the bound it approaches
             groups = [g for g in groups if g[3] != "lower"]
-    os.makedirs(args.out_dir, exist_ok=True)
+    header, rows, failed = _sweep(ns, groups)
+    os.makedirs(args.out_dir, exist_ok=True)  # after the cells: a usage error leaves nothing
     ns.out = os.path.join(args.out_dir, f"fig{fig}.{args.format}")
     meta = (f"figure {fig} d=1 alpha=4 grid=[0.01,10]x{ns.points} log "
             + ("lower bound at y=1 " if fig == 2 else "")
@@ -221,7 +210,8 @@ def _cmd_figures(args) -> int:
             + (f"realizations={ns.realizations} " if fig == 6 else "")
             + f"seed={ns.seed}"
             + (" rate_mode=lower" if fig == 6 else ""))
-    return _sweep(ns, groups, meta)
+    _emit(ns, meta, header, rows)
+    return int(failed)
 
 
 # ------------------------------------------------------------- simulate
@@ -358,13 +348,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # usage and I/O errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:  # QuadratureError included
+    except ArithmeticError as exc:  # numerical failures: QuadratureError, BracketError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

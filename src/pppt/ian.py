@@ -209,8 +209,9 @@ def optimal_density(d: float, alpha: float):
     mu in pi*[1e-6, 1e3], after locating its sign change on a 61-point log
     grid, then lam* = mu*/(pi*d^2).  Raises ValueError for an invalid d or
     alpha, or a d at which lam* or its throughput is not a normal positive
-    double (a subnormal one has lost digits); BracketError when the grid
-    shows no sign change and ArithmeticError when it shows several.
+    double (a subnormal one has lost digits).  A grid that shows no sign
+    change (BracketError) or several is a numerical failure of valid
+    input, an ArithmeticError: the CLI exits 1 on it, not 2.
 
     Returns (lam_star, ThroughputValue).
     """

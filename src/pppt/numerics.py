@@ -69,8 +69,9 @@ class QuadratureError(ArithmeticError):
         self.error_bound = error_bound
 
 
-class BracketError(ValueError):
-    """The supplied bracket does not enclose a sign change."""
+class BracketError(ArithmeticError):
+    """The bracket does not enclose a sign change.  The package builds
+    every bracket itself, so this is a numerical failure, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -172,8 +173,8 @@ def find_root(h, bracket, tol: float) -> float:
     """Root of ``h`` in the bracket (lo, hi): Brent's method (Algorithms for
     Minimization without Derivatives, 1973, ch. 4) step for step as scipy's
     brentq, stopping where h is 0 or the bracket is below tol + 4*eps*|root|.
-    Raises BracketError when h is NaN or of one sign at the ends, and
-    ArithmeticError when h turns NaN inside or the steps run out.
+    Raises BracketError when h is NaN or of one sign at the ends, and its
+    base ArithmeticError when h turns NaN inside or the steps run out.
     """
     pre, cur = float(bracket[0]), float(bracket[1])
     fpre, fcur = float(h(pre)), float(h(cur))

@@ -27,9 +27,10 @@ with numpy's pairwise summation, which is deterministic for a fixed
 realization count.
 
 The last sampling pass is kept and handed out again when an estimator
-asks for one with the same arguments, so the two rules' estimates at one
-density come from one draw.  It holds about 40 bytes per realization (five
-float arrays) until the next pass, and its arrays are read-only.
+asks for the same draw (configuration, realization count, seed, window),
+so every estimate at one density, whatever its rule and modes, comes from
+one pass.  It holds about 40 bytes per realization (five float arrays)
+until the next pass, and its arrays are read-only.
 """
 from __future__ import annotations
 
@@ -103,12 +104,6 @@ def default_window_radius(cfg: NetworkConfig) -> float:
     at 2.05 (lam in {0.01, 0.1, 1, 10}, d = 1), until the simulator samples
     the infinite plane."""
     return max(100.0 * cfg.d, 20.0 / math.sqrt(cfg.lam))
-
-
-def _check_realizations(n_realizations: int):
-    if n_realizations < _MIN_REALIZATIONS:
-        raise ValueError(f"need at least {_MIN_REALIZATIONS} realizations for a usable "
-                         f"standard error, got {n_realizations}")
 
 
 @dataclass(frozen=True)
@@ -192,6 +187,10 @@ def _rates_from_stats(cfg: NetworkConfig, stats: _RealizationStats, rule: Decodi
     interferer's power and ``lower_bound_powers`` each decoded power by the
     link's own; ``exact_powers`` keeps the decoded powers.
     """
+    if mode not in INTERFERENCE_MODES:
+        raise ValueError(f"interference mode must be one of {INTERFERENCE_MODES}, got {mode!r}")
+    if rate_mode not in RATE_MODES:
+        raise ValueError(f"rate mode must be one of {RATE_MODES}, got {rate_mode!r}")
     if rule is DecodingRule.IAN:
         n, s_dec, s_noise, r2_noise = 0.0, 0.0, stats.s_dec + stats.s_far, stats.r2_min
     else:
@@ -206,22 +205,21 @@ def _rates_from_stats(cfg: NetworkConfig, stats: _RealizationStats, rule: Decodi
 
 
 @functools.lru_cache(maxsize=1)
-def _sample(cfg: NetworkConfig, n_realizations: int, seed: int, window_radius: float | None,
-            mode: str, rate_mode: str) -> _RealizationStats:
+def _sample(cfg: NetworkConfig, n_realizations: int, seed: int,
+            window_radius: float | None) -> _RealizationStats:
     """One validated pass of the window kernel, shared by every estimator.
 
     The window is the default one, or a given finite radius above d (a
-    smaller one leaves the link's own disc partly unsampled).  The pass is
-    a deterministic function of the arguments, so the last one is reused
-    when the same arguments come again: it holds about 40 bytes per
+    smaller one leaves the link's own disc partly unsampled).  The key is
+    the draw itself: the pass is a deterministic function of these four
+    arguments, and the rule and modes only read it, so the last pass is
+    reused for any estimate at the same draw.  It holds about 40 bytes per
     realization until the next pass, and its arrays are read-only.  Module
     constants are not part of the key: clear the cache after changing one.
     """
-    if mode not in INTERFERENCE_MODES:
-        raise ValueError(f"interference mode must be one of {INTERFERENCE_MODES}, got {mode!r}")
-    if rate_mode not in RATE_MODES:
-        raise ValueError(f"rate mode must be one of {RATE_MODES}, got {rate_mode!r}")
-    _check_realizations(n_realizations)
+    if n_realizations < _MIN_REALIZATIONS:
+        raise ValueError(f"need at least {_MIN_REALIZATIONS} realizations for a usable "
+                         f"standard error, got {n_realizations}")
     if window_radius is None:
         window_radius = default_window_radius(cfg)
     elif not (math.isfinite(window_radius) and window_radius > cfg.d):
@@ -244,7 +242,7 @@ def estimate_cognitive(cfg: NetworkConfig, rule: DecodingRule, mode: str = "full
                        window_radius: float | None = None) -> SimulationEstimate:
     """Simulated cognitive spatial throughput: lam times the sample mean of
     the per-realization maximum rate, with its standard error."""
-    stats = _sample(cfg, n_realizations, seed, window_radius, mode, rate_mode)
+    stats = _sample(cfg, n_realizations, seed, window_radius)
     return _estimate(cfg, _rates_from_stats(cfg, stats, rule, mode, rate_mode))
 
 
@@ -261,7 +259,7 @@ def estimate_fixed_rate(cfg: NetworkConfig, solution: FixedRateSolution,
     solution's table (vanishing Poisson tail) count as outages.
     """
     rule = solution.rule
-    stats = _sample(cfg, n_realizations, seed, window_radius, mode, rate_mode)
+    stats = _sample(cfg, n_realizations, seed, window_radius)
     achievable = _rates_from_stats(cfg, stats, rule, mode, rate_mode)
     # the noise rule decodes no interferer; a count past the table meets
     # the infinite rate appended to it
@@ -283,7 +281,7 @@ def tightness_report(cfgs, n_realizations: int = 10_000, seed: int = 0,
     mode, rate_mode = "full", "lower_bound_powers"
     rows = []
     for cfg in cfgs:
-        stats = _sample(cfg, n_realizations, seed, window_radius, mode, rate_mode)
+        stats = _sample(cfg, n_realizations, seed, window_radius)
         sim_ian, sim_opt = (_estimate(cfg, _rates_from_stats(cfg, stats, rule, mode, rate_mode))
                             for rule in (DecodingRule.IAN, DecodingRule.OPT))
         c_ian = _ian_analytic.cognitive_throughput(cfg).value

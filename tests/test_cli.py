@@ -189,6 +189,26 @@ class TestSweep:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
 
+    def test_failed_bracket_is_nan_cell(self, tmp_path, capsys):
+        # valid input where the threshold's bracket has no sign change: a
+        # numerical failure of the cell, not of the request
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--method", "fixed", "--rule", "ian", "--alpha", "1000",
+                     "--lambda-min", "318310", "--lambda-max", "318311", "--points", "2",
+                     "--out", str(out)]) == 1
+        header, rows = read_csv(out)
+        assert all(math.isnan(v) for v in column(header, rows, "fixed_ian"))
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("fixed_ian: no sign change" in line for line in err)
+
+    def test_anchor_of_unrequested_rule_not_checked(self, tmp_path):
+        # --y-ian is read only by the lower_ian cells, which --rule opt skips
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--points", "3", "--method", "bounds", "--rule", "opt",
+                     "--y-ian", "-1", "--out", str(out)]) == 0
+        header, _ = read_csv(out)
+        assert header == ["lambda", "lower_opt", "upper_opt"]
+
     def test_bounds_past_double_range_of_sir(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--points", "3", "--method", "bounds", "--rule", "ian",
@@ -313,7 +333,9 @@ class TestRealizationFloor:
         ["figures", "--fig", "6", "--points", "2"],
     ], ids=["simulate", "simulate-fixed", "sweep", "figures-6"])
     def test_too_few_realizations_is_usage_error(self, argv, tmp_path, capsys):
-        out = ["--out-dir", str(tmp_path)] if argv[0] == "figures" else ["--out", str(tmp_path / "x.csv")]
+        # a new --out-dir: the floor is checked by the first cell, and the
+        # directory is made only after the last
+        out = ["--out-dir", str(tmp_path / "figs")] if argv[0] == "figures" else ["--out", str(tmp_path / "x.csv")]
         assert main(argv + ["--realizations", "10"] + out) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: need at least 100 realizations")
@@ -352,6 +374,19 @@ class TestScalarCommands:
             warnings.simplefilter("error")
             assert main(["compare", "--lambda", lam]) == 2
         assert capsys.readouterr().err.startswith("error: mu = lam*pi*d^2 must be <= 1e7")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["optimal-density", "--alpha", "2.0001"],
+         "stationarity residual has no sign change on the density bracket"),
+        (["compare", "--alpha", "1000", "--lambda", "318310"], "no sign change on ["),
+    ], ids=["optimal-density", "compare"])
+    def test_failed_bracket_is_numerical_failure(self, argv, message, tmp_path, capsys):
+        # both inputs are in the domain; the residual, not the input, fails
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_io_failure_exit_code(self, tmp_path):
         assert main(["compare", "--lambda", "1.0",

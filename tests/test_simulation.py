@@ -149,6 +149,16 @@ class TestEstimateCognitive:
             simulation._sample.cache_clear()
             assert estimate_cognitive(CFG, rule, n_realizations=300, seed=5) == est
         assert len(passes) == 5
+        # the key is the draw: modes and the estimator only read the pass
+        sol = fixed_rate.highest_throughput(CFG, OPT)
+        simulation._sample.cache_clear()
+        passes.clear()
+        estimate_cognitive(CFG, OPT, mode="full", rate_mode="exact_powers",
+                           n_realizations=300, seed=7)
+        estimate_cognitive(CFG, OPT, mode="closest_only", rate_mode="lower_bound_powers",
+                           n_realizations=300, seed=7)
+        estimate_fixed_rate(CFG, sol, n_realizations=300, seed=7)
+        assert len(passes) == 1
 
     def test_chunking_does_not_change_results(self):
         tiny = _collect_stats(CFG, 100.0, seed=9, n_realizations=200, chunk_points=500)

@@ -4,8 +4,9 @@ Subcommands: pdf, sweep, figures, simulate, optimal-density, compare.
 Output is CSV with one leading ``#`` metadata line (tool version plus an
 echo of the request), or a JSON mirror via ``--format json``.  All
 randomness flows from ``--seed`` (default 0); nothing reads the clock.
-Sweep and figure cells are evaluated one after another and written once,
-in grid order.
+A sweep or figure table is a list of (column names, cell) groups, built by
+the command that owns the parameters; the cells run one after another and
+the table is written once, in grid order.
 """
 from __future__ import annotations
 
@@ -24,9 +25,6 @@ _RULES = {"ian": DecodingRule.IAN, "opt": DecodingRule.OPT}
 _MODES = {"full": "full", "closest": "closest_only"}
 _RATE_MODES = {"exact": "exact_powers", "lower": "lower_bound_powers"}
 _METHODS = ("cognitive", "fixed", "bounds", "simulate")
-# figure 6 columns, all filled from one simulation.tightness_report row
-_TIGHTNESS_COLUMNS = ("c_ian_analytic", "c_opt_analytic", "c_ian_simulated", "c_ian_stderr",
-                      "c_opt_simulated", "c_opt_stderr", "ratio_analytic", "ratio_simulated")
 
 
 def _fmt(v) -> str:
@@ -35,8 +33,8 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(args, meta: str, header: list[str], rows: list[list]) -> None:
-    out = getattr(args, "out", None) or "-"
+def _emit(args, meta: str, header: list[str], rows: list[list], out: str | None = None) -> None:
+    out = args.out if out is None else out
     if args.format == "json":
         payload = {
             "meta": {"tool": f"pppt {__version__}", "request": meta},
@@ -69,8 +67,8 @@ def _grid(lo: float, hi: float, points: int, log: bool, flag: str) -> np.ndarray
     return (np.geomspace if log else np.linspace)(lo, hi, points)
 
 
-def _cfg(args, lam=None) -> NetworkConfig:
-    return NetworkConfig(lam=args.lam if lam is None else lam, d=args.d, alpha=args.alpha)
+def _cfg(args) -> NetworkConfig:
+    return NetworkConfig(lam=args.lam, d=args.d, alpha=args.alpha)
 
 
 # ------------------------------------------------------------------ pdf
@@ -98,70 +96,42 @@ def _cmd_pdf(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-def _sweep_columns(rules, methods):
-    """Column groups (names, method, rule, detail); one evaluation fills a group."""
-    groups = []
-    for method in methods:
-        for rule in rules:
-            if method in ("cognitive", "fixed"):
-                groups.append(((f"{method}_{rule}",), method, rule, None))
-            elif method == "bounds":
-                groups.append(((f"lower_{rule}",), method, rule, "lower"))
-                groups.append(((f"upper_{rule}",), method, rule, "upper"))
-                if rule == "ian":
-                    groups.append(((f"asymptote_{rule}",), method, rule, "asymptote"))
-            else:  # simulate: one sampling pass gives the mean and its stderr
-                groups.append(((f"sim_{rule}", f"sim_{rule}_stderr"), method, rule, None))
-    return groups
+def _analytic_groups(names, y_ian: float, y_opt: float) -> list:
+    """One-column groups of the analytic throughputs among ``names`` (there is
+    no asymptote_opt); a lower bound reads its rate anchor only when it runs."""
+    cells = {"asymptote_ian": lambda cfg: (ian.asymptote(cfg).value,)}
+    for name, mod, y in (("ian", ian, y_ian), ("opt", opt, y_opt)):
+        cells |= {
+            f"cognitive_{name}": lambda cfg, mod=mod: (mod.cognitive_throughput(cfg).value,),
+            f"fixed_{name}": lambda cfg, rule=_RULES[name]:
+                (fixed_rate.highest_throughput(cfg, rule).throughput.value,),
+            f"lower_{name}": lambda cfg, mod=mod, y=y: (mod.lower_bound(cfg, y).value,),
+            f"upper_{name}": lambda cfg, mod=mod: (mod.upper_bound(cfg).value,),
+        }
+    return [((name,), cells[name]) for name in names if name in cells]
 
 
-def _sweep_cell(args, cfg, method, rule_name, detail):
-    """The values of one column group at one density."""
-    if method == "tightness":
-        row, = simulation.tightness_report([cfg], n_realizations=args.realizations,
-                                           seed=args.seed)
-        return tuple(row[name] for name in _TIGHTNESS_COLUMNS)
-    rule = _RULES[rule_name]
-    mod = ian if rule is DecodingRule.IAN else opt
-    if method == "cognitive":
-        return (mod.cognitive_throughput(cfg).value,)
-    if method == "fixed":
-        return (fixed_rate.highest_throughput(cfg, rule).throughput.value,)
-    if method == "bounds":
-        if detail == "lower":
-            y = args.y_ian if rule is DecodingRule.IAN else args.y_opt
-            return (mod.lower_bound(cfg, y).value,)
-        if detail == "upper":
-            return (mod.upper_bound(cfg).value,)
-        return (ian.asymptote(cfg).value,)
-    est = simulation.estimate_cognitive(
-        cfg, rule, mode=_MODES[args.mode], n_realizations=args.realizations,
-        seed=args.seed, rate_mode=_RATE_MODES[args.rate_mode],
-    )
-    return est.mean, est.stderr
-
-
-def _sweep(args, groups):
+def _sweep(grid, d, alpha, groups):
     """Evaluate every (lambda, column group) cell in grid order: the header,
-    the rows and whether a cell failed.  A numerical failure leaves NaN and
-    one warning per column; invalid input raises from the first cell that
-    reads it."""
-    grid = _grid(args.lambda_min, args.lambda_max, args.points, args.log, "lambda")
-    cfgs = [_cfg(args, lam) for lam in grid]  # an invalid network is a usage error
-    names = [name for g in groups for name in g[0]]
-    starts = np.cumsum([0] + [len(g[0]) for g in groups])
-    values = np.full((len(grid), len(names)), np.nan)
-    failed = False
-    for i, cfg in enumerate(cfgs):
-        for k, group in enumerate(groups):
+    the rows and whether a cell failed.  ``groups`` lists (names, cell)
+    pairs; ``cell(cfg)`` returns the values of the columns ``names``.  A
+    numerical failure leaves NaN and one warning per column; invalid input
+    raises from the first cell that reads it."""
+    # Python floats: a throughput past the double range is inf, not a numpy warning
+    cfgs = [NetworkConfig(lam, d, alpha) for lam in grid.tolist()]  # invalid: a usage error
+    rows, failed = [], False
+    for cfg in cfgs:
+        row = [cfg.lam]
+        for names, cell in groups:
             try:
-                values[i, starts[k]:starts[k + 1]] = _sweep_cell(args, cfg, *group[1:])
+                row += [float(v) for v in cell(cfg)]
             except ArithmeticError as exc:
-                for name in group[0]:
-                    print(f"warning: cell lam={grid[i]:g} {name}: {exc}", file=sys.stderr)
+                for name in names:
+                    print(f"warning: cell lam={cfg.lam:g} {name}: {exc}", file=sys.stderr)
+                row += [math.nan] * len(names)
                 failed = True
-    rows = [[float(lam)] + [float(v) for v in values[i]] for i, lam in enumerate(grid)]
-    return ["lambda"] + names, rows, failed
+        rows.append(row)
+    return ["lambda"] + [name for names, _ in groups for name in names], rows, failed
 
 
 def _cmd_sweep(args) -> int:
@@ -169,7 +139,24 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--lambda-min must be below --lambda-max")
     rules = args.rule or ["ian", "opt"]
     methods = args.method or ["cognitive"]
-    header, rows, failed = _sweep(args, _sweep_columns(rules, methods))
+
+    def simulated(cfg, rule):  # one sampling pass gives the mean and its stderr
+        est = simulation.estimate_cognitive(
+            cfg, rule, mode=_MODES[args.mode], n_realizations=args.realizations,
+            seed=args.seed, rate_mode=_RATE_MODES[args.rate_mode])
+        return est.mean, est.stderr
+
+    groups = []
+    for method in methods:
+        for rule in rules:
+            if method == "simulate":
+                groups.append(((f"sim_{rule}", f"sim_{rule}_stderr"),
+                               lambda cfg, rule=_RULES[rule]: simulated(cfg, rule)))
+            else:
+                kinds = ("lower", "upper", "asymptote") if method == "bounds" else (method,)
+                groups += _analytic_groups([f"{k}_{rule}" for k in kinds], args.y_ian, args.y_opt)
+    grid = _grid(args.lambda_min, args.lambda_max, args.points, args.log, "lambda")
+    header, rows, failed = _sweep(grid, args.d, args.alpha, groups)
     meta = (f"sweep lambda=[{args.lambda_min},{args.lambda_max}]x{args.points} "
             f"scale={'log' if args.log else 'linear'} d={args.d} alpha={args.alpha} "
             f"rules={'+'.join(rules)} methods={'+'.join(methods)} "
@@ -180,37 +167,36 @@ def _cmd_sweep(args) -> int:
 
 # -------------------------------------------------------------- figures
 
-_FIGURE_PLANS = {
-    2: (["ian"], ["cognitive", "bounds"]),
-    3: (["opt"], ["cognitive", "bounds"]),
-    4: (["opt"], ["cognitive", "bounds"]),
-    5: (["ian", "opt"], ["cognitive", "fixed"]),
+# every figure at d = 1, alpha = 4; figures 2-5 take the rate anchors y_ian = 1
+# and y_opt = 2, and fig 3 sets the throughput next to the bound it approaches
+_FIGURE_COLUMNS = {
+    2: ("cognitive_ian", "lower_ian", "upper_ian", "asymptote_ian"),
+    3: ("cognitive_opt", "upper_opt"),
+    4: ("cognitive_opt", "lower_opt", "upper_opt"),
+    5: ("cognitive_ian", "cognitive_opt", "fixed_ian", "fixed_opt"),
+    6: ("c_ian_analytic", "c_opt_analytic", "c_ian_simulated", "c_ian_stderr",
+        "c_opt_simulated", "c_opt_stderr", "ratio_analytic", "ratio_simulated"),
 }
 
 
 def _cmd_figures(args) -> int:
-    fig = args.fig
-    ns = argparse.Namespace(**vars(args))
-    ns.d, ns.alpha = 1.0, 4.0
-    ns.lambda_min, ns.lambda_max, ns.log = 0.01, 10.0, True
-    ns.y_ian, ns.y_opt = 1.0, 2.0
-    ns.points = (10 if fig == 6 else 30) if args.points is None else args.points
-    if fig == 6:  # analytic vs full-interference simulation, one sampling pass per density
-        groups = [(_TIGHTNESS_COLUMNS, "tightness", None, None)]
+    fig, columns = args.fig, _FIGURE_COLUMNS[args.fig]
+    points = (10 if fig == 6 else 30) if args.points is None else args.points
+    if fig == 6:  # analytic vs full-interference simulation, one tightness_report row per density
+        def tightness(cfg):
+            row, = simulation.tightness_report([cfg], n_realizations=args.realizations,
+                                               seed=args.seed)
+            return [row[name] for name in columns]
+        groups = [(columns, tightness)]
     else:
-        groups = _sweep_columns(*_FIGURE_PLANS[fig])
-        if fig == 3:  # throughput next to the bound it approaches
-            groups = [g for g in groups if g[3] != "lower"]
-    header, rows, failed = _sweep(ns, groups)
+        groups = _analytic_groups(columns, 1.0, 2.0)
+    header, rows, failed = _sweep(_grid(0.01, 10.0, points, True, "lambda"), 1.0, 4.0, groups)
     os.makedirs(args.out_dir, exist_ok=True)  # after the cells: a usage error leaves nothing
-    ns.out = os.path.join(args.out_dir, f"fig{fig}.{args.format}")
-    meta = (f"figure {fig} d=1 alpha=4 grid=[0.01,10]x{ns.points} log "
-            + ("lower bound at y=1 " if fig == 2 else "")
-            + ("lower bound at y=2 " if fig == 4 else "")
-            + (f"realizations={ns.realizations} " if fig == 6 else "")
-            + f"seed={ns.seed}"
-            + (" rate_mode=lower" if fig == 6 else ""))
-    _emit(ns, meta, header, rows)
+    meta = (f"figure {fig} d=1 alpha=4 grid=[0.01,10]x{points} log "
+            + {2: "lower bound at y=1 ", 4: "lower bound at y=2 ",
+               6: f"realizations={args.realizations} "}.get(fig, "")
+            + f"seed={args.seed}" + (" rate_mode=lower" if fig == 6 else ""))
+    _emit(args, meta, header, rows, out=os.path.join(args.out_dir, f"fig{fig}.{args.format}"))
     return int(failed)
 
 
@@ -348,12 +334,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:  # usage and I/O errors
+    except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:  # numerical failures: QuadratureError, BracketError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # usage and I/O errors exit 2, numerical failures (QuadratureError, BracketError) 1
+        return 2 if isinstance(exc, (OSError, ValueError)) else 1
 
 
 if __name__ == "__main__":

@@ -124,7 +124,8 @@ def _rate_times_success(cfg: NetworkConfig, k, log_b, edge: float):
 
     Taken from log b, so a b or k*b past the double range still gives a
     finite value; past (2/alpha)*log b = 700 the success probability
-    underflows and the value is 0.
+    underflows and the value is 0.  lam multiplies last, so a success
+    probability of 0 gives 0 also where lam * rate would overflow.
     """
     k, log_b = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(log_b, dtype=float))
     z = (2.0 / cfg.alpha) * log_b
@@ -133,7 +134,7 @@ def _rate_times_success(cfg: NetworkConfig, k, log_b, edge: float):
     km, zm = k[m], z[m]
     excess = np.expm1(zm) if edge else np.exp(zm)  # b^(2/alpha) - edge
     with np.errstate(over="ignore"):
-        out[m] = cfg.lam * _log2_1p_pow(km, log_b[m], 1.0) / km * np.exp(-cfg.mu * excess)
+        out[m] = _log2_1p_pow(km, log_b[m], 1.0) / km * np.exp(-cfg.mu * excess) * cfg.lam
     return out
 
 

@@ -85,8 +85,16 @@ class ThroughputValue:
     value: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value >= 0):
-            raise ValueError(f"throughput must be finite and >= 0, got {self.value}")
+        _check_throughput("throughput", self.value)
+
+
+def _check_throughput(what: str, value: float) -> None:
+    """Raise unless ``value`` is finite and >= 0.  A value that is not finite
+    is a computation past the double range, an ArithmeticError; a negative
+    one is bad input, a ValueError."""
+    if not (math.isfinite(value) and value >= 0):
+        error = ValueError if math.isfinite(value) else ArithmeticError
+        raise error(f"{what} must be finite and >= 0, got {value}")
 
 
 def rng_from_seed(key: tuple[int, int]) -> np.random.Generator:

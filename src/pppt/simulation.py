@@ -43,7 +43,7 @@ import numpy as np
 from . import ian as _ian_analytic
 from . import opt as _opt_analytic
 from .fixed_rate import FixedRateSolution
-from .model import DecodingRule, NetworkConfig, rng_from_seed
+from .model import DecodingRule, NetworkConfig, _check_throughput, rng_from_seed
 from .numerics import _LN2
 
 __all__ = [
@@ -89,10 +89,8 @@ class SimulationEstimate:
     stderr: float
 
     def __post_init__(self):
-        if not (self.mean >= 0 and math.isfinite(self.mean)):
-            raise ValueError(f"mean must be finite and >= 0, got {self.mean}")
-        if not (self.stderr >= 0 and math.isfinite(self.stderr)):
-            raise ValueError(f"stderr must be finite and >= 0, got {self.stderr}")
+        _check_throughput("mean", self.mean)
+        _check_throughput("stderr", self.stderr)
 
 
 def default_window_radius(cfg: NetworkConfig) -> float:

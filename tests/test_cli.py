@@ -209,6 +209,24 @@ class TestSweep:
         header, _ = read_csv(out)
         assert header == ["lambda", "lower_opt", "upper_opt"]
 
+    def test_throughput_past_double_range_is_nan_cell(self, tmp_path, capsys):
+        # mu from 1e-9 to 5e-9, inside the domain, but lam * E[R] and the
+        # Jensen bound pass the double range: a numerical failure of those
+        # cells, with no numpy warning on the way
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--lambda-min", "3.2e306", "--lambda-max", "1.6e307",
+                         "--d", "1e-158", "--points", "2", "--rule", "ian",
+                         "--method", "cognitive", "--method", "bounds", "--out", str(out)]) == 1
+        header, rows = read_csv(out)
+        assert len(rows) == 2
+        for name in ("cognitive_ian", "upper_ian", "asymptote_ian"):
+            assert all(math.isnan(v) for v in column(header, rows, name))
+        assert column(header, rows, "lower_ian") == pytest.approx([3.2e306, 1.6e307], rel=1e-8)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 6 and all(line.startswith("warning: cell lam=") for line in err)
+
     def test_bounds_past_double_range_of_sir(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--points", "3", "--method", "bounds", "--rule", "ian",
@@ -220,6 +238,34 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--frequency", "2.4GHz"])
         assert exc.value.code == 2
+
+
+class TestHeaders:
+    """The column order the README documents, pinned exactly."""
+
+    @pytest.mark.parametrize("fig,columns", [
+        (2, ["cognitive_ian", "lower_ian", "upper_ian", "asymptote_ian"]),
+        (3, ["cognitive_opt", "upper_opt"]),
+        (4, ["cognitive_opt", "lower_opt", "upper_opt"]),
+        (5, ["cognitive_ian", "cognitive_opt", "fixed_ian", "fixed_opt"]),
+        (6, ["c_ian_analytic", "c_opt_analytic", "c_ian_simulated", "c_ian_stderr",
+             "c_opt_simulated", "c_opt_stderr", "ratio_analytic", "ratio_simulated"]),
+    ])
+    def test_figure_header(self, fig, columns, tmp_path):
+        assert main(["figures", "--fig", str(fig), "--points", "2", "--realizations", "100",
+                     "--out-dir", str(tmp_path)]) == 0
+        header, _ = read_csv(tmp_path / f"fig{fig}.csv")
+        assert header == ["lambda", *columns]
+
+    def test_sweep_header_follows_methods_then_rules(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--points", "2", "--realizations", "100",
+                     "--method", "cognitive", "--method", "fixed", "--method", "bounds",
+                     "--method", "simulate", "--out", str(out)]) == 0
+        header, _ = read_csv(out)
+        assert header == ["lambda", "cognitive_ian", "cognitive_opt", "fixed_ian", "fixed_opt",
+                          "lower_ian", "upper_ian", "asymptote_ian", "lower_opt", "upper_opt",
+                          "sim_ian", "sim_ian_stderr", "sim_opt", "sim_opt_stderr"]
 
 
 class TestFigures:

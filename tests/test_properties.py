@@ -60,6 +60,10 @@ def test_orderings(x, alpha, y_i, y_o):
 
 
 @given(x=log10_mu, alpha=alphas, d=st.floats(0.1, 10.0))
+# lam = 1e5/(pi*d^2) near 3e298: lam * rate must not overflow where the
+# success probability is 0
+@example(x=5.0, alpha=20.0, d=1e-150)
+@example(x=5.0, alpha=60.0, d=1e-150)
 @settings(max_examples=20, deadline=None)
 def test_per_unit_density_depends_only_on_mu(x, alpha, d):
     mu = 10.0**x

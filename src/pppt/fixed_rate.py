@@ -18,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ian, opt
-from .ian import _rate_times_success
+from .ian import _rate, _rate_times_success
 from .model import DecodingRule, NetworkConfig, ThroughputValue
-from .numerics import _LN2, SeriesTruncation, find_root, truncated_poisson_weights
+from .numerics import SeriesTruncation, find_root, truncated_poisson_weights
 
 __all__ = [
-    "BOUNDARY_SIR",
     "FixedRateSolution",
     "compare_cognitive_vs_fixed",
     "highest_throughput",
@@ -31,7 +30,7 @@ __all__ = [
 
 # supremum sits on the open boundary sir -> 1+ when no interior stationary
 # point exists; returned threshold is nudged inside the support
-BOUNDARY_SIR = 1.0 + 1e-9
+_BOUNDARY_SIR = 1.0 + 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +80,7 @@ def _thresholds(cfg: NetworkConfig, rule: DecodingRule, k: np.ndarray):
     else:
         lo = 1.0
         boundary = _objective_slope(cfg, k, lo) >= 0.0
-    b = np.full(k.shape, BOUNDARY_SIR)
+    b = np.full(k.shape, _BOUNDARY_SIR)
     interior = np.flatnonzero(~boundary)
     hi = np.full(interior.shape, 2.0)
     while np.any(rising := _objective_slope(cfg, k[interior], hi) < 0.0):
@@ -105,12 +104,12 @@ def highest_throughput(cfg: NetworkConfig, rule: DecodingRule,
         w, edge = truncated_poisson_weights(cfg.mu, truncation), 1.0
     k = 1.0 + np.arange(len(w))
     thresholds, boundary = _thresholds(cfg, rule, k)
-    rates = np.log1p(k * thresholds) / (k * _LN2)
-    value = float(np.sum(w * _rate_times_success(cfg, k, np.log(thresholds), edge)))
+    log_b = np.log(thresholds)
+    value = float(np.sum(w * _rate_times_success(cfg, k, log_b, edge)))
     return FixedRateSolution(
         rule=rule,
         sir_thresholds=thresholds,
-        rates=rates,
+        rates=_rate(k, log_b),
         throughput=ThroughputValue(value),
         at_boundary=boundary,
     )

@@ -9,7 +9,8 @@ R = log2(1 + SIR).
 The noise rule is the k = 1, edge 0 member of the joint rule's family
 (k = 1+n messages at log2(1 + k*sir)/k, SIR law on sir > edge = 1; see
 :mod:`pppt.opt`).  The private helpers below take k and the edge and serve
-:mod:`pppt.opt` and :mod:`pppt.fixed_rate` too.
+:mod:`pppt.opt` and :mod:`pppt.fixed_rate` too; the rate law and its
+inverse, in log sir, serve :mod:`pppt.simulation` as well.
 
 All expectations are evaluated after the substitution
 u = mu * (sir^(2/alpha) - edge) (mu = lam*pi*d^2), which is Exp(1) and
@@ -25,17 +26,7 @@ import sys
 import numpy as np
 
 from .model import NetworkConfig, ThroughputValue
-from .numerics import (
-    _LN2,
-    _LOG_LN4,
-    BracketError,
-    QuadratureSpec,
-    _log2_1p_pow,
-    _log_sir_at_rate,
-    _scalar_or_array,
-    find_root,
-    integrate,
-)
+from .numerics import BracketError, QuadratureSpec, _scalar_or_array, find_root, integrate
 
 __all__ = [
     "asymptote",
@@ -48,6 +39,24 @@ __all__ = [
     "pdf_sir",
     "upper_bound",
 ]
+
+_LN2 = math.log(2.0)
+
+
+def _rate(k, log_b):
+    """The rate law, log2(1 + k*b)/k for k messages at SIR b, from log b:
+    elementwise, finite where b or k*b overflows."""
+    return np.logaddexp(0.0, np.log(k) + log_b) / _LN2 / k
+
+
+def _log_sir_at_rate(y, k):
+    """log b for the SIR b with rate y, the inverse of :func:`_rate`:
+    elementwise, finite where b = expm1(k*y*ln2)/k overflows
+    (k*y*ln2 > 709)."""
+    with np.errstate(over="ignore"):  # k * y past the double range is inf, b too
+        x = k * y * _LN2
+    return x + np.log(-np.expm1(-x)) - np.log(k)
+
 
 def pdf_nearest_distance(cfg: NetworkConfig, x):
     """Density of the distance to the nearest interferer: 2*lam*pi*x*exp(-lam*pi*x^2)."""
@@ -70,35 +79,36 @@ def _pdf_sir(cfg: NetworkConfig, x, edge: float):
 
 
 def _rate_edge(k, edge: float):
-    """Smallest rate with positive density, log2(1 + k*edge)/k."""
-    return np.log2(1.0 + k * edge) / k
+    """Smallest rate with positive density, the rate at sir = edge (0 or 1)."""
+    return _rate(k, 0.0) if edge else 0.0
 
 
 def _pdf_rate(cfg: NetworkConfig, k, x, edge: float):
     """Rate density with k messages sharing the rate log2(1 + k*sir)/k, for
     the SIR law on sir > edge; zero at and below :func:`_rate_edge`.
 
-    Broadcast over (k, x); evaluated in log space so that the SIR matching
-    a large rate may overflow to inf and still give a density of 0.
+    Broadcast over (k, x); evaluated in log space from log sir, so that a
+    SIR past the double range gives a density of 0.
     """
     k, x = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(x, dtype=float))
     out = np.zeros(x.shape)
     m = x > _rate_edge(k, edge)
-    km, e = k[m], 2.0 / cfg.alpha
-    t = km * x[m] * _LN2
+    km, xm, e = k[m], x[m], 2.0 / cfg.alpha
+    log_b = _log_sir_at_rate(xm, km)
+    # the SIR density at b times the Jacobian db/dx = ln2 * 2^(k*x); a
+    # b^(2/alpha) past the double range gives 0
     with np.errstate(over="ignore"):
-        b = np.expm1(t) / km  # the SIR matching the rate
-        out[m] = np.exp(_LOG_LN4 + math.log(cfg.mu / cfg.alpha) + t + (e - 1.0) * np.log(b)
-                        - cfg.mu * (b**e - edge))
+        out[m] = np.exp(math.log(2.0 * _LN2 * cfg.mu / cfg.alpha) + km * xm * _LN2
+                        + (e - 1.0) * log_b - cfg.mu * (np.exp(e * log_b) - edge))
     return out
 
 
 def _rate_integrand(mu: float, half_alpha: float, edge: float, k, coef):
-    """(f, s): sum_i coef_i * E[log2(1 + k_i*sir)] = int f(x) dx over
+    """(f, s): sum_i coef_i * E[log2(1 + k_i*sir)/k_i] = int f(x) dx over
     (0, inf) for the SIR law on sir > edge (0 or 1).
 
     With u = mu*(sir^(2/alpha) - edge), which is Exp(1), and u = s*x,
-    f(x) = s * e^-u * sum_i coef_i * log2(1 + k_i*(edge + u/mu)^(alpha/2)).
+    f(x) = s * e^-u * sum_i coef_i * rate(k_i, sir = (edge + u/mu)^(alpha/2)).
     Under the noise rule the rate bends from a power of u into a logarithm
     at u = mu (SIR = 1), and u^(alpha/2) e^-u peaks at u = alpha/2; s = mu
     clipped to [1, alpha/2] puts whichever carries the mass near x = 1,
@@ -112,7 +122,7 @@ def _rate_integrand(mu: float, half_alpha: float, edge: float, k, coef):
         u = s * x
         # log(edge + u/mu); log1p keeps its digits near sir = 1
         log_y = np.log1p(u / mu) if edge else np.log(u / mu)
-        return s * (_log2_1p_pow(k, log_y[:, None], half_alpha) @ coef) * np.exp(-u)
+        return s * (_rate(k, half_alpha * log_y[:, None]) @ coef) * np.exp(-u)
 
     return f, s
 
@@ -134,7 +144,7 @@ def _rate_times_success(cfg: NetworkConfig, k, log_b, edge: float):
     km, zm = k[m], z[m]
     excess = np.expm1(zm) if edge else np.exp(zm)  # b^(2/alpha) - edge
     with np.errstate(over="ignore"):
-        out[m] = _log2_1p_pow(km, log_b[m], 1.0) / km * np.exp(-cfg.mu * excess) * cfg.lam
+        out[m] = _rate(km, log_b[m]) * np.exp(-cfg.mu * excess) * cfg.lam
     return out
 
 
@@ -179,7 +189,7 @@ def upper_bound(cfg: NetworkConfig) -> ThroughputValue:
     """Jensen upper bound lam * log2(1 + E[sir]); E[sir] = Gamma(1+alpha/2) * mu^(-alpha/2)."""
     half_alpha = cfg.alpha / 2.0
     log_mean_sir = math.lgamma(1.0 + half_alpha) - half_alpha * math.log(cfg.mu)
-    value = cfg.lam * float(_log2_1p_pow(1.0, log_mean_sir, 1.0))
+    value = cfg.lam * float(_rate(1.0, log_mean_sir))
     return ThroughputValue(value)
 
 

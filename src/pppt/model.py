@@ -68,8 +68,8 @@ class NetworkConfig:
     def mu(self) -> float:
         """Expected number of transmitters in a disc of radius d: lam*pi*d^2.
 
-        Every closed-form expression in this package depends on (lam, d)
-        only through this product.
+        Every closed form and every simulated rate in this package depends
+        on (lam, d) only through this product.
         """
         return self.lam * math.pi * self.d * self.d
 

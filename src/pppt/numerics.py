@@ -31,25 +31,6 @@ _T_MIN, _T_MAX, _H0 = -4.5, 3.7, 0.5
 _EPS = float(np.finfo(float).eps)
 _MAX_ROOT_STEPS = 100  # brentq's default maxiter
 
-# Shared by the analytic and simulation modules; private, so kept out of
-# __all__.
-_LN2 = math.log(2.0)
-_LOG_LN4 = math.log(math.log(4.0))
-
-
-def _log2_1p_pow(k, log_y, p):
-    """log2(1 + k * y**p) from log y, elementwise, overflow-free."""
-    return np.logaddexp(0.0, np.log(k) + p * log_y) / _LN2
-
-
-def _log_sir_at_rate(y, k):
-    """log b for the SIR b with log2(1 + k * b) / k = y: the inverse of the
-    rate law with k messages, elementwise, finite where
-    b = expm1(k * y * ln2) / k overflows (k * y * ln2 > 709)."""
-    with np.errstate(over="ignore"):  # k * y past the double range is inf, b too
-        x = k * y * _LN2
-    return x + np.log(-np.expm1(-x)) - np.log(k)
-
 
 def _scalar_or_array(out: np.ndarray):
     return float(out) if out.ndim == 0 else out

@@ -16,29 +16,25 @@ error of the mixture mean rate E[R], not of each E[R | n];
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .ian import _pdf_rate, _pdf_sir, _rate_edge, _rate_integrand, _rate_times_success
+from .ian import (_log_sir_at_rate, _pdf_rate, _pdf_sir, _rate, _rate_edge, _rate_integrand,
+                  _rate_times_success)
 from .model import NetworkConfig, ThroughputValue
-from .numerics import (
-    _LN2,
-    QuadratureSpec,
-    SeriesTruncation,
-    _log_sir_at_rate,
-    _scalar_or_array,
-    integrate,
-    truncated_poisson_weights,
-)
+from .numerics import (QuadratureSpec, SeriesTruncation, _scalar_or_array, integrate,
+                       truncated_poisson_weights)
 
 __all__ = [
     "cognitive_throughput",
     "conditional_mean_rate",
     "conditional_support_edge",
+    "log_truncated_sir_mean",
     "lower_bound",
     "pdf_rate",
     "pdf_rate_conditional",
     "pdf_sir",
-    "truncated_sir_mean",
     "upper_bound",
 ]
 
@@ -94,9 +90,8 @@ def conditional_mean_rate(cfg: NetworkConfig, n: int) -> float:
     E[R | n] = (1+n)^-1 * E[ log2(1 + (1+n) * (1 + u/mu)^(alpha/2)) ].
     """
     _check_count(n)
-    k = 1.0 + n
-    f, _ = _rate_integrand(cfg.mu, cfg.alpha / 2.0, 1.0, k, 1.0)
-    return integrate(f) / k
+    f, _ = _rate_integrand(cfg.mu, cfg.alpha / 2.0, 1.0, 1.0 + n, 1.0)
+    return integrate(f)
 
 
 def cognitive_throughput(cfg: NetworkConfig, spec: QuadratureSpec | None = None,
@@ -115,7 +110,7 @@ def cognitive_throughput(cfg: NetworkConfig, spec: QuadratureSpec | None = None,
     """
     w = truncated_poisson_weights(cfg.mu, truncation)
     i = np.flatnonzero(w >= 1e-17 * w.max())
-    f, _ = _rate_integrand(cfg.mu, cfg.alpha / 2.0, 1.0, 1.0 + i, w[i] / (1.0 + i))
+    f, _ = _rate_integrand(cfg.mu, cfg.alpha / 2.0, 1.0, 1.0 + i, w[i])
     return ThroughputValue(cfg.lam * integrate(f, spec))
 
 
@@ -141,23 +136,26 @@ def lower_bound(cfg: NetworkConfig, y,
     return ThroughputValue(float(w @ _rate_times_success(cfg, k, _log_sir_at_rate(ys, k), 1.0)))
 
 
-def truncated_sir_mean(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> float:
-    """Mean of the >1-truncated SIR law.
+def log_truncated_sir_mean(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> float:
+    """Log of the mean of the >1-truncated SIR law.
 
-    The shifted-exponential integral int (1 + t/mu)^(alpha/2) e^-t dt, equal
-    to e^mu * mu^(-alpha/2) * Gamma(1 + alpha/2, mu) and tending to 1 as mu
-    grows.  The integrand is taken in log space, since the power alone
-    overflows at small mu and steep path loss (mu = 1e-9, alpha = 60).
+    The mean is the shifted-exponential integral int (1 + t/mu)^(alpha/2)
+    e^-t dt, equal to e^mu * mu^(-alpha/2) * Gamma(1 + alpha/2, mu) and
+    tending to 1 as mu grows.  The integrand is taken in log space and
+    divided by its maximum, at t0 = max(alpha/2 - mu, 0), whose log is added
+    back, so a mean past the double range still has a finite log (1187.6 at
+    mu = 3e-10*pi, alpha = 100).
     """
     mu, half_alpha = cfg.mu, cfg.alpha / 2.0
-    return integrate(lambda t: np.exp(half_alpha * np.log1p(t / mu) - t), spec)
+    t0 = max(half_alpha - mu, 0.0)
+    log_peak = half_alpha * math.log1p(t0 / mu) - t0
+    shifted = integrate(lambda t: np.exp(half_alpha * np.log1p(t / mu) - t - log_peak), spec)
+    return log_peak + math.log(shifted)
 
 
 def upper_bound(cfg: NetworkConfig, spec: QuadratureSpec | None = None,
                 truncation: SeriesTruncation | None = None) -> ThroughputValue:
-    """Jensen upper bound: per-joint-count log of the mean truncated SIR."""
+    """Jensen upper bound: per-joint-count rate at the mean truncated SIR."""
     w = truncated_poisson_weights(cfg.mu, truncation)
-    mean_sir = truncated_sir_mean(cfg, spec)
-    i = np.arange(len(w))
-    value = cfg.lam * float(np.sum(w / (1.0 + i) * np.log1p((1.0 + i) * mean_sir) / _LN2))
-    return ThroughputValue(value)
+    k = 1.0 + np.arange(len(w))
+    return ThroughputValue(cfg.lam * float(w @ _rate(k, log_truncated_sir_mean(cfg, spec))))

@@ -8,7 +8,13 @@ powers) depends on the interferer positions only through their distances to
 the origin, so the window kernel samples squared radii directly — one
 uniform per point — and never materializes planar coordinates.  It is the
 only sampler in the package, and every rate, per realization or per batch,
-comes from its statistics through one rate law.
+comes from its statistics through the rate law of :mod:`pppt.ian`.
+
+Distances are measured in units of the link distance d: without fading
+the SIR of a Poisson field is scale-free, so the link's own power is 1 and
+the decode set r/d < 1, and the rates depend on (lam, d) only through
+mu = lam*pi*d^2, as the closed forms do.  lam = 1e-200 at d = 1e100
+estimates 1e-200 times the throughput at lam = 1, d = 1.
 
 Only the near field r < R0 = min(W, 8*max(d, 1/sqrt(lam))) is drawn; the
 ring from R0 to the window radius W adds its Campbell mean (Haenggi &
@@ -43,8 +49,8 @@ import numpy as np
 from . import ian as _ian_analytic
 from . import opt as _opt_analytic
 from .fixed_rate import FixedRateSolution
+from .ian import _rate
 from .model import DecodingRule, NetworkConfig, _check_throughput, rng_from_seed
-from .numerics import _LN2
 
 __all__ = [
     "INTERFERENCE_MODES",
@@ -108,11 +114,11 @@ def default_window_radius(cfg: NetworkConfig) -> float:
 class _RealizationStats:
     """Distance-based sufficient statistics of a batch of realizations."""
 
-    s_dec: np.ndarray       # power sum over the decode set (r < d)
-    s_far: np.ndarray       # power sum over the noise set (r >= d)
+    s_dec: np.ndarray       # power sum over the decode set (r < d), in d^-alpha
+    s_far: np.ndarray       # power sum over the noise set (r >= d), in d^-alpha
     n_dec: np.ndarray       # decode-set sizes
-    r2_min: np.ndarray      # squared nearest-interferer distance (inf if none)
-    r2_far_min: np.ndarray  # squared nearest noise-set distance (inf if none)
+    r2_min: np.ndarray      # squared nearest-interferer distance in d^2 (inf if none)
+    r2_far_min: np.ndarray  # squared nearest noise-set distance in d^2 (inf if none)
 
     def __post_init__(self):
         # one pass may be shared by several estimators through _sample's cache
@@ -122,13 +128,15 @@ class _RealizationStats:
 
 def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int,
                    n_realizations: int, chunk_points: int = _CHUNK_POINTS) -> _RealizationStats:
-    near = min(window_radius, _NEAR_FACTOR * max(cfg.d, 1.0 / math.sqrt(cfg.lam)))
-    mean_count = cfg.lam * math.pi * near * near
+    """The statistics of ``n_realizations`` realizations in units of d (the
+    link's power is 1); ``window_radius`` is in metres."""
+    window = window_radius / cfg.d
+    near = min(window_radius, _NEAR_FACTOR * max(cfg.d, 1.0 / math.sqrt(cfg.lam))) / cfg.d
+    mean_count = cfg.mu * near * near
     r2_scale = near * near
     # the Campbell mean of the ring near <= r < W; 0 when near = W
-    ring_mean = 2.0 * math.pi * cfg.lam * (near ** (2.0 - cfg.alpha)
-                                           - window_radius ** (2.0 - cfg.alpha)) / (cfg.alpha - 2.0)
-    d2 = cfg.d * cfg.d
+    ring_mean = 2.0 * cfg.mu * (near ** (2.0 - cfg.alpha)
+                                - window ** (2.0 - cfg.alpha)) / (cfg.alpha - 2.0)
     half_alpha = cfg.alpha / 2.0
     n = n_realizations
 
@@ -157,9 +165,9 @@ def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int,
         r2_min[hit] = np.minimum.reduceat(r2, first)
         p = r2 ** (-half_alpha)
 
-        # the decode set holds about lam*pi*d^2 points per realization: sum
-        # it by index, then blank it out of the far-field reductions
-        idx = np.flatnonzero(r2 < d2)
+        # the decode set holds about mu points per realization: sum it by
+        # index, then blank it out of the far-field reductions
+        idx = np.flatnonzero(r2 < 1.0)
         owner = np.searchsorted(first, idx, "right") - 1
         s_dec[hit] = np.bincount(owner, weights=p[idx], minlength=len(hit))
         n_dec[hit] = np.bincount(owner, minlength=len(hit))
@@ -193,12 +201,13 @@ def _rates_from_stats(cfg: NetworkConfig, stats: _RealizationStats, rule: Decodi
         n, s_dec, s_noise, r2_noise = 0.0, 0.0, stats.s_dec + stats.s_far, stats.r2_min
     else:
         n, s_dec, s_noise, r2_noise = stats.n_dec, stats.s_dec, stats.s_far, stats.r2_far_min
-    sig = cfg.d ** (-cfg.alpha)
     share = 1.0 + n
-    with np.errstate(divide="ignore", over="ignore"):
-        numerator = sig + s_dec if rate_mode == "exact_powers" else share * sig
-        interference = s_noise if mode == "full" else r2_noise ** (-cfg.alpha / 2.0)
-        rate = np.log1p(np.divide(numerator, interference)) / (_LN2 * share)
+    # the SIR of each of the share messages: the received power (the link's
+    # is 1 in the kernel's units) over share times the noise interference
+    log_power = np.log((1.0 + s_dec) / share) if rate_mode == "exact_powers" else 0.0
+    with np.errstate(divide="ignore"):
+        log_noise = np.log(s_noise) if mode == "full" else -cfg.alpha / 2.0 * np.log(r2_noise)
+    rate = _rate(share, log_power - log_noise)
     return np.where(np.isfinite(rate), rate, RATE_CAP)
 
 

@@ -44,6 +44,17 @@ def pdf_mass(f, split=1.0):
     return head + tail
 
 
+class TestRateLaw:
+    def test_inverse_round_trip(self):
+        # _log_sir_at_rate inverts _rate to the last digits, also past
+        # k*y*ln2 = 709, where the SIR b = expm1(k*y*ln2)/k itself overflows
+        assert ian._rate(2.0, math.log(3.0)) == pytest.approx(math.log2(7.0) / 2.0, rel=1e-15)
+        k, y = np.meshgrid([1.0, 2.0, 7.0, 1e2, 1e4, 1e6], np.geomspace(1e-9, 1e4, 131))
+        log_b = ian._log_sir_at_rate(y, k)
+        assert np.all(np.isfinite(log_b)) and np.any(k * y * math.log(2.0) > 709.0)
+        np.testing.assert_allclose(ian._rate(k, log_b), y, rtol=1e-13, atol=0.0)
+
+
 class TestNearestDistancePdf:
     def test_direct_substitution(self):
         assert ian.pdf_nearest_distance(CFG1, 1.0) == pytest.approx(2.0 / math.e, rel=1e-14)

@@ -242,8 +242,8 @@ class TestSpecialFunctions:
     """The special functions behind the closed forms, as ian and opt
     evaluate them: Gamma(1 + alpha/2) through math.lgamma, and the upper
     incomplete gamma integral Gamma(z, a) = e^-a int (a+t)^(z-1) e^-t dt as
-    the shifted-exponential quadrature of opt.truncated_sir_mean, deep into
-    the tail it reaches."""
+    the shifted-exponential quadrature of opt.log_truncated_sir_mean, deep
+    into the tail it reaches."""
 
     @pytest.mark.parametrize("z,ref", GAMMA_REFS)
     def test_gamma(self, z, ref):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from pppt import fixed_rate, ian, simulation
 from pppt.model import DecodingRule, NetworkConfig, ThroughputValue, rng_from_seed
 from pppt.simulation import (
+    INTERFERENCE_MODES,
     RATE_CAP,
+    RATE_MODES,
     SimulationEstimate,
     _collect_stats,
     _RealizationStats,
@@ -198,17 +200,20 @@ class TestEstimateCognitive:
     def oracle_stats(cfg, window_radius, seed, n_realizations):
         """The five statistics, one realization at a time, from the same draws:
         each count in turn from stream (seed, 0), each realization's radii in
-        turn from stream (seed, 1)."""
+        turn from stream (seed, 1).  Drawn in metres, reported as the kernel
+        reports them, in units of d: squared radii over d^2, powers times
+        d^alpha."""
         counts = rng_from_seed((seed, 0))
         radii = rng_from_seed((seed, 1))
+        d2, d_alpha = cfg.d * cfg.d, cfg.d ** cfg.alpha
         rows = []
         for _ in range(n_realizations):
             c = counts.poisson(cfg.lam * math.pi * window_radius * window_radius)
             r2 = window_radius * window_radius * radii.random(c)
-            dec = r2 < cfg.d * cfg.d
+            dec = r2 < d2
             p = r2 ** (-cfg.alpha / 2.0)
-            rows.append((p[dec].sum(), p[~dec].sum(), dec.sum(),
-                         r2.min(initial=np.inf), r2[~dec].min(initial=np.inf)))
+            rows.append((p[dec].sum() * d_alpha, p[~dec].sum() * d_alpha, dec.sum(),
+                         r2.min(initial=np.inf) / d2, r2[~dec].min(initial=np.inf) / d2))
         return dict(zip(("s_dec", "s_far", "n_dec", "r2_min", "r2_far_min"),
                         np.array(rows, dtype=float).T))
 
@@ -339,6 +344,33 @@ class TestEstimateCognitive:
         gap = cfg.lam * abs(np.mean(rates_big) - np.mean(rates_small))
         stderr = cfg.lam * np.std(rates_big, ddof=1) / math.sqrt(len(rates_big))
         assert gap < stderr
+
+
+class TestScaleInvariance:
+    """The kernel works in units of d, so the rates depend on (lam, d) only
+    through mu: at (lam/s^2, s*d) every estimate is s^-2 times the one at
+    (lam, d), also where d^-alpha or s^-2 leaves the double range."""
+
+    @staticmethod
+    def estimates(cfg):
+        out = []
+        for rule in DecodingRule:
+            for mode in INTERFERENCE_MODES:
+                for rate_mode in RATE_MODES:
+                    out.append(estimate_cognitive(cfg, rule, mode, 200, 3, rate_mode))
+            sol = fixed_rate.highest_throughput(cfg, rule)
+            out.append(estimate_fixed_rate(cfg, sol, 200, 3))
+        return out
+
+    @pytest.mark.parametrize("s", [1e-100, 1e100])
+    @pytest.mark.parametrize("lam,alpha", [(1.0, 4.0), (0.3183, 60.0)])
+    def test_estimates_depend_on_mu_only(self, lam, alpha, s):
+        want = self.estimates(NetworkConfig(lam, 1.0, alpha))
+        got = self.estimates(NetworkConfig(lam / s**2, s, alpha))
+        assert any(w.mean > 0 for w in want)
+        for g, w in zip(got, want):
+            assert g.mean == pytest.approx(w.mean / s**2, rel=1e-12, abs=0.0)
+            assert g.stderr == pytest.approx(w.stderr / s**2, rel=1e-12, abs=0.0)
 
 
 class TestEstimateFixedRate:

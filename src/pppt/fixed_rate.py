@@ -70,23 +70,25 @@ def _thresholds(cfg: NetworkConfig, rule: DecodingRule, k: np.ndarray):
     the sign change of the rescaled slope, bracketed below from 1e-9 down
     under interference-as-noise or by the support edge sir = 1 under joint
     decoding (a slope already >= 0 there flags the boundary), and above by
-    doubling from 2, then solved share by share.
+    doubling from 2 (out of the domain up to inf, where the slope is nan
+    and find_root raises), then solved share by share.
     """
-    if rule is DecodingRule.IAN:
-        lo = 1e-9
-        while _objective_slope(cfg, 1.0, lo) >= 0.0 and lo > 1e-300:
-            lo *= 1e-2
-        boundary = np.zeros(k.shape, dtype=bool)
-    else:
-        lo = 1.0
-        boundary = _objective_slope(cfg, k, lo) >= 0.0
-    b = np.full(k.shape, _BOUNDARY_SIR)
-    interior = np.flatnonzero(~boundary)
-    hi = np.full(interior.shape, 2.0)
-    while np.any(rising := _objective_slope(cfg, k[interior], hi) < 0.0):
-        hi[rising] *= 2.0
-    for j, hi_j in zip(interior, hi):
-        b[j] = find_root(lambda x: _objective_slope(cfg, k[j], x), (lo, hi_j), tol=1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rule is DecodingRule.IAN:
+            lo = 1e-9
+            while _objective_slope(cfg, 1.0, lo) >= 0.0 and lo > 1e-300:
+                lo *= 1e-2
+            boundary = np.zeros(k.shape, dtype=bool)
+        else:
+            lo = 1.0
+            boundary = _objective_slope(cfg, k, lo) >= 0.0
+        b = np.full(k.shape, _BOUNDARY_SIR)
+        interior = np.flatnonzero(~boundary)
+        hi = np.full(interior.shape, 2.0)
+        while np.any(rising := _objective_slope(cfg, k[interior], hi) < 0.0):
+            hi[rising] *= 2.0
+        for j, hi_j in zip(interior, hi):
+            b[j] = find_root(lambda x: _objective_slope(cfg, k[j], x), (lo, hi_j), tol=1e-12)
     return b, boundary
 
 

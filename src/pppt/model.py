@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ class NetworkConfig:
     """Parameters of the bipolar Poisson network.
 
     lam
-        Transmitter density in nodes/m^2, > 0, with lam*pi*d^2 <= 1e7.
+        Transmitter density in nodes/m^2, > 0, with 2.2e-308 <= lam*pi*d^2 <= 1e7.
     d
         TX-RX separation in meters, > 0.
     alpha
@@ -63,6 +64,8 @@ class NetworkConfig:
             raise ValueError(f"density lam must be finite and > 0, got {self.lam}")
         if not self.mu <= 1e7:  # 10x the documented 1e6; the joint rule keeps ~mu series terms
             raise ValueError(f"mu = lam*pi*d^2 must be <= 1e7, got {self.mu:g}")
+        if not self.mu >= sys.float_info.min:  # 0 or subnormal: lam*pi*d^2 underflowed
+            raise ValueError(f"mu = lam*pi*d^2 must be a normal double, got {self.mu:g}")
 
     @property
     def mu(self) -> float:

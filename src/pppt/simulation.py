@@ -19,7 +19,9 @@ estimates 1e-200 times the throughput at lam = 1, d = 1.
 Only the near field r < R0 = min(W, 8*max(d, 1/sqrt(lam))) is drawn; the
 ring from R0 to the window radius W adds its Campbell mean (Haenggi &
 Ganti, FnT 2009, sec. 3) to every far-field sum.  ``_NEAR_FACTOR =
-math.inf`` draws the whole window, the exact reference mode.
+math.inf`` draws the whole window, the exact reference mode.  The ring's
+mean keeps every rate finite, unless the window lies inside the near field
+or the powers underflow (alpha far above 60).
 
 A run seeded with ``s`` draws all its interferer counts in one call from
 the stream keyed by (s, 0), and the squared radii, realization after
@@ -54,7 +56,6 @@ from .model import DecodingRule, NetworkConfig, _check_throughput, rng_from_seed
 
 __all__ = [
     "INTERFERENCE_MODES",
-    "RATE_CAP",
     "RATE_MODES",
     "SimulationEstimate",
     "default_window_radius",
@@ -65,13 +66,6 @@ __all__ = [
 
 INTERFERENCE_MODES = ("full", "closest_only")
 RATE_MODES = ("exact_powers", "lower_bound_powers")
-
-# Stands in for the infinite rate of a realization with no interference at
-# all: an empty window, or an empty noise set under joint decoding.  Finite
-# rates are kept, also above it.  Past the near field every realization
-# carries the ring's mean, so the cap applies only where the window lies
-# inside the near field.
-RATE_CAP = 30.0
 
 _CHUNK_POINTS = 1 << 16
 
@@ -163,7 +157,8 @@ def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int,
         hit = start + np.flatnonzero(counts[start:stop])
         first = ends[hit] - counts[hit] - base
         r2_min[hit] = np.minimum.reduceat(r2, first)
-        p = r2 ** (-half_alpha)
+        with np.errstate(over="ignore"):  # a power past the double range is inf
+            p = r2 ** (-half_alpha)
 
         # the decode set holds about mu points per realization: sum it by
         # index, then blank it out of the far-field reductions
@@ -187,11 +182,11 @@ def _rates_from_stats(cfg: NetworkConfig, stats: _RealizationStats, rule: Decodi
     share = 1 + n for n jointly decoded interferers.  Under joint decoding
     the decode set holds the interferers strictly closer than the link
     distance (ties go to the noise set); interference as noise is the same
-    law with an empty decode set, so every interferer is noise.  A
-    realization with no interference gets RATE_CAP.  As the analytic chains
-    do, ``closest_only`` replaces the noise-set interference by its nearest
-    interferer's power and ``lower_bound_powers`` each decoded power by the
-    link's own; ``exact_powers`` keeps the decoded powers.
+    law with an empty decode set, so every interferer is noise.  As the
+    analytic chains do, ``closest_only`` replaces the noise-set interference
+    by its nearest interferer's power and ``lower_bound_powers`` each decoded
+    power by the link's own; ``exact_powers`` keeps the decoded powers.  No
+    noise interference gives rate inf, a noise power past the double range 0.
     """
     if mode not in INTERFERENCE_MODES:
         raise ValueError(f"interference mode must be one of {INTERFERENCE_MODES}, got {mode!r}")
@@ -207,8 +202,7 @@ def _rates_from_stats(cfg: NetworkConfig, stats: _RealizationStats, rule: Decodi
     log_power = np.log((1.0 + s_dec) / share) if rate_mode == "exact_powers" else 0.0
     with np.errstate(divide="ignore"):
         log_noise = np.log(s_noise) if mode == "full" else -cfg.alpha / 2.0 * np.log(r2_noise)
-    rate = _rate(share, log_power - log_noise)
-    return np.where(np.isfinite(rate), rate, RATE_CAP)
+    return _rate(share, log_power - log_noise)
 
 
 @functools.lru_cache(maxsize=1)
@@ -236,11 +230,12 @@ def _sample(cfg: NetworkConfig, n_realizations: int, seed: int,
 
 def _estimate(cfg: NetworkConfig, values: np.ndarray) -> SimulationEstimate:
     """lam times the sample mean of the per-realization ``values``, with its
-    standard error."""
-    return SimulationEstimate(
-        mean=cfg.lam * float(np.mean(values)),
-        stderr=cfg.lam * float(np.std(values, ddof=1)) / math.sqrt(len(values)),
-    )
+    standard error.  An infinite value gives an infinite mean, an ArithmeticError."""
+    with np.errstate(invalid="ignore"):
+        return SimulationEstimate(
+            mean=cfg.lam * float(np.mean(values)),
+            stderr=cfg.lam * float(np.std(values, ddof=1)) / math.sqrt(len(values)),
+        )
 
 
 def estimate_cognitive(cfg: NetworkConfig, rule: DecodingRule, mode: str = "full",
@@ -269,9 +264,9 @@ def estimate_fixed_rate(cfg: NetworkConfig, solution: FixedRateSolution,
     stats = _sample(cfg, n_realizations, seed, window_radius)
     achievable = _rates_from_stats(cfg, stats, rule, mode, rate_mode)
     # the noise rule decodes no interferer; a count past the table meets
-    # the infinite rate appended to it
+    # the rate 0 appended to it, an outage also where the rate is inf
     counts = stats.n_dec.astype(np.intp) if rule is DecodingRule.OPT else 0
-    target = np.append(solution.rates, np.inf)[np.minimum(counts, len(solution.rates))]
+    target = np.append(solution.rates, 0.0)[np.minimum(counts, len(solution.rates))]
     contrib = np.where(achievable >= target, target, 0.0)
     return _estimate(cfg, contrib)
 

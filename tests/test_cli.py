@@ -201,6 +201,43 @@ class TestSweep:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all("fixed_ian: no sign change" in line for line in err)
 
+    def test_overflowed_bracket_is_nan_cell(self, tmp_path, capsys):
+        # at alpha = 100 and mu ~ 1e-9 the threshold bracket doubles to inf
+        # and the asymptote overflows: NaN cells, each with one warning, and
+        # no numpy warning on the way
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--method", "fixed", "--method", "bounds", "--alpha", "100",
+                         "--lambda-min", "3e-10", "--lambda-max", "0.3", "--points", "4",
+                         "--out", str(out)]) == 1
+        header, rows = read_csv(out)
+        nan_cells = {(row[0], name) for row in rows for name, v in zip(header, row)
+                     if math.isnan(float(v))}
+        assert nan_cells == {("3e-10", "fixed_ian"), ("3e-10", "fixed_opt"),
+                             ("3e-10", "asymptote_ian"), ("3e-07", "asymptote_ian")}
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 4 and all(line.startswith("warning: cell lam=") for line in err)
+
+    def test_underflowed_powers_are_nan_row(self, tmp_path, capsys):
+        # at alpha = 1000 the ring's mean and the far powers underflow to 0:
+        # at lam = 0.01 some realization has no interference and an infinite
+        # rate, so both estimates fail; at lam = 1 every rate is finite
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--lambda-min", "0.01", "--lambda-max", "1", "--points", "2",
+                         "--method", "simulate", "--alpha", "1000", "--realizations", "100",
+                         "--out", str(out)]) == 1
+        header, rows = read_csv(out)
+        assert [row[0] for row in rows] == ["0.01", "1"]
+        assert all(v == "nan" for v in rows[0][1:])
+        assert all(math.isfinite(float(v)) and float(v) > 0 for v in rows[1][1:])
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 4 and all(line.startswith("warning: cell lam=0.01 sim_") and
+                                     line.endswith("mean must be finite and >= 0, got inf")
+                                     for line in err)
+
     def test_anchor_of_unrequested_rule_not_checked(self, tmp_path):
         # --y-ian is read only by the lower_ian cells, which --rule opt skips
         out = tmp_path / "sweep.csv"
@@ -420,6 +457,23 @@ class TestScalarCommands:
             warnings.simplefilter("error")
             assert main(["compare", "--lambda", lam]) == 2
         assert capsys.readouterr().err.startswith("error: mu = lam*pi*d^2 must be <= 1e7")
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--lambda", "1e-300", "--d", "1e-100"],
+        ["compare", "--lambda", "1e-300", "--d", "1e-12"],
+        ["pdf", "--rule", "opt", "--lambda", "1e-300", "--d", "1e-100"],
+        ["simulate", "--rule", "ian", "--lambda", "1e-300", "--d", "1e-100",
+         "--realizations", "100"],
+    ], ids=["compare-zero", "compare-subnormal", "pdf", "simulate"])
+    def test_underflowed_mu_is_usage_error(self, argv, tmp_path, capsys):
+        # mu = lam*pi*d^2 underflows to 0, or to a subnormal at d = 1e-12
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: mu = lam*pi*d^2 must be a normal double")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv,message", [
         (["optimal-density", "--alpha", "2.0001"],

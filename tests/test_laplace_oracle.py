@@ -15,8 +15,7 @@ delta = 2/alpha (Haenggi & Ganti, Interference in Large Wireless Networks,
 FnT 2009, sec. 3).  The kernel samples the near disc r < R0 and adds the
 Campbell mean m of the ring R0 <= r < W, so its interference has the
 transform L_near(z) * e^{-zm}; the helper below integrates that exactly.
-The rate cap is left out: it replaces only infinite rates, and the
-interference is at least m > 0, so every rate is finite.
+The interference is at least m > 0, so every rate is finite.
 """
 import math
 

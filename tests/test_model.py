@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from pppt.model import DecodingRule, NetworkConfig, ThroughputValue
-from pppt.simulation import RATE_CAP, _collect_stats, estimate_cognitive
+from pppt.simulation import _collect_stats, estimate_cognitive
 
 
 class TestNetworkConfig:
@@ -19,8 +19,9 @@ class TestNetworkConfig:
             NetworkConfig(lam, d, alpha)
 
     @pytest.mark.parametrize("lam,d", [(1.01e7 / math.pi, 1.0), (1e20, 1.0), (1e300, 1.0),
-                                       (1.0, 1e200)])
+                                       (1.0, 1e200), (1e-300, 1e-100), (1e-300, 1e-12)])
     def test_rejects_mu_past_bound(self, lam, d):
+        # above 1e7, or underflowed to 0 (d = 1e-100) or to a subnormal (d = 1e-12)
         with pytest.raises(ValueError, match="mu = lam"):
             NetworkConfig(lam, d, 4.0)
 
@@ -77,13 +78,13 @@ class TestSampling:
         assert not np.any(stats.s_far) and np.all(np.isinf(stats.r2_far_min))
 
     def test_empty_process_limit(self):
-        # mean count ~ 3e-7 per window: every realization is empty, so both
-        # rules give lam * RATE_CAP with no spread
+        # mean count ~ 3e-7 per window inside the near field: every
+        # realization is empty, its rate infinite, and neither rule has a
+        # finite mean
         cfg = NetworkConfig(1e-9, 1.0, 4.0)
         for rule in DecodingRule:
-            est = estimate_cognitive(cfg, rule, n_realizations=100, window_radius=10.0)
-            assert est.mean == pytest.approx(cfg.lam * RATE_CAP, rel=1e-15)
-            assert est.stderr == 0.0
+            with pytest.raises(ArithmeticError, match="mean must be finite"):
+                estimate_cognitive(cfg, rule, n_realizations=100, window_radius=10.0)
 
     def test_count_law_of_large_numbers(self):
         # mean interferer count over many realizations approaches lam*pi*R^2
@@ -113,7 +114,7 @@ class TestSampling:
 class TestNearestDistance:
     def test_empty_window_signalled(self):
         # an empty window has no nearest interferer; the kernel reports inf,
-        # which the rate law turns into RATE_CAP
+        # which the rate law turns into an infinite rate
         stats = _collect_stats(NetworkConfig(1e-9, 1.0, 4.0), 10.0, seed=0, n_realizations=50)
         assert np.all(np.isinf(stats.r2_min)) and np.all(np.isinf(stats.r2_far_min))
         assert not np.any(stats.n_dec) and not np.any(stats.s_dec) and not np.any(stats.s_far)

@@ -10,7 +10,6 @@ from pppt import fixed_rate, ian, simulation
 from pppt.model import DecodingRule, NetworkConfig, ThroughputValue, rng_from_seed
 from pppt.simulation import (
     INTERFERENCE_MODES,
-    RATE_CAP,
     RATE_MODES,
     SimulationEstimate,
     _collect_stats,
@@ -66,12 +65,12 @@ class TestPerRealizationRates:
         assert np.all(full <= closest + 1e-12)
 
     def test_empty_window_capped(self):
-        assert rate([], IAN) == RATE_CAP
-        assert rate([], OPT) == RATE_CAP
+        assert rate([], IAN) == math.inf
+        assert rate([], OPT) == math.inf
 
     def test_finite_rate_above_cap_kept(self):
-        # the cap stands in for an infinite rate only: a lone interferer at
-        # 1000 d leaves SIR 1e12, about 39.9 bits
+        # a rate above 30 bits is kept as it is: a lone interferer at 1000 d
+        # leaves SIR 1e12, about 39.9 bits
         assert rate([1000.0], IAN) == pytest.approx(math.log2(1.0 + 1e12), rel=1e-12)
         assert rate([0.5, 1000.0], OPT, "full", "lower_bound_powers") == pytest.approx(
             0.5 * math.log2(1.0 + 2e12), rel=1e-12)
@@ -87,7 +86,20 @@ class TestPerRealizationRates:
             0.5 * math.log2(273.0), rel=1e-12)
 
     def test_opt_empty_noise_set_capped(self):
-        assert rate([0.5], OPT) == RATE_CAP
+        assert rate([0.5], OPT) == math.inf
+
+    @pytest.mark.parametrize("alpha", [2.05, 4.0, 60.0])
+    @pytest.mark.parametrize("mu", [1e-9, 1.0, 1e3])
+    def test_default_window_rates_finite(self, mu, alpha):
+        # at the corners of the domain the ring's mean or a near-field point
+        # reaches every realization of the default window: no rate is inf
+        cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
+        stats = _collect_stats(cfg, simulation.default_window_radius(cfg), seed=1,
+                               n_realizations=100)
+        for rule in DecodingRule:
+            for mode in INTERFERENCE_MODES:
+                for rate_mode in RATE_MODES:
+                    assert np.all(np.isfinite(_rates_from_stats(cfg, stats, rule, mode, rate_mode)))
 
     def test_tie_goes_to_noise_set(self):
         # an interferer exactly at the link distance is treated as noise
@@ -307,8 +319,8 @@ class TestEstimateCognitive:
         assert abs(est.mean - analytic) < 4.0 * est.stderr
 
     def test_closest_only_matches_analytic_at_sparse_density(self):
-        # mu = 3.1e-5: an isolated link's rate often exceeds RATE_CAP, and a
-        # cap on finite rates would pull the estimate about 28 sigma low
+        # mu = 3.1e-5: an isolated link's rate often exceeds 30 bits, and a
+        # cap there would pull the estimate about 28 sigma low
         cfg = NetworkConfig(1e-5, 1.0, 4.0)
         est = estimate_cognitive(cfg, DecodingRule.IAN, mode="closest_only",
                                  n_realizations=20_000, seed=19)
@@ -386,7 +398,7 @@ class TestEstimateFixedRate:
         # on finite rates would make every realization an outage
         cfg = NetworkConfig(1e-7, 1.0, 4.0)
         sol = fixed_rate.highest_throughput(cfg, DecodingRule.IAN)
-        assert sol.rates[0] > RATE_CAP
+        assert sol.rates[0] > 30.0
         est = estimate_fixed_rate(cfg, sol, n_realizations=20_000,
                                   seed=23, mode="closest_only")
         assert abs(est.mean - sol.throughput.value) < 4.0 * est.stderr
@@ -408,6 +420,21 @@ class TestEstimateFixedRate:
         )
         est = estimate_fixed_rate(CFG, huge, 500, seed=1)
         assert est.mean == 0.0
+
+    def test_count_past_table_is_outage(self):
+        # a window just past d leaves most realizations without a noise-set
+        # interferer, so their rate is inf; a decode count past the one-entry
+        # table is an outage all the same
+        sol = fixed_rate.FixedRateSolution(
+            rule=DecodingRule.OPT,
+            sir_thresholds=np.array([math.sqrt(2.0) - 1.0]),
+            rates=np.array([0.5]),
+            throughput=ThroughputValue(0.0),
+            at_boundary=np.array([False]),
+        )
+        est = estimate_fixed_rate(CFG, sol, n_realizations=200, seed=1, window_radius=1.01)
+        assert est.mean == pytest.approx(0.025, rel=1e-12)
+        assert est.stderr == pytest.approx(0.007724853839016686, rel=1e-12)
 
     def test_opt_consistency(self):
         cfg = NetworkConfig(0.2, 1.0, 4.0)

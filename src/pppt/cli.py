@@ -23,7 +23,6 @@ from .model import DecodingRule, NetworkConfig
 
 _RULES = {"ian": DecodingRule.IAN, "opt": DecodingRule.OPT}
 _MODES = {"full": "full", "closest": "closest_only"}
-_RATE_MODES = {"exact": "exact_powers", "lower": "lower_bound_powers"}
 _METHODS = ("cognitive", "fixed", "bounds", "simulate")
 
 
@@ -143,7 +142,7 @@ def _cmd_sweep(args) -> int:
     def simulated(cfg, rule):  # one sampling pass gives the mean and its stderr
         est = simulation.estimate_cognitive(
             cfg, rule, mode=_MODES[args.mode], n_realizations=args.realizations,
-            seed=args.seed, rate_mode=_RATE_MODES[args.rate_mode])
+            seed=args.seed)
         return est.mean, est.stderr
 
     groups = []
@@ -206,23 +205,17 @@ def _cmd_simulate(args) -> int:
     cfg = _cfg(args)
     rule = _RULES[args.rule]
     mode = _MODES[args.mode]
-    rmode = _RATE_MODES[args.rate_mode]
     if args.method == "cognitive":
         est = simulation.estimate_cognitive(
-            cfg, rule, mode=mode, n_realizations=args.realizations,
-            seed=args.seed, rate_mode=rmode)
+            cfg, rule, mode=mode, n_realizations=args.realizations, seed=args.seed)
     else:
         sol = fixed_rate.highest_throughput(cfg, rule)
         est = simulation.estimate_fixed_rate(
-            cfg, sol, n_realizations=args.realizations,
-            seed=args.seed, mode=mode, rate_mode=rmode)
+            cfg, sol, n_realizations=args.realizations, seed=args.seed, mode=mode)
     meta = (f"simulate method={args.method} rule={args.rule} lam={cfg.lam} d={cfg.d} "
-            f"alpha={cfg.alpha} mode={args.mode} rate_mode={args.rate_mode} "
-            f"realizations={args.realizations} seed={args.seed}")
-    _emit(args, meta,
-          ["mean", "stderr", "n_realizations", "seed", "interference_mode", "rate_mode"],
-          [[est.mean, est.stderr, args.realizations, args.seed,
-            mode, rmode if rule is DecodingRule.OPT else ""]])
+            f"alpha={cfg.alpha} mode={args.mode} realizations={args.realizations} seed={args.seed}")
+    _emit(args, meta, ["mean", "stderr", "n_realizations", "seed", "interference_mode"],
+          [[est.mean, est.stderr, args.realizations, args.seed, mode]])
     return 0
 
 
@@ -262,8 +255,6 @@ def _add_sim_flags(p):
                    help="base seed for all randomness (default 0, never the clock)")
     p.add_argument("--mode", choices=sorted(_MODES), default="full",
                    help="aggregate interference or nearest interferer only")
-    p.add_argument("--rate-mode", choices=sorted(_RATE_MODES), default="lower",
-                   help="power accounting in the joint-decode constraint")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -73,13 +73,16 @@ def pdf_rate_conditional(cfg: NetworkConfig, n: int, x):
 def pdf_rate(cfg: NetworkConfig, x):
     """Unconditional rate density: Poisson mixture of the conditional ones.
 
-    All conditional densities are evaluated at once as a (terms x points)
-    array and contracted with the Poisson weights.
+    The conditional densities are evaluated as (terms x points) blocks of
+    about 2^16 cells and contracted with the Poisson weights, so every point
+    sums all of its terms and the memory stays bounded at any mu.
     """
     w = truncated_poisson_weights(cfg.mu)
+    k = (1.0 + np.arange(len(w)))[:, None]
     x = np.asarray(x, dtype=float)
-    dens = _pdf_rate(cfg, (1.0 + np.arange(len(w)))[:, None], x.reshape(1, -1), 1.0)
-    return _scalar_or_array((w @ dens).reshape(x.shape))
+    blocks = max(1, math.ceil(x.size * len(w) / 2**16))
+    dens = [w @ _pdf_rate(cfg, k, b, 1.0) for b in np.array_split(x.reshape(1, -1), blocks, axis=1)]
+    return _scalar_or_array(np.concatenate(dens).reshape(x.shape))
 
 
 def conditional_mean_rate(cfg: NetworkConfig, n: int) -> float:

@@ -2,7 +2,9 @@
 
 Estimators measure the typical link exactly as the analysis does: one
 receiver at the origin, full aggregate interference from every transmitter
-in a finite window, no mutual-achievability coupling between links.  Every
+in a finite window, no mutual-achievability coupling between links, and
+each jointly decoded interferer counted at the link's own power, a lower
+bound on the symmetric joint-decoding rate.  Every
 per-link statistic (aggregate interference, nearest distance, decode-set
 powers) depends on the interferer positions only through their distances to
 the origin, so the window kernel samples squared radii directly — one
@@ -36,8 +38,8 @@ realization count.
 
 The last sampling pass is kept and handed out again when an estimator
 asks for the same draw (configuration, realization count, seed, window),
-so every estimate at one density, whatever its rule and modes, comes from
-one pass.  It holds about 40 bytes per realization (five float arrays)
+so every estimate at one density, whatever its rule, interference mode or
+estimator, comes from one pass.  It holds about 40 bytes per realization (five float arrays)
 until the next pass, and its arrays are read-only.
 """
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .model import DecodingRule, NetworkConfig, _check_throughput, rng_from_seed
 
 __all__ = [
     "INTERFERENCE_MODES",
-    "RATE_MODES",
     "SimulationEstimate",
     "default_window_radius",
     "estimate_cognitive",
@@ -65,7 +66,6 @@ __all__ = [
 ]
 
 INTERFERENCE_MODES = ("full", "closest_only")
-RATE_MODES = ("exact_powers", "lower_bound_powers")
 
 _CHUNK_POINTS = 1 << 16
 
@@ -81,8 +81,8 @@ class SimulationEstimate:
     """Monte Carlo mean and standard error of a spatial throughput, both
     finite and >= 0.
 
-    The realization count, seed and modes that produced it are the
-    estimator's own arguments.
+    The realization count, seed and interference mode that produced it are
+    the estimator's own arguments.
     """
 
     mean: float
@@ -176,33 +176,27 @@ def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int,
 
 
 def _rates_from_stats(cfg: NetworkConfig, stats: _RealizationStats, rule: DecodingRule,
-                      mode: str, rate_mode: str) -> np.ndarray:
+                      mode: str) -> np.ndarray:
     """The cognitive rate law, log2(1 + share * SIR) / share per realization.
 
-    share = 1 + n for n jointly decoded interferers.  Under joint decoding
-    the decode set holds the interferers strictly closer than the link
-    distance (ties go to the noise set); interference as noise is the same
-    law with an empty decode set, so every interferer is noise.  As the
-    analytic chains do, ``closest_only`` replaces the noise-set interference
-    by its nearest interferer's power and ``lower_bound_powers`` each decoded
-    power by the link's own; ``exact_powers`` keeps the decoded powers.  No
-    noise interference gives rate inf, a noise power past the double range 0.
+    share = 1 + n for n jointly decoded interferers, each at the link's own
+    power as in the paper.  Under joint decoding the decode set holds the
+    interferers strictly closer than the link distance (ties go to the
+    noise set); interference as noise is the same law with an empty decode
+    set, so every interferer is noise.  As the analytic chains do,
+    ``closest_only`` replaces the noise-set interference by its nearest
+    interferer's power.  No noise interference gives rate inf, a noise
+    power past the double range 0.
     """
     if mode not in INTERFERENCE_MODES:
         raise ValueError(f"interference mode must be one of {INTERFERENCE_MODES}, got {mode!r}")
-    if rate_mode not in RATE_MODES:
-        raise ValueError(f"rate mode must be one of {RATE_MODES}, got {rate_mode!r}")
     if rule is DecodingRule.IAN:
-        n, s_dec, s_noise, r2_noise = 0.0, 0.0, stats.s_dec + stats.s_far, stats.r2_min
+        n, s_noise, r2_noise = 0.0, stats.s_dec + stats.s_far, stats.r2_min
     else:
-        n, s_dec, s_noise, r2_noise = stats.n_dec, stats.s_dec, stats.s_far, stats.r2_far_min
-    share = 1.0 + n
-    # the SIR of each of the share messages: the received power (the link's
-    # is 1 in the kernel's units) over share times the noise interference
-    log_power = np.log((1.0 + s_dec) / share) if rate_mode == "exact_powers" else 0.0
+        n, s_noise, r2_noise = stats.n_dec, stats.s_far, stats.r2_far_min
     with np.errstate(divide="ignore"):
         log_noise = np.log(s_noise) if mode == "full" else -cfg.alpha / 2.0 * np.log(r2_noise)
-    return _rate(share, log_power - log_noise)
+    return _rate(1.0 + n, -log_noise)
 
 
 @functools.lru_cache(maxsize=1)
@@ -213,7 +207,7 @@ def _sample(cfg: NetworkConfig, n_realizations: int, seed: int,
     The window is the default one, or a given finite radius above d (a
     smaller one leaves the link's own disc partly unsampled).  The key is
     the draw itself: the pass is a deterministic function of these four
-    arguments, and the rule and modes only read it, so the last pass is
+    arguments, and the rule and mode only read it, so the last pass is
     reused for any estimate at the same draw.  It holds about 40 bytes per
     realization until the next pass, and its arrays are read-only.  Module
     constants are not part of the key: clear the cache after changing one.
@@ -240,29 +234,27 @@ def _estimate(cfg: NetworkConfig, values: np.ndarray) -> SimulationEstimate:
 
 def estimate_cognitive(cfg: NetworkConfig, rule: DecodingRule, mode: str = "full",
                        n_realizations: int = 10_000, seed: int = 0,
-                       rate_mode: str = "exact_powers",
                        window_radius: float | None = None) -> SimulationEstimate:
     """Simulated cognitive spatial throughput: lam times the sample mean of
     the per-realization maximum rate, with its standard error."""
     stats = _sample(cfg, n_realizations, seed, window_radius)
-    return _estimate(cfg, _rates_from_stats(cfg, stats, rule, mode, rate_mode))
+    return _estimate(cfg, _rates_from_stats(cfg, stats, rule, mode))
 
 
 def estimate_fixed_rate(cfg: NetworkConfig, solution: FixedRateSolution,
                         n_realizations: int = 10_000, seed: int = 0, mode: str = "full",
-                        rate_mode: str = "lower_bound_powers",
                         window_radius: float | None = None) -> SimulationEstimate:
     """Simulated fixed-rate spatial throughput of ``solution`` under its rule.
 
     A realization succeeds when the predetermined rate for its realized
     joint-decode count is achievable there; the estimate is lam times the
-    sample mean of rate * success.  The default power accounting matches
-    the analytic optimizer that produced ``solution``; counts beyond the
+    sample mean of rate * success, with the power accounting of the
+    analytic optimizer that produced ``solution``; counts beyond the
     solution's table (vanishing Poisson tail) count as outages.
     """
     rule = solution.rule
     stats = _sample(cfg, n_realizations, seed, window_radius)
-    achievable = _rates_from_stats(cfg, stats, rule, mode, rate_mode)
+    achievable = _rates_from_stats(cfg, stats, rule, mode)
     # the noise rule decodes no interferer; a count past the table meets
     # the rate 0 appended to it, an outage also where the rate is inf
     counts = stats.n_dec.astype(np.intp) if rule is DecodingRule.OPT else 0
@@ -276,15 +268,13 @@ def tightness_report(cfgs, n_realizations: int = 10_000, seed: int = 0,
     """Analytic vs full-interference simulated throughput, per configuration.
 
     One sampling pass per configuration feeds both decoding rules, so the
-    two simulated columns see identical realizations.  Decoded powers are
-    counted as ``lower_bound_powers``, the power accounting of the analytic
-    joint-decoding chain.
+    two simulated columns see identical realizations.  They are
+    :func:`estimate_cognitive`'s values at the same draw.
     """
-    mode, rate_mode = "full", "lower_bound_powers"
     rows = []
     for cfg in cfgs:
         stats = _sample(cfg, n_realizations, seed, window_radius)
-        sim_ian, sim_opt = (_estimate(cfg, _rates_from_stats(cfg, stats, rule, mode, rate_mode))
+        sim_ian, sim_opt = (_estimate(cfg, _rates_from_stats(cfg, stats, rule, "full"))
                             for rule in (DecodingRule.IAN, DecodingRule.OPT))
         c_ian = _ian_analytic.cognitive_throughput(cfg).value
         c_opt = _opt_analytic.cognitive_throughput(cfg).value

@@ -304,6 +304,14 @@ class TestHeaders:
                           "lower_ian", "upper_ian", "asymptote_ian", "lower_opt", "upper_opt",
                           "sim_ian", "sim_ian_stderr", "sim_opt", "sim_opt_stderr"]
 
+    @pytest.mark.parametrize("method", ["cognitive", "fixed"])
+    def test_simulate_header(self, method, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--rule", "opt", "--method", method, "--lambda", "0.2",
+                     "--realizations", "100", "--out", str(out)]) == 0
+        header, _ = read_csv(out)
+        assert header == ["mean", "stderr", "n_realizations", "seed", "interference_mode"]
+
 
 class TestFigures:
     def test_fig4_has_lower_bound_at_y2(self, tmp_path):
@@ -385,9 +393,7 @@ class TestSimulateCommand:
         header, rows = read_csv(out)
         assert float(rows[0][header.index("mean")]) > 0
         echo = dict(zip(header[2:], rows[0][2:]))
-        # the noise rule has no decoded powers to account, so no rate mode
-        assert echo == {"n_realizations": "300", "seed": "3",
-                        "interference_mode": "closest_only", "rate_mode": ""}
+        assert echo == {"n_realizations": "300", "seed": "3", "interference_mode": "closest_only"}
 
     def test_default_seed_is_zero(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -404,8 +410,14 @@ class TestSimulateCommand:
         header, rows = read_csv(out)
         assert float(rows[0][header.index("mean")]) >= 0
         echo = dict(zip(header[2:], rows[0][2:]))
-        assert echo == {"n_realizations": "300", "seed": "0",
-                        "interference_mode": "closest_only", "rate_mode": "lower_bound_powers"}
+        assert echo == {"n_realizations": "300", "seed": "0", "interference_mode": "closest_only"}
+
+    def test_power_accounting_flag_is_usage_error(self, capsys):
+        # one power accounting, the paper's: there is nothing to select
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--rule", "opt", "--lambda", "1", "--rate-mode", "lower"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rate-mode" in capsys.readouterr().err
 
 
 class TestRealizationFloor:

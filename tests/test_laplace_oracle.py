@@ -30,7 +30,7 @@ from pppt.simulation import _collect_stats, _rates_from_stats
 
 SIM_GRID = np.geomspace(0.01, 10.0, 10)   # the tightness-study grid of criterion 9
 ALPHAS = (2.5, 3.0, 4.0, 6.0)
-COLUMNS = ("ian", "lower_bound_powers", "exact_powers")
+RULES = {"ian": DecodingRule.IAN, "opt": DecodingRule.OPT}
 CELLS = [(float(lam), alpha) for alpha in ALPHAS for lam in SIM_GRID]
 CELL_IDS = [f"lam={lam:.3g}-alpha={alpha:g}" for lam, alpha in CELLS]
 
@@ -62,14 +62,9 @@ def exact_throughput(cfg: NetworkConfig, column: str, window: float, near: float
             return math.exp(-lam * g_near - z * ring) * -math.expm1(-z * sig)
         g_d = disc_exponent(z, d, alpha)
         noise = math.exp(-lam * (g_near - g_d) - z * ring)
-        if column == "lower_bound_powers":
-            # sum_n w_n (1 - e^{-z(1+n)S}) / (1+n)
-            return noise * -math.expm1(-mu * -math.expm1(-z * sig)) / mu
-        # sum_n w_n (1 - e^{-zS} phi^n) / (1+n), phi the transform of one
-        # decoded power: r uniform on the disc of radius d
-        phi = 1.0 - g_d / (math.pi * d * d)
-        tail = math.expm1(mu * phi) / (mu * phi) if phi > 0.0 else 1.0
-        return noise * (-math.expm1(-mu) / mu - math.exp(-z * sig - mu) * tail)
+        # each decoded power counted as the link's own:
+        # sum_n w_n (1 - e^{-z(1+n)S}) / (1+n)
+        return noise * -math.expm1(-mu * -math.expm1(-z * sig)) / mu
 
     # two panels split at z = 1/S; the upper one in log z, where the
     # Laplace functional decays double-exponentially; past z = e^700 the
@@ -94,10 +89,8 @@ def test_kernel_matches_exact_throughput(lam, alpha):
     window = simulation.default_window_radius(cfg)
     near = near_radius(cfg, window)
     stats = _collect_stats(cfg, window, seed=11, n_realizations=400)
-    for column in COLUMNS:
-        rule, rate_mode = ((DecodingRule.IAN, "exact_powers") if column == "ian"
-                           else (DecodingRule.OPT, column))
-        rates = lam * _rates_from_stats(cfg, stats, rule, "full", rate_mode)
+    for column, rule in RULES.items():
+        rates = lam * _rates_from_stats(cfg, stats, rule, "full")
         stderr = np.std(rates, ddof=1) / math.sqrt(len(rates))
         z = (np.mean(rates) - exact_throughput(cfg, column, window, near)) / stderr
         assert abs(z) <= 4.0, (column, z)
@@ -111,7 +104,7 @@ def test_ring_mean_bias_is_negligible(lam, alpha):
     cfg = NetworkConfig(lam, 1.0, alpha)
     window = simulation.default_window_radius(cfg)
     near = near_radius(cfg, window)
-    for column in COLUMNS:
+    for column in RULES:
         whole = exact_throughput(cfg, column, window, window)
         assert exact_throughput(cfg, column, window, near) == pytest.approx(whole, rel=1e-4)
 
@@ -123,5 +116,4 @@ def test_exact_throughput_below_closest_interferer_closed_forms(lam, alpha):
     window = simulation.default_window_radius(cfg)
     near = near_radius(cfg, window)
     assert exact_throughput(cfg, "ian", window, near) < ian.cognitive_throughput(cfg).value
-    assert (exact_throughput(cfg, "lower_bound_powers", window, near)
-            < opt.cognitive_throughput(cfg).value)
+    assert exact_throughput(cfg, "opt", window, near) < opt.cognitive_throughput(cfg).value

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from pppt import ian, opt
+from pppt.ian import _pdf_rate
 from pppt.model import NetworkConfig
 from pppt.numerics import SeriesTruncation, truncated_poisson_weights
 
@@ -138,6 +140,26 @@ class TestMixturePdf:
         grid = xs[2:].reshape(4, 45)
         np.testing.assert_array_equal(opt.pdf_rate(cfg, grid), opt.pdf_rate(cfg, xs[2:]).reshape(4, 45))
         assert isinstance(opt.pdf_rate(cfg, 2.0), float)
+
+    def test_memory_bounded_at_large_mu(self):
+        # mu = 1e4: 11220 terms; one (terms x points) array of 200 points
+        # would peak near 116 MiB (numpy reports its buffers to tracemalloc)
+        cfg = NetworkConfig(1e4 / math.pi, 1.0, 4.0)
+        xs = np.geomspace(1e-3, 2e-3, 200)  # the rates of about 1e4 messages
+        tracemalloc.start()
+        try:
+            got = opt.pdf_rate(cfg, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        w = truncated_poisson_weights(cfg.mu)
+        k = 1.0 + np.arange(len(w))
+        want = np.array([w @ _pdf_rate(cfg, k, x, 1.0) for x in xs])
+        assert np.count_nonzero(want) > 100
+        # every point sums all of its terms, which are >= 0: two summation
+        # orders agree to (terms) * eps relative
+        np.testing.assert_allclose(got, want, rtol=len(w) * np.finfo(float).eps, atol=0.0)
 
     def test_mixture_below_largest_component(self):
         w = truncated_poisson_weights(CFG1.mu)

@@ -6,7 +6,7 @@ Monte Carlo with full aggregate interference quantifies the optimism: the
 absolute gap widens with density, but the ratio between the two decoding
 rules — the quantity that drives design decisions — stays put.
 
-Run:  python demos/04_approximation_tightness.py   (about a minute)
+Run:  python demos/04_approximation_tightness.py   (under a second)
 """
 import numpy as np
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, fixed_rate, ian, opt, simulation
 from .model import DecodingRule, NetworkConfig
 
-_RULES = {"ian": DecodingRule.IAN, "opt": DecodingRule.OPT}
+_RULES = tuple(rule.value for rule in DecodingRule)
 _MODES = {"full": "full", "closest": "closest_only"}
 _METHODS = ("cognitive", "fixed", "bounds", "simulate")
 
@@ -77,8 +77,7 @@ def _cmd_pdf(args) -> int:
         raise ValueError("--n applies to --rule opt only")
     xs = _grid(args.x_min, args.x_max, args.points, args.grid_log, "x")
     cfg = _cfg(args)
-    rule = _RULES[args.rule]
-    if rule is DecodingRule.IAN:
+    if DecodingRule(args.rule) is DecodingRule.IAN:
         dens = np.asarray(ian.pdf_rate(cfg, xs))
         what = "ian rate pdf"
     elif args.n is not None:
@@ -102,7 +101,7 @@ def _analytic_groups(names, y_ian: float, y_opt: float) -> list:
     for name, mod, y in (("ian", ian, y_ian), ("opt", opt, y_opt)):
         cells |= {
             f"cognitive_{name}": lambda cfg, mod=mod: (mod.cognitive_throughput(cfg).value,),
-            f"fixed_{name}": lambda cfg, rule=_RULES[name]:
+            f"fixed_{name}": lambda cfg, rule=DecodingRule(name):
                 (fixed_rate.highest_throughput(cfg, rule).throughput.value,),
             f"lower_{name}": lambda cfg, mod=mod, y=y: (mod.lower_bound(cfg, y).value,),
             f"upper_{name}": lambda cfg, mod=mod: (mod.upper_bound(cfg).value,),
@@ -150,7 +149,7 @@ def _cmd_sweep(args) -> int:
         for rule in rules:
             if method == "simulate":
                 groups.append(((f"sim_{rule}", f"sim_{rule}_stderr"),
-                               lambda cfg, rule=_RULES[rule]: simulated(cfg, rule)))
+                               lambda cfg, rule=DecodingRule(rule): simulated(cfg, rule)))
             else:
                 kinds = ("lower", "upper", "asymptote") if method == "bounds" else (method,)
                 groups += _analytic_groups([f"{k}_{rule}" for k in kinds], args.y_ian, args.y_opt)
@@ -194,7 +193,7 @@ def _cmd_figures(args) -> int:
     meta = (f"figure {fig} d=1 alpha=4 grid=[0.01,10]x{points} log "
             + {2: "lower bound at y=1 ", 4: "lower bound at y=2 ",
                6: f"realizations={args.realizations} "}.get(fig, "")
-            + f"seed={args.seed}" + (" rate_mode=lower" if fig == 6 else ""))
+            + f"seed={args.seed}")
     _emit(args, meta, header, rows, out=os.path.join(args.out_dir, f"fig{fig}.{args.format}"))
     return int(failed)
 
@@ -203,7 +202,7 @@ def _cmd_figures(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _cfg(args)
-    rule = _RULES[args.rule]
+    rule = DecodingRule(args.rule)
     mode = _MODES[args.mode]
     if args.method == "cognitive":
         est = simulation.estimate_cognitive(
@@ -267,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pdf", help="rate density on a grid")
-    p.add_argument("--rule", choices=sorted(_RULES), required=True)
+    p.add_argument("--rule", choices=_RULES, required=True)
     p.add_argument("--n", type=int, default=None,
                    help="joint-decode count for the conditional density (opt only)")
     p.add_argument("--x-min", type=float, default=0.05)
@@ -283,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=30)
     p.add_argument("--log", action=argparse.BooleanOptionalAction, default=True,
                    help="log-spaced density grid (default)")
-    p.add_argument("--rule", action="append", choices=sorted(_RULES),
+    p.add_argument("--rule", action="append", choices=_RULES,
                    help="repeatable; default both")
     p.add_argument("--method", action="append", choices=_METHODS,
                    help="repeatable; default cognitive")
@@ -305,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_figures)
 
     p = sub.add_parser("simulate", help="Monte Carlo throughput estimate")
-    p.add_argument("--rule", choices=sorted(_RULES), required=True)
+    p.add_argument("--rule", choices=_RULES, required=True)
     p.add_argument("--method", choices=("cognitive", "fixed"), default="cognitive")
     _add_sim_flags(p)
     _add_common(p, lam=True)

@@ -220,7 +220,7 @@ class TestSweep:
         assert len(err) == 4 and all(line.startswith("warning: cell lam=") for line in err)
 
     def test_underflowed_powers_are_nan_row(self, tmp_path, capsys):
-        # at alpha = 1000 the ring's mean and the far powers underflow to 0:
+        # at alpha = 1000 the far mean and the far powers underflow to 0:
         # at lam = 0.01 some realization has no interference and an infinite
         # rate, so both estimates fail; at lam = 1 every rate is finite
         out = tmp_path / "sweep.csv"

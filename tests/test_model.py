@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from pppt import ian, opt
 from pppt.model import DecodingRule, NetworkConfig, ThroughputValue
 from pppt.simulation import _collect_stats, estimate_cognitive
 
@@ -51,7 +52,8 @@ class TestThroughputValue:
 
 class TestSampling:
     """Counts and seeding of the window kernel; with window = d = 10 every
-    sampled point lies in the decode set, so ``n_dec`` is the window count."""
+    sampled point lies in the decode set, so ``n_dec`` is the window count
+    and the noise set holds only the far mean 2*mu/(alpha - 2)."""
 
     CFG = NetworkConfig(1.0, 10.0, 4.0)
 
@@ -73,18 +75,24 @@ class TestSampling:
 
     def test_interferers_inside_window(self):
         # a point at or beyond the window radius would land in the noise set
-        stats = _collect_stats(self.CFG, 10.0, seed=7, n_realizations=20)
+        cfg = self.CFG
+        stats = _collect_stats(cfg, 10.0, seed=7, n_realizations=20)
         assert np.all(stats.n_dec > 0) and np.all(stats.r2_min < 100.0)
-        assert not np.any(stats.s_far) and np.all(np.isinf(stats.r2_far_min))
+        assert np.all(stats.s_far == 2.0 * cfg.mu / (cfg.alpha - 2.0))
+        assert np.all(np.isinf(stats.r2_far_min))
 
     def test_empty_process_limit(self):
-        # mean count ~ 3e-7 per window inside the near field: every
-        # realization is empty, its rate infinite, and neither rule has a
-        # finite mean
+        # mu ~ 3e-9: almost no link has an interferer within d, but the
+        # default window holds about 201 points per realization, so no
+        # rate is infinite; the closest-only estimate matches the closed
+        # form, and the full interference only lowers it
         cfg = NetworkConfig(1e-9, 1.0, 4.0)
-        for rule in DecodingRule:
-            with pytest.raises(ArithmeticError, match="mean must be finite"):
-                estimate_cognitive(cfg, rule, n_realizations=100, window_radius=10.0)
+        for rule, closed_form in ((DecodingRule.IAN, ian), (DecodingRule.OPT, opt)):
+            analytic = closed_form.cognitive_throughput(cfg).value
+            closest = estimate_cognitive(cfg, rule, "closest_only", n_realizations=100)
+            assert abs(closest.mean - analytic) < 4.0 * closest.stderr
+            full = estimate_cognitive(cfg, rule, n_realizations=100)
+            assert 0.0 < full.mean < analytic
 
     def test_count_law_of_large_numbers(self):
         # mean interferer count over many realizations approaches lam*pi*R^2
@@ -114,7 +122,10 @@ class TestSampling:
 class TestNearestDistance:
     def test_empty_window_signalled(self):
         # an empty window has no nearest interferer; the kernel reports inf,
-        # which the rate law turns into an infinite rate
-        stats = _collect_stats(NetworkConfig(1e-9, 1.0, 4.0), 10.0, seed=0, n_realizations=50)
+        # which the closest-only rate law turns into an infinite rate, and
+        # the noise set holds only the far mean of the plane beyond it
+        cfg = NetworkConfig(1e-9, 1.0, 4.0)
+        stats = _collect_stats(cfg, 10.0, seed=0, n_realizations=50)
         assert np.all(np.isinf(stats.r2_min)) and np.all(np.isinf(stats.r2_far_min))
-        assert not np.any(stats.n_dec) and not np.any(stats.s_dec) and not np.any(stats.s_far)
+        assert not np.any(stats.n_dec) and not np.any(stats.s_dec)
+        assert np.all(stats.s_far == 2.0 * cfg.mu * 10.0 ** (2.0 - cfg.alpha) / (cfg.alpha - 2.0))

@@ -23,21 +23,21 @@ CFG = NetworkConfig(1.0, 1.0, 4.0)
 IAN, OPT = DecodingRule.IAN, DecodingRule.OPT
 
 
-@pytest.fixture
-def reference_mode(monkeypatch):
-    """The kernel drawing the whole window: no near field, no ring."""
-    monkeypatch.setattr(simulation, "_NEAR_FACTOR", math.inf)
+def far_mean(cfg, window_radius):
+    """The Campbell mean of the plane beyond the window, in d^-alpha."""
+    return 2.0 * cfg.mu * (window_radius / cfg.d) ** (2.0 - cfg.alpha) / (cfg.alpha - 2.0)
 
 
-def rate(dists, rule, mode="full", cfg=CFG):
+def rate(dists, rule, mode="full", cfg=CFG, far=0.0):
     """The rate law on one realization given by its interferer distances,
-    split at the link distance as the window kernel splits a batch."""
+    split at the link distance as the window kernel splits a batch, with
+    ``far`` added to the noise-set sum."""
     r2 = np.asarray(dists, dtype=float) ** 2
     p = r2 ** (-cfg.alpha / 2.0)
     dec = r2 < cfg.d * cfg.d
     row = _RealizationStats(
         s_dec=np.array([p[dec].sum()]),
-        s_far=np.array([p[~dec].sum()]),
+        s_far=np.array([p[~dec].sum() + far]),
         n_dec=np.array([float(dec.sum())]),
         r2_min=np.array([r2.min(initial=np.inf)]),
         r2_far_min=np.array([r2[~dec].min(initial=np.inf)]),
@@ -87,7 +87,7 @@ class TestPerRealizationRates:
     @pytest.mark.parametrize("alpha", [2.05, 4.0, 60.0])
     @pytest.mark.parametrize("mu", [1e-9, 1.0, 1e3])
     def test_default_window_rates_finite(self, mu, alpha):
-        # at the corners of the domain the ring's mean or a near-field point
+        # at the corners of the domain the far mean or a point in the window
         # reaches every realization of the default window: no rate is inf
         cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
         stats = _collect_stats(cfg, simulation.default_window_radius(cfg), seed=1,
@@ -199,9 +199,9 @@ class TestEstimateCognitive:
     def oracle_stats(cfg, window_radius, seed, n_realizations):
         """The five statistics, one realization at a time, from the same draws:
         each count in turn from stream (seed, 0), each realization's radii in
-        turn from stream (seed, 1).  Drawn in metres, reported as the kernel
-        reports them, in units of d: squared radii over d^2, powers times
-        d^alpha."""
+        turn from stream (seed, 1), and the far mean added to each noise-set
+        sum.  Drawn in metres, reported as the kernel reports them, in units
+        of d: squared radii over d^2, powers times d^alpha."""
         counts = rng_from_seed((seed, 0))
         radii = rng_from_seed((seed, 1))
         d2, d_alpha = cfg.d * cfg.d, cfg.d ** cfg.alpha
@@ -211,7 +211,8 @@ class TestEstimateCognitive:
             r2 = window_radius * window_radius * radii.random(c)
             dec = r2 < d2
             p = r2 ** (-cfg.alpha / 2.0)
-            rows.append((p[dec].sum() * d_alpha, p[~dec].sum() * d_alpha, dec.sum(),
+            rows.append((p[dec].sum() * d_alpha,
+                         p[~dec].sum() * d_alpha + far_mean(cfg, window_radius), dec.sum(),
                          r2.min(initial=np.inf) / d2, r2[~dec].min(initial=np.inf) / d2))
         return dict(zip(("s_dec", "s_far", "n_dec", "r2_min", "r2_far_min"),
                         np.array(rows, dtype=float).T))
@@ -221,8 +222,7 @@ class TestEstimateCognitive:
         (0.3, 1.0, 4.0, None, 100, None),
         (0.02, 2.0, 3.0, 5.0, 300, 4),
     ], ids=["dense", "empty-decode-sets", "empty-windows-in-chunk"])
-    def test_kernel_matches_per_realization_oracle(self, lam, d, alpha, window, n, chunk_points,
-                                                   reference_mode):
+    def test_kernel_matches_per_realization_oracle(self, lam, d, alpha, window, n, chunk_points):
         cfg = NetworkConfig(lam, d, alpha)
         w = simulation.default_window_radius(cfg) if window is None else window
         kwargs = {} if chunk_points is None else {"chunk_points": chunk_points}
@@ -238,24 +238,26 @@ class TestEstimateCognitive:
             assert np.any(np.isinf(want["r2_min"]))
             assert np.any(np.isinf(want["r2_far_min"]) & (want["n_dec"] > 0))
 
-    def test_kernel_memory_is_chunk_sized(self, reference_mode):
-        # 100 dense realizations hold 31M points; the kernel may keep only a
-        # chunk of them alive at once (numpy reports its buffers to tracemalloc)
+    def test_kernel_memory_is_chunk_sized(self):
+        # 100 dense realizations of a radius-100 window hold 31M points; the
+        # kernel may keep only a chunk of them alive at once (numpy reports
+        # its buffers to tracemalloc)
         cfg = NetworkConfig(10.0, 1.0, 4.0)
         tracemalloc.start()
         try:
-            _collect_stats(cfg, simulation.default_window_radius(cfg), seed=0, n_realizations=100)
+            _collect_stats(cfg, 100.0, seed=0, n_realizations=100)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 32e6
 
-    def test_reference_mode_reproduces_full_window_draws(self, reference_mode):
-        # the five statistics of the whole-window kernel, frozen from its
-        # output when the runs moved to one counts stream and one radii
-        # stream; the power sums carry the last-digit latitude of numpy's pow
+    def test_wide_window_reproduces_frozen_draws(self):
+        # the five statistics of a radius-100 window drawn exactly, frozen
+        # from the kernel's output when the runs moved to one counts stream
+        # and one radii stream, before the plane beyond the window added its
+        # far mean; the power sums carry the last-digit latitude of numpy's pow
         cfg = NetworkConfig(0.3, 1.0, 4.0)
-        got = _collect_stats(cfg, simulation.default_window_radius(cfg), seed=5, n_realizations=4)
+        got = _collect_stats(cfg, 100.0, seed=5, n_realizations=4)
         np.testing.assert_array_equal(got.n_dec, [1.0, 1.0, 0.0, 1.0])
         np.testing.assert_array_equal(got.r2_min, [0.3641101955709214, 0.12005313674956497,
                                                    2.1326290415635274, 0.5098673506387374])
@@ -264,35 +266,19 @@ class TestEstimateCognitive:
         np.testing.assert_allclose(got.s_dec, [7.542830007432363, 69.38298440224034,
                                                0.0, 3.846675880795846],
                                    rtol=1e-13, atol=0)
-        np.testing.assert_allclose(got.s_far, [1.3382823176446217, 1.6076642012502464,
-                                               0.4652382549275116, 0.46338461770434464],
-                                   rtol=1e-13, atol=0)
+        frozen = np.array([1.3382823176446217, 1.6076642012502464,
+                           0.4652382549275116, 0.46338461770434464])
+        np.testing.assert_allclose(got.s_far, frozen + far_mean(cfg, 100.0), rtol=1e-13, atol=0)
 
-    def test_near_field_is_the_window_when_the_window_is_small(self, monkeypatch):
-        # W below the near radius leaves no ring: the default kernel and the
-        # reference mode draw the same points and add nothing
-        cfg = NetworkConfig(0.3, 1.0, 4.0)
-        default = _collect_stats(cfg, 6.0, seed=5, n_realizations=200)
-        monkeypatch.setattr(simulation, "_NEAR_FACTOR", math.inf)
-        reference = _collect_stats(cfg, 6.0, seed=5, n_realizations=200)
-        for field in ("s_dec", "s_far", "n_dec", "r2_min", "r2_far_min"):
-            np.testing.assert_array_equal(getattr(default, field), getattr(reference, field))
-
-    def test_window_past_near_field_is_near_field_plus_ring_mean(self, monkeypatch):
-        # the default kernel on a wide window is the whole-window kernel on
-        # the near disc, from the same streams, with the ring's Campbell mean
-        # added to every far-field sum
-        cfg = NetworkConfig(0.02, 1.0, 3.0)
-        w = simulation.default_window_radius(cfg)
-        near = simulation._NEAR_FACTOR * max(cfg.d, 1.0 / math.sqrt(cfg.lam))
-        assert near < w
-        got = _collect_stats(cfg, w, seed=2, n_realizations=300)
-        monkeypatch.setattr(simulation, "_NEAR_FACTOR", math.inf)
-        disc = _collect_stats(cfg, near, seed=2, n_realizations=300)
-        ring = 2.0 * math.pi * cfg.lam * (1.0 / near - 1.0 / w)
-        for field in ("s_dec", "n_dec", "r2_min", "r2_far_min"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(disc, field))
-        np.testing.assert_allclose(got.s_far, disc.s_far + ring, rtol=1e-15, atol=0)
+    def test_far_mean_alone_without_noise_set_points(self):
+        # a window just past d leaves most realizations without a noise-set
+        # point: their far-field sum is the plane's mean beyond the window,
+        # and only that
+        stats = _collect_stats(CFG, 1.01, seed=1, n_realizations=200)
+        empty = np.isinf(stats.r2_far_min)
+        assert 0 < np.count_nonzero(empty) < len(empty)
+        assert np.all(stats.s_far[empty] == far_mean(CFG, 1.01))
+        assert np.all(stats.s_far[~empty] > far_mean(CFG, 1.01))
 
     def test_requires_enough_realizations(self):
         with pytest.raises(ValueError):
@@ -327,8 +313,9 @@ class TestEstimateCognitive:
         assert math.sqrt(2.0) * 0.8 <= ratio <= math.sqrt(2.0) * 1.2
 
     def test_window_sufficiency(self):
-        # same realizations, half window: the clipped far field moves the
-        # estimate by far less than one standard error
+        # same realizations drawn to twice the default window: replacing the
+        # ring between the two by its mean moves the estimate by far less
+        # than one standard error
         cfg = NetworkConfig(1.0, 1.0, 4.0)
         w = simulation.default_window_radius(cfg)
         rates_big, rates_small = [], []
@@ -338,8 +325,8 @@ class TestEstimateCognitive:
             # the first of stream (seed, 1)
             count = rng_from_seed((seed, 0)).poisson(cfg.lam * math.pi * 4.0 * w * w)
             r = 2.0 * w * np.sqrt(rng_from_seed((seed, 1)).random(count))
-            rates_big.append(rate(r, IAN, cfg=cfg))
-            rates_small.append(rate(r[r <= w], IAN, cfg=cfg))
+            rates_big.append(rate(r, IAN, cfg=cfg, far=far_mean(cfg, 2.0 * w)))
+            rates_small.append(rate(r[r <= w], IAN, cfg=cfg, far=far_mean(cfg, w)))
         gap = cfg.lam * abs(np.mean(rates_big) - np.mean(rates_small))
         stderr = cfg.lam * np.std(rates_big, ddof=1) / math.sqrt(len(rates_big))
         assert gap < stderr
@@ -409,8 +396,8 @@ class TestEstimateFixedRate:
 
     def test_count_past_table_is_outage(self):
         # a window just past d leaves most realizations without a noise-set
-        # interferer, so their rate is inf; a decode count past the one-entry
-        # table is an outage all the same
+        # interferer, so their closest-only rate is inf; a decode count past
+        # the one-entry table is an outage all the same
         sol = fixed_rate.FixedRateSolution(
             rule=DecodingRule.OPT,
             sir_thresholds=np.array([math.sqrt(2.0) - 1.0]),
@@ -418,7 +405,8 @@ class TestEstimateFixedRate:
             throughput=ThroughputValue(0.0),
             at_boundary=np.array([False]),
         )
-        est = estimate_fixed_rate(CFG, sol, n_realizations=200, seed=1, window_radius=1.01)
+        est = estimate_fixed_rate(CFG, sol, n_realizations=200, seed=1, mode="closest_only",
+                                  window_radius=1.01)
         assert est.mean == pytest.approx(0.025, rel=1e-12)
         assert est.stderr == pytest.approx(0.007724853839016686, rel=1e-12)
 

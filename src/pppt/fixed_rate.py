@@ -88,7 +88,7 @@ def _thresholds(cfg: NetworkConfig, rule: DecodingRule, k: np.ndarray):
         while np.any(rising := _objective_slope(cfg, k[interior], hi) < 0.0):
             hi[rising] *= 2.0
         for j, hi_j in zip(interior, hi):
-            b[j] = find_root(lambda x: _objective_slope(cfg, k[j], x), (lo, hi_j), tol=1e-12)
+            b[j] = find_root(lambda x: _objective_slope(cfg, k[j], x), (lo, hi_j))
     return b, boundary
 
 

@@ -9,8 +9,9 @@ R = log2(1 + SIR).
 The noise rule is the k = 1, edge 0 member of the joint rule's family
 (k = 1+n messages at log2(1 + k*sir)/k, SIR law on sir > edge = 1; see
 :mod:`pppt.opt`).  The private helpers below take k and the edge and serve
-:mod:`pppt.opt` and :mod:`pppt.fixed_rate` too; the rate law and its
-inverse, in log sir, serve :mod:`pppt.simulation` as well.
+:mod:`pppt.opt` and :mod:`pppt.fixed_rate` too; the SIR law and the rate
+law are each written once, in log sir, with their inverses, and the rate
+law serves :mod:`pppt.simulation` as well.
 
 All expectations are evaluated after the substitution
 u = mu * (sir^(2/alpha) - edge) (mu = lam*pi*d^2), which is Exp(1) and
@@ -32,7 +33,6 @@ __all__ = [
     "asymptote",
     "cognitive_throughput",
     "lower_bound",
-    "mean_rate",
     "optimal_density",
     "pdf_nearest_distance",
     "pdf_rate",
@@ -58,6 +58,26 @@ def _log_sir_at_rate(y, k):
     return x + np.log(-np.expm1(-x)) - np.log(k)
 
 
+def _log_sir_ccdf(cfg: NetworkConfig, log_b, edge: float):
+    """The SIR law on sir > edge (0 or 1) from log b, elementwise:
+    log P[sir > b] = -mu * (b^(2/alpha) - edge), -inf where b^(2/alpha) overflows."""
+    z = (2.0 / cfg.alpha) * log_b
+    with np.errstate(over="ignore"):
+        return -cfg.mu * (np.expm1(z) if edge else np.exp(z))
+
+
+def _log_sir_at_u(mu: float, half_alpha: float, u, edge: float):
+    """The inverse of :func:`_log_sir_ccdf` at u = -log P[sir > b]:
+    log b = (alpha/2) * log(edge + u/mu), elementwise."""
+    return half_alpha * (np.log1p(u / mu) if edge else np.log(u / mu))
+
+
+def _log_mean_sir(cfg: NetworkConfig) -> float:
+    """log E[sir] = log(Gamma(1 + alpha/2) * mu^(-alpha/2)) under the noise rule."""
+    half_alpha = cfg.alpha / 2.0
+    return math.lgamma(1.0 + half_alpha) - half_alpha * math.log(cfg.mu)
+
+
 def pdf_nearest_distance(cfg: NetworkConfig, x):
     """Density of the distance to the nearest interferer: 2*lam*pi*x*exp(-lam*pi*x^2)."""
     x = np.asarray(x, dtype=float)
@@ -68,13 +88,14 @@ def pdf_nearest_distance(cfg: NetworkConfig, x):
 
 def _pdf_sir(cfg: NetworkConfig, x, edge: float):
     """SIR density on sir > edge (0 under the noise rule, 1 under the joint
-    rule): (2*mu/alpha) * x^(2/alpha - 1) * exp(-mu * (x^(2/alpha) - edge)),
-    zero at and below the edge."""
+    rule): (2*mu/alpha) * x^(2/alpha - 1) * P[sir > x], zero at and below
+    the edge."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     m = x > edge
-    xm, e = x[m], 2.0 / cfg.alpha
-    out[m] = (2.0 * cfg.mu / cfg.alpha) * xm ** (e - 1.0) * np.exp(-cfg.mu * (xm**e - edge))
+    xm = x[m]
+    out[m] = ((2.0 * cfg.mu / cfg.alpha) * xm ** (2.0 / cfg.alpha - 1.0)
+              * np.exp(_log_sir_ccdf(cfg, np.log(xm), edge)))
     return _scalar_or_array(out)
 
 
@@ -93,13 +114,13 @@ def _pdf_rate(cfg: NetworkConfig, k, x, edge: float):
     k, x = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(x, dtype=float))
     out = np.zeros(x.shape)
     m = x > _rate_edge(k, edge)
-    km, xm, e = k[m], x[m], 2.0 / cfg.alpha
+    km, xm = k[m], x[m]
     log_b = _log_sir_at_rate(xm, km)
     # the SIR density at b times the Jacobian db/dx = ln2 * 2^(k*x); a
     # b^(2/alpha) past the double range gives 0
     with np.errstate(over="ignore"):
         out[m] = np.exp(math.log(2.0 * _LN2 * cfg.mu / cfg.alpha) + km * xm * _LN2
-                        + (e - 1.0) * log_b - cfg.mu * (np.exp(e * log_b) - edge))
+                        + (2.0 / cfg.alpha - 1.0) * log_b + _log_sir_ccdf(cfg, log_b, edge))
     return out
 
 
@@ -120,31 +141,27 @@ def _rate_integrand(mu: float, half_alpha: float, edge: float, k, coef):
 
     def f(x):
         u = s * x
-        # log(edge + u/mu); log1p keeps its digits near sir = 1
-        log_y = np.log1p(u / mu) if edge else np.log(u / mu)
-        return s * (_rate(k, half_alpha * log_y[:, None]) @ coef) * np.exp(-u)
+        return s * (_rate(k, _log_sir_at_u(mu, half_alpha, u, edge)[:, None]) @ coef) * np.exp(-u)
 
     return f, s
 
 
 def _rate_times_success(cfg: NetworkConfig, k, log_b, edge: float):
-    """lam * log2(1 + k*b)/k * exp(-mu * (b^(2/alpha) - edge)), elementwise
-    in (k, log b), edge 0 or 1: the Markov lower bound at the rate
-    y = log2(1 + k*b)/k and the fixed-rate objective at the threshold b.
+    """lam * log2(1 + k*b)/k * P[sir > b], elementwise in (k, log b), edge 0
+    or 1: the Markov lower bound at the rate y = log2(1 + k*b)/k and the
+    fixed-rate objective at the threshold b.
 
     Taken from log b, so a b or k*b past the double range still gives a
-    finite value; past (2/alpha)*log b = 700 the success probability
-    underflows and the value is 0.  lam multiplies last, so a success
-    probability of 0 gives 0 also where lam * rate would overflow.
+    finite value; where b^(2/alpha) overflows the success probability is 0
+    and so is the value.  lam multiplies last, so a success probability of
+    0 gives 0 also where lam * rate would overflow.
     """
     k, log_b = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(log_b, dtype=float))
-    z = (2.0 / cfg.alpha) * log_b
-    out = np.zeros(z.shape)
-    m = z < 700.0
-    km, zm = k[m], z[m]
-    excess = np.expm1(zm) if edge else np.exp(zm)  # b^(2/alpha) - edge
+    log_success = _log_sir_ccdf(cfg, log_b, edge)
+    out = np.zeros(log_b.shape)
+    m = log_success > -np.inf
     with np.errstate(over="ignore"):
-        out[m] = _rate(km, log_b[m]) * np.exp(-cfg.mu * excess) * cfg.lam
+        out[m] = _rate(k[m], log_b[m]) * np.exp(log_success[m]) * cfg.lam
     return out
 
 
@@ -167,14 +184,14 @@ def pdf_rate(cfg: NetworkConfig, x):
     return _scalar_or_array(_pdf_rate(cfg, 1.0, x, 0.0))
 
 
-def mean_rate(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> float:
+def _mean_rate(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> float:
     """Expected highest achievable rate of the typical link, bits/s/Hz."""
     return integrate(_rate_integrand(cfg.mu, cfg.alpha / 2.0, 0.0, 1.0, 1.0)[0], spec)
 
 
 def cognitive_throughput(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> ThroughputValue:
     """Density times expected per-realization maximum rate, bits/s/Hz/m^2."""
-    return ThroughputValue(cfg.lam * mean_rate(cfg, spec))
+    return ThroughputValue(cfg.lam * _mean_rate(cfg, spec))
 
 
 def lower_bound(cfg: NetworkConfig, y: float) -> ThroughputValue:
@@ -187,21 +204,19 @@ def lower_bound(cfg: NetworkConfig, y: float) -> ThroughputValue:
 
 def upper_bound(cfg: NetworkConfig) -> ThroughputValue:
     """Jensen upper bound lam * log2(1 + E[sir]); E[sir] = Gamma(1+alpha/2) * mu^(-alpha/2)."""
-    half_alpha = cfg.alpha / 2.0
-    log_mean_sir = math.lgamma(1.0 + half_alpha) - half_alpha * math.log(cfg.mu)
-    value = cfg.lam * float(_rate(1.0, log_mean_sir))
-    return ThroughputValue(value)
+    return ThroughputValue(cfg.lam * float(_rate(1.0, _log_mean_sir(cfg))))
 
 
 def asymptote(cfg: NetworkConfig) -> ThroughputValue:
-    """High-density equivalent c * lam^(1 - alpha/2).
+    """High-density equivalent lam * E[sir] / ln2 = c * lam^(1 - alpha/2).
 
     The constant c = (pi*d^2)^(-alpha/2) * Gamma(1 + alpha/2) / ln2 makes the
-    ratio asymptote/upper_bound tend to 1, matching log2(1+x) ~ x/ln2.
+    ratio asymptote/upper_bound tend to 1, matching log2(1+x) ~ x/ln2.  A
+    value past the double range is inf, which ThroughputValue rejects.
     """
-    half_alpha = cfg.alpha / 2.0
-    log_c = math.lgamma(1.0 + half_alpha) - half_alpha * math.log(math.pi * cfg.d * cfg.d)
-    return ThroughputValue(math.exp(log_c + (1.0 - half_alpha) * math.log(cfg.lam)) / _LN2)
+    with np.errstate(over="ignore"):
+        value = float(np.exp(math.log(cfg.lam) + _log_mean_sir(cfg))) / _LN2
+    return ThroughputValue(value)
 
 
 def _stationarity_residual(mu: float, alpha: float) -> float:
@@ -241,12 +256,12 @@ def optimal_density(d: float, alpha: float):
         )
     i = sign_flips[0]
     mu_star = find_root(lambda mu: _stationarity_residual(mu, alpha),
-                        (grid[i], grid[i + 1]), tol=1e-12)
+                        (grid[i], grid[i + 1]))
     lam_star = mu_star / (math.pi * d) / d
     # a subnormal double keeps too few digits to carry lam* * d^2
     if sys.float_info.min <= lam_star < math.inf:
         cfg = NetworkConfig(lam_star, d, alpha)
-        value = cfg.lam * mean_rate(cfg)
+        value = cfg.lam * _mean_rate(cfg)
         if sys.float_info.min <= value < math.inf:
             return cfg.lam, ThroughputValue(value)
     raise ValueError(f"optimal density lam* = mu*/(pi*d^2) = {lam_star} or its throughput is "

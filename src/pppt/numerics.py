@@ -30,6 +30,7 @@ __all__ = [
 _T_MIN, _T_MAX, _H0 = -4.5, 3.7, 0.5
 _EPS = float(np.finfo(float).eps)
 _MAX_ROOT_STEPS = 100  # brentq's default maxiter
+_ROOT_XTOL = 1e-12
 
 
 def _scalar_or_array(out: np.ndarray):
@@ -81,9 +82,9 @@ class SeriesTruncation:
     """Stopping policy for Poisson-weighted series.
 
     Summation stops once the accumulated probability mass reaches
-    1 - mass_tol, and never runs past the cap mean + 12*sqrt(mean) + 20,
-    which keeps the neglected mass far below mass_tol for any mean of
-    practical size.
+    1 - mass_tol, and never runs past the cap of
+    :func:`truncated_poisson_weights`, which keeps the neglected mass far
+    below mass_tol for any mean of practical size.
     """
 
     mass_tol: float = 1e-10
@@ -91,9 +92,6 @@ class SeriesTruncation:
     def __post_init__(self):
         if not 0.0 < self.mass_tol < 1.0:
             raise ValueError("mass_tol must be in (0, 1)")
-
-    def cap_for(self, mean: float) -> int:
-        return int(math.ceil(mean + 12.0 * math.sqrt(mean) + 20.0))
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -150,10 +148,11 @@ def integrate(f, spec: QuadratureSpec | None = None) -> float:
         level += 1
 
 
-def find_root(h, bracket, tol: float) -> float:
+def find_root(h, bracket) -> float:
     """Root of ``h`` in the bracket (lo, hi): Brent's method (Algorithms for
     Minimization without Derivatives, 1973, ch. 4) step for step as scipy's
-    brentq, stopping where h is 0 or the bracket is below tol + 4*eps*|root|.
+    brentq at xtol = 1e-12, stopping where h is 0 or the bracket is below
+    1e-12 + 4*eps*|root|.
     Raises BracketError when h is NaN or of one sign at the ends, and its
     base ArithmeticError when h turns NaN inside or the steps run out.
     """
@@ -174,7 +173,7 @@ def find_root(h, bracket, tol: float) -> float:
         if abs(fblk) < abs(fcur):
             pre, cur, blk = cur, blk, cur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (tol + 4.0 * _EPS * abs(cur)) / 2.0
+        delta = (_ROOT_XTOL + 4.0 * _EPS * abs(cur)) / 2.0
         sbis = (blk - cur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return cur
@@ -199,11 +198,15 @@ def find_root(h, bracket, tol: float) -> float:
     raise ArithmeticError(f"root finding did not converge in {_MAX_ROOT_STEPS} steps")
 
 
+def _series_cap(mean: float) -> int:
+    return int(math.ceil(mean + 12.0 * math.sqrt(mean) + 20.0))
+
+
 def truncated_poisson_weights(mean: float, truncation: SeriesTruncation | None = None) -> np.ndarray:
     """Poisson pmf values for i = 0..K, truncated by the stopping policy.
 
     K is the smallest index at which the accumulated mass reaches
-    1 - mass_tol, capped by ``truncation.cap_for(mean)``.  The log pmf is
+    1 - mass_tol, capped at ceil(mean + 12*sqrt(mean) + 20).  The log pmf is
     taken at m = floor(mean) in Loader's saddle-point form, which keeps its
     digits where m*log(mean) and lgamma(m+1) are large and cancel, and
     carried outward by the ratios mean/i, whose partial sums stay small
@@ -214,7 +217,7 @@ def truncated_poisson_weights(mean: float, truncation: SeriesTruncation | None =
         raise ValueError("mean must be >= 0")
     if mean == 0.0:
         return np.array([1.0])
-    cap = truncation.cap_for(mean)
+    cap = _series_cap(mean)
     m = int(mean)
     if m < 30:
         log_pm = m * math.log(mean) - mean - math.lgamma(m + 1.0)

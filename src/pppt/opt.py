@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from .ian import (_log_sir_at_rate, _pdf_rate, _pdf_sir, _rate, _rate_edge, _rate_integrand,
-                  _rate_times_success)
+from .ian import (_log_sir_at_rate, _log_sir_at_u, _pdf_rate, _pdf_sir, _rate, _rate_edge,
+                  _rate_integrand, _rate_times_success)
 from .model import NetworkConfig, ThroughputValue
 from .numerics import (QuadratureSpec, SeriesTruncation, _scalar_or_array, integrate,
                        truncated_poisson_weights)
@@ -30,7 +30,6 @@ __all__ = [
     "cognitive_throughput",
     "conditional_mean_rate",
     "conditional_support_edge",
-    "log_truncated_sir_mean",
     "lower_bound",
     "pdf_rate",
     "pdf_rate_conditional",
@@ -139,7 +138,7 @@ def lower_bound(cfg: NetworkConfig, y,
     return ThroughputValue(float(w @ _rate_times_success(cfg, k, _log_sir_at_rate(ys, k), 1.0)))
 
 
-def log_truncated_sir_mean(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> float:
+def _log_truncated_sir_mean(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> float:
     """Log of the mean of the >1-truncated SIR law.
 
     The mean is the shifted-exponential integral int (1 + t/mu)^(alpha/2)
@@ -151,8 +150,9 @@ def log_truncated_sir_mean(cfg: NetworkConfig, spec: QuadratureSpec | None = Non
     """
     mu, half_alpha = cfg.mu, cfg.alpha / 2.0
     t0 = max(half_alpha - mu, 0.0)
-    log_peak = half_alpha * math.log1p(t0 / mu) - t0
-    shifted = integrate(lambda t: np.exp(half_alpha * np.log1p(t / mu) - t - log_peak), spec)
+    log_peak = _log_sir_at_u(mu, half_alpha, t0, 1.0) - t0
+    shifted = integrate(lambda t: np.exp(_log_sir_at_u(mu, half_alpha, t, 1.0) - t - log_peak),
+                        spec)
     return log_peak + math.log(shifted)
 
 
@@ -161,4 +161,4 @@ def upper_bound(cfg: NetworkConfig, spec: QuadratureSpec | None = None,
     """Jensen upper bound: per-joint-count rate at the mean truncated SIR."""
     w = truncated_poisson_weights(cfg.mu, truncation)
     k = 1.0 + np.arange(len(w))
-    return ThroughputValue(cfg.lam * float(w @ _rate(k, log_truncated_sir_mean(cfg, spec))))
+    return ThroughputValue(cfg.lam * float(w @ _rate(k, _log_truncated_sir_mean(cfg, spec))))

@@ -56,7 +56,6 @@ from .ian import _rate
 from .model import DecodingRule, NetworkConfig, _check_throughput, rng_from_seed
 
 __all__ = [
-    "INTERFERENCE_MODES",
     "SimulationEstimate",
     "default_window_radius",
     "estimate_cognitive",
@@ -64,7 +63,7 @@ __all__ = [
     "tightness_report",
 ]
 
-INTERFERENCE_MODES = ("full", "closest_only")
+_INTERFERENCE_MODES = ("full", "closest_only")
 
 _CHUNK_POINTS = 1 << 16
 
@@ -180,8 +179,8 @@ def _rates_from_stats(cfg: NetworkConfig, stats: _RealizationStats, rule: Decodi
     interferer's power.  No noise interference gives rate inf, a noise
     power past the double range 0.
     """
-    if mode not in INTERFERENCE_MODES:
-        raise ValueError(f"interference mode must be one of {INTERFERENCE_MODES}, got {mode!r}")
+    if mode not in _INTERFERENCE_MODES:
+        raise ValueError(f"interference mode must be one of {_INTERFERENCE_MODES}, got {mode!r}")
     if rule is DecodingRule.IAN:
         n, s_noise, r2_noise = 0.0, stats.s_dec + stats.s_far, stats.r2_min
     else:

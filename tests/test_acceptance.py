@@ -125,7 +125,7 @@ def test_criterion_4_single_peak_and_optimizer(c_ian_grid):
     unimodal = np.all(np.diff(c_ian_grid[: k + 1]) > 0) and np.all(np.diff(c_ian_grid[k:]) < 0)
     lam_root, _ = ian.optimal_density(1.0, 4.0)
     t_star, _ = maximize_unimodal(
-        lambda t: math.exp(t) * ian.mean_rate(NetworkConfig(math.exp(t), 1.0, 4.0)),
+        lambda t: ian.cognitive_throughput(NetworkConfig(math.exp(t), 1.0, 4.0)).value,
         (math.log(0.01), math.log(10.0)), tol=1e-7)
     lam_golden = math.exp(t_star)
     rel = abs(lam_root - lam_golden) / lam_golden

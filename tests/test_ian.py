@@ -118,11 +118,12 @@ class TestCognitiveThroughput:
         assert tv.value == pytest.approx(C_IAN_AT_INV_PI, rel=1e-9)
 
     def test_mean_rate_pinned(self):
-        assert ian.mean_rate(CFG1) == pytest.approx(MEAN_RATE_MU1_A4, rel=1e-9)
+        assert ian._mean_rate(CFG1) == pytest.approx(MEAN_RATE_MU1_A4, rel=1e-9)
 
     @pytest.mark.parametrize("mu,alpha,ref", SMALL_MU_MEAN_RATES)
     def test_mean_rate_small_mu(self, mu, alpha, ref):
-        assert ian.mean_rate(NetworkConfig(mu / math.pi, 1.0, alpha)) == pytest.approx(ref, rel=1e-9)
+        cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
+        assert ian._mean_rate(cfg) == pytest.approx(ref, rel=1e-9)
 
     def test_vanishes_with_density(self):
         assert ian.cognitive_throughput(NetworkConfig(1e-12, 1.0, 4.0)).value < 1e-9
@@ -150,6 +151,14 @@ class TestBounds:
         # the SIR 2**y - 1 overflows a double; reference from mpmath at 50 digits
         cfg = NetworkConfig(1e-9 / math.pi, 1.0, 60.0)
         assert ian.lower_bound(cfg, y).value == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_lower_with_sir_root_past_e700(self):
+        # sir^(2/alpha) = 2^1010 is past e^700 but mu * 2^1010 = 0.11: the
+        # success probability is 0.896, not 0
+        cfg, y = NetworkConfig(1e-305 / math.pi, 1.0, 4.0), 2020.0
+        want = math.exp(math.log(cfg.lam) + math.log(y) - cfg.mu * 2.0 ** (y / 2.0))
+        assert ian.lower_bound(cfg, y).value == pytest.approx(want, rel=1e-12, abs=0)
+        assert want / cfg.lam == pytest.approx(1810.087, rel=1e-6)
 
     def test_lower_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -193,7 +202,7 @@ class TestOptimalDensity:
     def test_agrees_with_golden_section(self):
         lam_star, _ = ian.optimal_density(1.0, 4.0)
         t, _ = maximize_unimodal(
-            lambda t: math.exp(t) * ian.mean_rate(NetworkConfig(math.exp(t), 1.0, 4.0)),
+            lambda t: ian.cognitive_throughput(NetworkConfig(math.exp(t), 1.0, 4.0)).value,
             (math.log(0.01), math.log(10.0)),
             tol=1e-7,
         )
@@ -217,7 +226,7 @@ class TestOptimalDensity:
         # (1.56e-7 on 14.43 at alpha = 20); they must converge, not raise
         lam_star, tv = ian.optimal_density(1.0, alpha)
         t, _ = maximize_unimodal(
-            lambda t: math.exp(t) * ian.mean_rate(NetworkConfig(math.exp(t), 1.0, alpha)),
+            lambda t: ian.cognitive_throughput(NetworkConfig(math.exp(t), 1.0, alpha)).value,
             (math.log(1e-3), math.log(10.0)),
             tol=1e-9,
         )

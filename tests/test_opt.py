@@ -248,7 +248,7 @@ class TestLowerBound:
 class TestUpperBound:
     def test_truncated_sir_mean_closed_form(self):
         # at mu = 1, alpha = 4 the mean is exactly 5
-        assert opt.log_truncated_sir_mean(CFG1) == pytest.approx(math.log(5.0), abs=1e-12)
+        assert opt._log_truncated_sir_mean(CFG1) == pytest.approx(math.log(5.0), abs=1e-12)
 
     # cases at alpha = 4 keep the bare mu id
     @pytest.mark.parametrize("mu,alpha", MOMENT_CASES,
@@ -257,11 +257,11 @@ class TestUpperBound:
         cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
         ref, _ = quad(lambda t: (1.0 + t / mu) ** (alpha / 2.0) * math.exp(-t), 0.0, np.inf,
                       epsabs=0.0, epsrel=1e-13, limit=500)
-        assert opt.log_truncated_sir_mean(cfg) == pytest.approx(math.log(ref), abs=1e-9)
+        assert opt._log_truncated_sir_mean(cfg) == pytest.approx(math.log(ref), abs=1e-9)
 
     def test_moment_large_mu_path(self):
         cfg = NetworkConfig(1000.0, 1.0, 4.0)  # mu ~ 3142, where e^mu overflows
-        log_m = opt.log_truncated_sir_mean(cfg)
+        log_m = opt._log_truncated_sir_mean(cfg)
         assert log_m == pytest.approx(math.log(1.0 + 2.0 / cfg.mu), abs=1e-3)
         assert log_m > 0.0
 

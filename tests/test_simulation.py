@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pppt import fixed_rate, ian, simulation
 from pppt.model import DecodingRule, NetworkConfig, ThroughputValue, rng_from_seed
 from pppt.simulation import (
-    INTERFERENCE_MODES,
+    _INTERFERENCE_MODES,
     SimulationEstimate,
     _collect_stats,
     _RealizationStats,
@@ -93,7 +93,7 @@ class TestPerRealizationRates:
         stats = _collect_stats(cfg, simulation.default_window_radius(cfg), seed=1,
                                n_realizations=100)
         for rule in DecodingRule:
-            for mode in INTERFERENCE_MODES:
+            for mode in _INTERFERENCE_MODES:
                 assert np.all(np.isfinite(_rates_from_stats(cfg, stats, rule, mode)))
 
     def test_tie_goes_to_noise_set(self):
@@ -341,7 +341,7 @@ class TestScaleInvariance:
     def estimates(cfg):
         out = []
         for rule in DecodingRule:
-            for mode in INTERFERENCE_MODES:
+            for mode in _INTERFERENCE_MODES:
                 out.append(estimate_cognitive(cfg, rule, mode, 200, 3))
             sol = fixed_rate.highest_throughput(cfg, rule)
             out.append(estimate_fixed_rate(cfg, sol, 200, 3))

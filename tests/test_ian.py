@@ -55,6 +55,44 @@ class TestRateLaw:
         np.testing.assert_allclose(ian._rate(k, log_b), y, rtol=1e-13, atol=0.0)
 
 
+class TestSirLaw:
+    @pytest.mark.parametrize("edge", [0.0, 1.0])
+    def test_ccdf_direct_substitution(self, edge):
+        cfg = NetworkConfig(2.0 / math.pi, 1.0, 4.0)  # mu = 2
+        b = np.array([1.5, 3.0, 10.0, 1e4])
+        want = -2.0 * (np.sqrt(b) - edge)
+        np.testing.assert_allclose(ian._log_sir_ccdf(cfg, np.log(b), edge), want, rtol=1e-14)
+
+    def test_ccdf_keeps_digits_at_the_edge(self):
+        # b = 1 + 1e-10: b^(2/alpha) - 1 cancels to 6 digits, expm1 keeps all
+        got = ian._log_sir_ccdf(CFG1, math.log1p(1e-10), 1.0)
+        assert got == pytest.approx(-0.5 * math.log1p(1e-10), rel=1e-14)
+
+    @pytest.mark.parametrize("edge", [0.0, 1.0])
+    def test_ccdf_is_minus_inf_past_the_double_range(self, edge):
+        # b^(2/alpha) = e^1951 overflows: the success probability is 0, quietly
+        cfg = NetworkConfig(1.0, 1.0, 2.05)
+        with np.errstate(all="raise"):
+            got = ian._log_sir_ccdf(cfg, np.array([2000.0]), edge)
+        assert got[0] == -math.inf
+
+    @pytest.mark.parametrize("edge", [0.0, 1.0])
+    @pytest.mark.parametrize("mu", [1e-9, 1.0, 1e6])
+    def test_inverse_round_trip(self, mu, edge):
+        # _log_sir_at_u inverts _log_sir_ccdf: -log P[sir > b(u)] = u
+        u = np.geomspace(1e-12, 1e3, 61)
+        for alpha in (2.05, 4.0, 60.0):
+            cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
+            log_b = ian._log_sir_at_u(mu, alpha / 2.0, u, edge)
+            np.testing.assert_allclose(-ian._log_sir_ccdf(cfg, log_b, edge), u, rtol=1e-12)
+
+    def test_mean_is_the_integral_of_the_ccdf(self):
+        # E[sir] = int_0^inf P[sir > b] db = Gamma(3) / mu^2 = 2 at alpha = 4, mu = 1
+        mass = pdf_mass(lambda b: math.exp(ian._log_sir_ccdf(CFG1, math.log(b), 0.0)))
+        assert ian._log_mean_sir(CFG1) == pytest.approx(math.log(2.0), rel=1e-14)
+        assert mass == pytest.approx(2.0, rel=1e-9)
+
+
 class TestNearestDistancePdf:
     def test_direct_substitution(self):
         assert ian.pdf_nearest_distance(CFG1, 1.0) == pytest.approx(2.0 / math.e, rel=1e-14)
@@ -178,6 +216,14 @@ class TestAsymptote:
     def test_exponent(self):
         a, b = ian.asymptote(NetworkConfig(10.0, 1.0, 4.0)), ian.asymptote(NetworkConfig(100.0, 1.0, 4.0))
         assert a.value / b.value == pytest.approx(10.0, rel=1e-12)
+
+    def test_past_the_double_range_is_the_library_error(self):
+        # lam = 3.2e190 and E[sir] = 5e302 at alpha = 60, mu = 1e-9: the
+        # product is past the double range, which math would raise as OverflowError
+        cfg = NetworkConfig(1e-9 / math.pi / 1e-200, 1e-100, 60.0)
+        with pytest.raises(ArithmeticError, match="finite") as info:
+            ian.asymptote(cfg)
+        assert not isinstance(info.value, OverflowError)
 
     def test_convergence_of_rescaled_throughput(self):
         vals = [

@@ -3,8 +3,11 @@
 The closed forms replace the aggregate interference by the single nearest
 interferer, which under-counts interference and over-states throughput.
 Monte Carlo with full aggregate interference quantifies the optimism: the
-absolute gap widens with density, but the ratio between the two decoding
-rules — the quantity that drives design decisions — stays put.
+absolute gap widens with density.  The ratio between the two decoding
+rules — the quantity that drives design decisions — holds better, but its
+relative drift grows with density too: a few percent on this grid
+(lambda <= 2), about a third at lambda = 10 (0.018 closed form against
+0.028 simulated) and about half at mu = 100 (0.0043 against 0.0091).
 
 Run:  python demos/04_approximation_tightness.py   (under a second)
 """
@@ -26,9 +29,10 @@ gaps = [(r["c_ian_analytic"] - r["c_ian_simulated"]) / r["c_ian_analytic"] for r
 print(f"\nRelative optimism of the closed form (noise rule): "
       f"{gaps[0]:.1%} at lambda = {rows[0]['lam']:.2f} "
       f"growing to {gaps[-1]:.1%} at lambda = {rows[-1]['lam']:.2f}.")
-drift = max(abs(r["ratio_analytic"] - r["ratio_simulated"]) for r in rows)
-print(f"Largest drift of the rule ratio: {drift:.3f} — the comparison between")
-print("decoding rules survives even where the absolute numbers are loose.")
+drifts = [abs(r["ratio_analytic"] - r["ratio_simulated"]) / r["ratio_simulated"] for r in rows]
+print(f"Relative drift of the rule ratio: {drifts[0]:.1%} at lambda = {rows[0]['lam']:.2f}, "
+      f"{drifts[-1]:.1%} at lambda = {rows[-1]['lam']:.2f} — the comparison between")
+print("decoding rules holds better than the absolute numbers, but also loosens with density.")
 
 try:
     import matplotlib

@@ -79,23 +79,46 @@ def _log_mean_sir(cfg: NetworkConfig) -> float:
 
 
 def pdf_nearest_distance(cfg: NetworkConfig, x):
-    """Density of the distance to the nearest interferer: 2*lam*pi*x*exp(-lam*pi*x^2)."""
+    """Density of the distance to the nearest interferer: 2*lam*pi*x*exp(-lam*pi*x^2),
+    taken in log space; 0 where lam*pi*x^2 overflows, x = inf included."""
     x = np.asarray(x, dtype=float)
-    lp = cfg.lam * math.pi
-    out = np.where(x > 0, 2.0 * lp * x * np.exp(-lp * x * x), 0.0)
+    with np.errstate(over="ignore"):
+        log_survival = np.where(x > 0, -cfg.lam * (math.pi * x * x), -np.inf)
+    out = np.zeros(x.shape)
+    m = log_survival > -np.inf
+    out[m] = np.exp(math.log(2.0 * math.pi) + math.log(cfg.lam) + np.log(x[m]) + log_survival[m])
     return _scalar_or_array(out)
+
+
+def _sir_density(cfg: NetworkConfig, log_b, edge: float, log_jacobian):
+    """The SIR density on sir > edge (0 or 1) at b times |db/dx|, for a
+    variable x with sir = b(x), from log b and log |db/dx|, elementwise:
+    (2*mu/alpha) * b^(2/alpha - 1) * P[sir > b] * |db/dx|.
+
+    The only spelling of the SIR density, exponentiated once: 0 where
+    P[sir > b] is 0, which covers a b past the double range, and an
+    ArithmeticError where the value is past the double range.
+    """
+    log_b, log_jacobian = np.broadcast_arrays(log_b, log_jacobian)
+    log_success = _log_sir_ccdf(cfg, log_b, edge)
+    out = np.zeros(log_b.shape)
+    m = log_success > -np.inf
+    with np.errstate(over="ignore"):
+        out[m] = np.exp(math.log(2.0 * cfg.mu / cfg.alpha) + (2.0 / cfg.alpha - 1.0) * log_b[m]
+                        + log_success[m] + log_jacobian[m])
+    if np.isinf(out).any():
+        raise ArithmeticError("density past the double range at sir = "
+                              f"exp({log_b[np.isinf(out)][0]:.6g})")
+    return out
 
 
 def _pdf_sir(cfg: NetworkConfig, x, edge: float):
     """SIR density on sir > edge (0 under the noise rule, 1 under the joint
-    rule): (2*mu/alpha) * x^(2/alpha - 1) * P[sir > x], zero at and below
-    the edge."""
+    rule), zero at and below the edge."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     m = x > edge
-    xm = x[m]
-    out[m] = ((2.0 * cfg.mu / cfg.alpha) * xm ** (2.0 / cfg.alpha - 1.0)
-              * np.exp(_log_sir_ccdf(cfg, np.log(xm), edge)))
+    out[m] = _sir_density(cfg, np.log(x[m]), edge, 0.0)
     return _scalar_or_array(out)
 
 
@@ -115,12 +138,10 @@ def _pdf_rate(cfg: NetworkConfig, k, x, edge: float):
     out = np.zeros(x.shape)
     m = x > _rate_edge(k, edge)
     km, xm = k[m], x[m]
-    log_b = _log_sir_at_rate(xm, km)
-    # the SIR density at b times the Jacobian db/dx = ln2 * 2^(k*x); a
-    # b^(2/alpha) past the double range gives 0
+    # db/dx = ln2 * 2^(k*x); a k*x past the double range is a b past it too
     with np.errstate(over="ignore"):
-        out[m] = np.exp(math.log(2.0 * _LN2 * cfg.mu / cfg.alpha) + km * xm * _LN2
-                        + (2.0 / cfg.alpha - 1.0) * log_b + _log_sir_ccdf(cfg, log_b, edge))
+        log_jacobian = math.log(_LN2) + km * xm * _LN2
+    out[m] = _sir_density(cfg, _log_sir_at_rate(xm, km), edge, log_jacobian)
     return out
 
 

@@ -92,6 +92,31 @@ class TestPdf:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
 
+    def test_no_mass_past_the_double_range_is_zero(self, tmp_path):
+        # 10^6 * x * ln2 overflows: a SIR past the double range, density 0
+        out = tmp_path / "pdf.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["pdf", "--rule", "opt", "--n", "1000000", "--lambda", "0.3183",
+                       "--x-min", "1e300", "--x-max", "1e303", "--points", "2",
+                       "--out", str(out)])
+        assert rc == 0
+        header, rows = read_csv(out)
+        assert column(header, rows, "density") == [0.0, 0.0]
+
+    def test_density_past_the_double_range_is_numerical_failure(self, tmp_path, capsys):
+        # x^(2/alpha - 1) at x = 5e-324, alpha = 60 is about e^719
+        out = tmp_path / "pdf.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["pdf", "--rule", "ian", "--alpha", "60", "--lambda", "0.3183",
+                       "--x-min", "5e-324", "--x-max", "1e-300", "--points", "2",
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: density past the double range")
+        assert not out.exists()
+
 
 class TestSweep:
     def test_deterministic_output(self, tmp_path):

@@ -60,3 +60,44 @@ def test_finite_value_or_typed_error(alpha):
                 if not np.all(np.isfinite(values) & (values >= 0)):
                     bad.append((name, mu, d, values))
     assert not bad, bad
+
+
+DENSITY_MUS = [1e-9, 1.0, 1e4]
+DENSITY_POINTS = [5e-324, 1e-300, 1e-30, 0.5, 1.0, 1.0 + 1e-12, 2.0, 50.0, 1e3, 1e5, 1e160,
+                  1e300, 1e303, 1.7e308, math.inf]
+DENSITIES = {
+    "ian.pdf_nearest_distance": ian.pdf_nearest_distance,
+    "ian.pdf_sir": ian.pdf_sir,
+    "ian.pdf_rate": ian.pdf_rate,
+    "opt.pdf_sir": opt.pdf_sir,
+    "opt.pdf_rate_conditional[0]": lambda cfg, x: opt.pdf_rate_conditional(cfg, 0, x),
+    "opt.pdf_rate_conditional[1e6]": lambda cfg, x: opt.pdf_rate_conditional(cfg, 10**6, x),
+    "opt.pdf_rate": opt.pdf_rate,
+}
+# the only densities past the double range on the grid: about e^716 and
+# e^725 = (2*mu/alpha) * x^(2/alpha - 1) at x = 5e-324, alpha = 60
+PAST_DOUBLE_RANGE = {(name, 60.0, mu, 5e-324)
+                     for name in ("ian.pdf_sir", "ian.pdf_rate") for mu in (1.0, 1e4)}
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_density_finite_or_typed_error(alpha):
+    """Every density at one point at a time, from the smallest subnormal to
+    inf: a finite value >= 0 (0 where the law has no mass), or the
+    library's ArithmeticError past the double range."""
+    bad, raised = [], set()
+    for mu in DENSITY_MUS:
+        cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
+        for name, density in DENSITIES.items():
+            for x in DENSITY_POINTS:
+                try:
+                    value = density(cfg, x)
+                except OverflowError as exc:
+                    bad.append((name, mu, x, f"OverflowError: {exc}"))
+                except ArithmeticError:
+                    raised.add((name, alpha, mu, x))
+                else:
+                    if not (math.isfinite(value) and value >= 0):
+                        bad.append((name, mu, x, value))
+    assert not bad, bad
+    assert raised == {cell for cell in PAST_DOUBLE_RANGE if cell[1] == alpha}

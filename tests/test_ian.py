@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -64,9 +65,14 @@ class TestSirLaw:
         np.testing.assert_allclose(ian._log_sir_ccdf(cfg, np.log(b), edge), want, rtol=1e-14)
 
     def test_ccdf_keeps_digits_at_the_edge(self):
-        # b = 1 + 1e-10: b^(2/alpha) - 1 cancels to 6 digits, expm1 keeps all
-        got = ian._log_sir_ccdf(CFG1, math.log1p(1e-10), 1.0)
-        assert got == pytest.approx(-0.5 * math.log1p(1e-10), rel=1e-14)
+        # b = 1 + 1e-10: b^(2/alpha) - 1 cancels to 6 digits, expm1 keeps all;
+        # -mu * (sqrt(b) - 1) at mu = 1, from the same log b at 50 digits
+        log_b = math.log1p(1e-10)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = 1 - (Decimal(log_b) / 2).exp()
+        got = ian._log_sir_ccdf(CFG1, log_b, 1.0)
+        assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("edge", [0.0, 1.0])
     def test_ccdf_is_minus_inf_past_the_double_range(self, edge):
@@ -107,6 +113,14 @@ class TestNearestDistancePdf:
         mass = pdf_mass(lambda x: ian.pdf_nearest_distance(cfg, x), split=1.0 / math.sqrt(lam))
         assert mass == pytest.approx(1.0, abs=1e-8)
 
+    def test_peak_where_two_lam_pi_overflows(self):
+        # 2*lam*pi = 1.9e308 is past the double range; the density's peak,
+        # sqrt(2*lam*pi/e) at x = (2*lam*pi)^(-1/2), is not
+        cfg = NetworkConfig(3e307, 1e-157, 4.0)
+        x = 1.0 / math.sqrt(2.0 * math.pi) / math.sqrt(cfg.lam)
+        peak = math.sqrt(2.0 * math.pi) * math.sqrt(cfg.lam) * math.exp(-0.5)
+        assert ian.pdf_nearest_distance(cfg, x) == pytest.approx(peak, rel=1e-13)
+
 
 class TestSirPdf:
     def test_direct_substitution(self):
@@ -119,6 +133,19 @@ class TestSirPdf:
     @pytest.mark.parametrize("cfg", NORMALIZATION_CFGS)
     def test_normalization(self, cfg):
         assert pdf_mass(lambda x: ian.pdf_sir(cfg, x)) == pytest.approx(1.0, abs=1e-8)
+
+    def test_digits_where_the_survival_is_subnormal(self):
+        # P[sir > x] = e^-735 is subnormal and x^(2/alpha - 1) = e^76; the
+        # density 8.0199866480606454e-285 from the formula at 50 digits
+        x, mu, alpha = 1e-34, 1e4, 60.0
+        with localcontext() as ctx:
+            ctx.prec = 50
+            log_x, e = Decimal(x).ln(), 2 / Decimal(alpha)
+            want = (2 * Decimal(mu) / Decimal(alpha) * ((e - 1) * log_x).exp()
+                    * (-Decimal(mu) * (e * log_x).exp()).exp())
+        cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
+        assert cfg.mu == mu
+        assert ian.pdf_sir(cfg, x) == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
 class TestRatePdf:

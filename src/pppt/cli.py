@@ -1,9 +1,12 @@
 """Command-line experiment harness.
 
 Subcommands: pdf, sweep, figures, simulate, optimal-density, compare.
-Output is CSV with one leading ``#`` metadata line (tool version plus an
-echo of the request), or a JSON mirror via ``--format json``.  All
-randomness flows from ``--seed`` (default 0); nothing reads the clock.
+Output is CSV, or its JSON mirror under ``--format json``.  The first CSV
+line, ``# pppt <version> | key=value ...`` (``meta.request`` in JSON),
+echoes the request: every parsed argument but the destination (``--out``,
+``--out-dir``, ``--format``), with the defaults a command resolves itself
+and a figure's fixed definition in their place.
+All randomness flows from ``--seed`` (default 0); nothing reads the clock.
 A sweep or figure table is a list of (column names, cell) groups, built by
 the command that owns the parameters; the cells run one after another and
 the table is written once, in grid order.
@@ -32,18 +35,27 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(args, meta: str, header: list[str], rows: list[list], out: str | None = None) -> None:
+def _emit(args, header: list[str], rows: list[list], out: str | None = None,
+          **resolved) -> None:
+    """Write the table, echoing the parsed arguments updated by ``resolved``."""
     out = args.out if out is None else out
+    request = {k: v for k, v in vars(args).items()
+               if k not in ("out", "out_dir", "format", "func")} | resolved
     if args.format == "json":
+        # JSON has no inf or nan; an unread anchor may be either
+        request = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+                   for k, v in request.items()}
         payload = {
-            "meta": {"tool": f"pppt {__version__}", "request": meta},
+            "meta": {"tool": f"pppt {__version__}", "request": request},
             "columns": header,
             "rows": [[None if isinstance(v, float) and math.isnan(v) else v for v in row]
                      for row in rows],
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = [f"# pppt {__version__} | {meta}", ",".join(header)]
+        echo = " ".join(f"{k}={'+'.join(v) if isinstance(v, list) else v}"
+                        for k, v in request.items())
+        lines = [f"# pppt {__version__} | {echo}", ",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
     if out == "-":
@@ -55,14 +67,16 @@ def _emit(args, meta: str, header: list[str], rows: list[list], out: str | None 
 
 def _grid(lo: float, hi: float, points: int, log: bool, flag: str) -> np.ndarray:
     """``points`` >= 2 values from ``lo`` to ``hi``, log-spaced if ``log``.
-    The bounds must be finite, and positive on a log grid, where numpy
-    would warn and fill the cells with NaN."""
+    The bounds must be finite, in increasing order, and positive on a log
+    grid, where numpy would warn and fill the cells with NaN."""
     if points < 2:
         raise ValueError("--points must be >= 2")
     floor = 0.0 if log else -math.inf
     if not (floor < lo < math.inf and floor < hi < math.inf):
         raise ValueError(f"--{flag}-min and --{flag}-max must be finite"
                          + (" and > 0 on a log grid" if log else "") + f", got {lo} and {hi}")
+    if not lo < hi:
+        raise ValueError(f"--{flag}-min must be below --{flag}-max, got {lo} and {hi}")
     return (np.geomspace if log else np.linspace)(lo, hi, points)
 
 
@@ -79,16 +93,11 @@ def _cmd_pdf(args) -> int:
     cfg = _cfg(args)
     if DecodingRule(args.rule) is DecodingRule.IAN:
         dens = np.asarray(ian.pdf_rate(cfg, xs))
-        what = "ian rate pdf"
     elif args.n is not None:
         dens = np.asarray(opt.pdf_rate_conditional(cfg, args.n, xs))
-        what = f"opt rate pdf given {args.n} jointly decoded interferers"
     else:
         dens = np.asarray(opt.pdf_rate(cfg, xs))
-        what = "opt rate pdf (mixture)"
-    meta = (f"pdf rule={args.rule} lam={cfg.lam} d={cfg.d} alpha={cfg.alpha} "
-            f"n={args.n} grid=[{args.x_min},{args.x_max}]x{args.points} ({what})")
-    _emit(args, meta, ["x", "density"], [[float(x), float(p)] for x, p in zip(xs, dens)])
+    _emit(args, ["x", "density"], [[float(x), float(p)] for x, p in zip(xs, dens)])
     return 0
 
 
@@ -133,8 +142,6 @@ def _sweep(grid, d, alpha, groups):
 
 
 def _cmd_sweep(args) -> int:
-    if not args.lambda_min < args.lambda_max:
-        raise ValueError("--lambda-min must be below --lambda-max")
     rules = args.rule or ["ian", "opt"]
     methods = args.method or ["cognitive"]
 
@@ -155,18 +162,16 @@ def _cmd_sweep(args) -> int:
                 groups += _analytic_groups([f"{k}_{rule}" for k in kinds], args.y_ian, args.y_opt)
     grid = _grid(args.lambda_min, args.lambda_max, args.points, args.log, "lambda")
     header, rows, failed = _sweep(grid, args.d, args.alpha, groups)
-    meta = (f"sweep lambda=[{args.lambda_min},{args.lambda_max}]x{args.points} "
-            f"scale={'log' if args.log else 'linear'} d={args.d} alpha={args.alpha} "
-            f"rules={'+'.join(rules)} methods={'+'.join(methods)} "
-            f"realizations={args.realizations} seed={args.seed}")
-    _emit(args, meta, header, rows)
+    _emit(args, header, rows, rule=rules, method=methods)
     return int(failed)
 
 
 # -------------------------------------------------------------- figures
 
-# every figure at d = 1, alpha = 4; figures 2-5 take the rate anchors y_ian = 1
-# and y_opt = 2, and fig 3 sets the throughput next to the bound it approaches
+# every figure is a sweep at these values; figures 2-5 read the rate anchors,
+# and fig 3 sets the throughput next to the bound it approaches
+_FIGURE = {"lambda_min": 0.01, "lambda_max": 10.0, "log": True, "d": 1.0, "alpha": 4.0,
+           "y_ian": 1.0, "y_opt": 2.0}
 _FIGURE_COLUMNS = {
     2: ("cognitive_ian", "lower_ian", "upper_ian", "asymptote_ian"),
     3: ("cognitive_opt", "upper_opt"),
@@ -178,7 +183,7 @@ _FIGURE_COLUMNS = {
 
 
 def _cmd_figures(args) -> int:
-    fig, columns = args.fig, _FIGURE_COLUMNS[args.fig]
+    fig, columns, f = args.fig, _FIGURE_COLUMNS[args.fig], _FIGURE
     points = (10 if fig == 6 else 30) if args.points is None else args.points
     if fig == 6:  # analytic vs full-interference simulation, one tightness_report row per density
         def tightness(cfg):
@@ -187,14 +192,12 @@ def _cmd_figures(args) -> int:
             return [row[name] for name in columns]
         groups = [(columns, tightness)]
     else:
-        groups = _analytic_groups(columns, 1.0, 2.0)
-    header, rows, failed = _sweep(_grid(0.01, 10.0, points, True, "lambda"), 1.0, 4.0, groups)
+        groups = _analytic_groups(columns, f["y_ian"], f["y_opt"])
+    grid = _grid(f["lambda_min"], f["lambda_max"], points, f["log"], "lambda")
+    header, rows, failed = _sweep(grid, f["d"], f["alpha"], groups)
     os.makedirs(args.out_dir, exist_ok=True)  # after the cells: a usage error leaves nothing
-    meta = (f"figure {fig} d=1 alpha=4 grid=[0.01,10]x{points} log "
-            + {2: "lower bound at y=1 ", 4: "lower bound at y=2 ",
-               6: f"realizations={args.realizations} "}.get(fig, "")
-            + f"seed={args.seed}")
-    _emit(args, meta, header, rows, out=os.path.join(args.out_dir, f"fig{fig}.{args.format}"))
+    _emit(args, header, rows, out=os.path.join(args.out_dir, f"fig{fig}.{args.format}"),
+          points=points, **f)
     return int(failed)
 
 
@@ -211,9 +214,7 @@ def _cmd_simulate(args) -> int:
         sol = fixed_rate.highest_throughput(cfg, rule)
         est = simulation.estimate_fixed_rate(
             cfg, sol, n_realizations=args.realizations, seed=args.seed, mode=mode)
-    meta = (f"simulate method={args.method} rule={args.rule} lam={cfg.lam} d={cfg.d} "
-            f"alpha={cfg.alpha} mode={args.mode} realizations={args.realizations} seed={args.seed}")
-    _emit(args, meta, ["mean", "stderr", "n_realizations", "seed", "interference_mode"],
+    _emit(args, ["mean", "stderr", "n_realizations", "seed", "interference_mode"],
           [[est.mean, est.stderr, args.realizations, args.seed, mode]])
     return 0
 
@@ -222,16 +223,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_optimal_density(args) -> int:
     lam_star, tv = ian.optimal_density(args.d, args.alpha)
-    meta = f"optimal-density d={args.d} alpha={args.alpha} rule=ian"
-    _emit(args, meta, ["lambda_star", "throughput"], [[lam_star, tv.value]])
+    _emit(args, ["lambda_star", "throughput"], [[lam_star, tv.value]])
     return 0
 
 
 def _cmd_compare(args) -> int:
     report = fixed_rate.compare_cognitive_vs_fixed(_cfg(args))
-    meta = f"compare lam={args.lam} d={args.d} alpha={args.alpha}"
     keys = ["c_ian", "t_ian", "c_opt", "t_opt", "gap_ian", "gap_opt"]
-    _emit(args, meta, keys, [[report[k] for k in keys]])
+    _emit(args, keys, [[report[k] for k in keys]])
     return 0
 
 

@@ -98,8 +98,10 @@ def highest_throughput(cfg: NetworkConfig, rule: DecodingRule,
 
     Under joint decoding the value is the Poisson-weighted sum of the per
     count objectives, each at its own optimal threshold; the weights follow
-    the series truncation policy.
+    the series truncation policy.  ``rule`` is a :class:`DecodingRule` or
+    its value.
     """
+    rule = DecodingRule(rule)
     if rule is DecodingRule.IAN:
         w, edge = np.ones(1), 0.0
     else:

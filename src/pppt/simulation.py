@@ -166,6 +166,15 @@ def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int,
     return _RealizationStats(s_dec, s_far + far_mean, n_dec, r2_min, r2_far_min)
 
 
+def _decode_view(stats: _RealizationStats, rule: DecodingRule):
+    """(decode count, noise power sum, squared nearest noise distance) per
+    realization under ``rule``, a :class:`DecodingRule` or its value.  The
+    noise rule decodes no interferer, so every interferer is noise."""
+    if DecodingRule(rule) is DecodingRule.IAN:
+        return 0.0, stats.s_dec + stats.s_far, stats.r2_min
+    return stats.n_dec, stats.s_far, stats.r2_far_min
+
+
 def _rates_from_stats(cfg: NetworkConfig, stats: _RealizationStats, rule: DecodingRule,
                       mode: str) -> np.ndarray:
     """The cognitive rate law, log2(1 + share * SIR) / share per realization.
@@ -174,17 +183,14 @@ def _rates_from_stats(cfg: NetworkConfig, stats: _RealizationStats, rule: Decodi
     power as in the paper.  Under joint decoding the decode set holds the
     interferers strictly closer than the link distance (ties go to the
     noise set); interference as noise is the same law with an empty decode
-    set, so every interferer is noise.  As the analytic chains do,
+    set.  As the analytic chains do,
     ``closest_only`` replaces the noise-set interference by its nearest
     interferer's power.  No noise interference gives rate inf, a noise
     power past the double range 0.
     """
     if mode not in _INTERFERENCE_MODES:
         raise ValueError(f"interference mode must be one of {_INTERFERENCE_MODES}, got {mode!r}")
-    if rule is DecodingRule.IAN:
-        n, s_noise, r2_noise = 0.0, stats.s_dec + stats.s_far, stats.r2_min
-    else:
-        n, s_noise, r2_noise = stats.n_dec, stats.s_far, stats.r2_far_min
+    n, s_noise, r2_noise = _decode_view(stats, rule)
     with np.errstate(divide="ignore"):
         log_noise = np.log(s_noise) if mode == "full" else -cfg.alpha / 2.0 * np.log(r2_noise)
     return _rate(1.0 + n, -log_noise)
@@ -242,12 +248,11 @@ def estimate_fixed_rate(cfg: NetworkConfig, solution: FixedRateSolution,
     sample mean of rate * success; counts beyond the solution's table
     (vanishing Poisson tail) count as outages.
     """
-    rule = solution.rule
     stats = _sample(cfg, n_realizations, seed, window_radius)
-    achievable = _rates_from_stats(cfg, stats, rule, mode)
-    # the noise rule decodes no interferer; a count past the table meets
-    # the rate 0 appended to it, an outage also where the rate is inf
-    counts = stats.n_dec.astype(np.intp) if rule is DecodingRule.OPT else 0
+    achievable = _rates_from_stats(cfg, stats, solution.rule, mode)
+    # a count past the table meets the rate 0 appended to it, an outage
+    # also where the rate is inf
+    counts = np.asarray(_decode_view(stats, solution.rule)[0], dtype=np.intp)
     target = np.append(solution.rates, 0.0)[np.minimum(counts, len(solution.rates))]
     contrib = np.where(achievable >= target, target, 0.0)
     return _estimate(cfg, contrib)

@@ -19,6 +19,12 @@ def read_csv(path):
     return header, rows
 
 
+def echo(path):
+    """The request fields of a table's first line, as strings."""
+    line = path.read_text().splitlines()[0]
+    return dict(field.split("=", 1) for field in line.split(" | ", 1)[1].split())
+
+
 def column(header, rows, name, as_float=True):
     j = header.index(name)
     return [float(r[j]) if as_float else r[j] for r in rows]
@@ -90,6 +96,13 @@ class TestPdf:
         assert main(["pdf", "--rule", "ian", "--lambda", "0.3", *argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_reversed_grid_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "pdf.csv"
+        assert main(["pdf", "--rule", "ian", "--lambda", "0.3", "--x-min", "5", "--x-max", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --x-min must be below --x-max, got 5.0 and 1.0\n"
         assert not out.exists()
 
     def test_no_mass_past_the_double_range_is_zero(self, tmp_path):
@@ -344,8 +357,7 @@ class TestFigures:
         assert rc == 0
         header, rows = read_csv(tmp_path / "fig4.csv")
         assert "lower_opt" in header and "upper_opt" in header
-        meta = (tmp_path / "fig4.csv").read_text().splitlines()[0]
-        assert "y=2" in meta
+        assert echo(tmp_path / "fig4.csv")["y_opt"] == "2.0"
 
     def test_fig5_four_curves(self, tmp_path):
         rc = main(["figures", "--fig", "5", "--points", "3", "--out-dir", str(tmp_path)])
@@ -536,3 +548,84 @@ class TestScalarCommands:
         monkeypatch.setattr(ian, "optimal_density", fail)
         assert main(["optimal-density", "--alpha", "4"]) == 1
         assert capsys.readouterr().err.startswith("error: did not converge")
+
+
+class TestProvenance:
+    """The first line echoes every value the numbers depend on, and nothing
+    of where the table went."""
+
+    BASE = {
+        "pdf": ["pdf", "--rule", "opt", "--lambda", "0.3", "--points", "3"],
+        "sweep": ["sweep", "--points", "2", "--rule", "ian"],
+        "figures": ["figures", "--fig", "6", "--points", "2", "--realizations", "100"],
+        "simulate": ["simulate", "--rule", "ian", "--lambda", "0.1", "--realizations", "100"],
+        "optimal-density": ["optimal-density"],
+        "compare": ["compare", "--lambda", "0.3"],
+    }
+
+    @staticmethod
+    def run(argv, tmp_path, name):
+        """Run ``argv`` writing under ``tmp_path/name``; the table's path."""
+        if argv[0] == "figures":
+            assert main(argv + ["--out-dir", str(tmp_path / name)]) == 0
+            fmt = "json" if "json" in argv else "csv"
+            return tmp_path / name / f"fig{argv[2]}.{fmt}"
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        return tmp_path / name
+
+    CHANGES = [
+        ("pdf", ["--grid-log"]),
+        ("pdf", ["--n", "2"]),
+        ("pdf", ["--x-max", "5"]),
+        ("sweep", ["--mode", "closest"]),
+        ("sweep", ["--y-ian", "2"]),
+        ("sweep", ["--y-opt", "3"]),
+        ("sweep", ["--no-log"]),
+        ("sweep", ["--seed", "1"]),
+        ("figures", ["--realizations", "200"]),
+        ("figures", ["--seed", "1"]),
+        ("simulate", ["--mode", "closest"]),
+        ("simulate", ["--method", "fixed"]),
+        ("optimal-density", ["--alpha", "3"]),
+        ("compare", ["--d", "2"]),
+    ]
+
+    @pytest.mark.parametrize("command,change", CHANGES,
+                             ids=["_".join([c, *ch]) for c, ch in CHANGES])
+    def test_value_changing_flag_changes_first_line(self, command, change, tmp_path):
+        base = self.run(self.BASE[command], tmp_path, "a").read_text().splitlines()[0]
+        changed = self.run(self.BASE[command] + change, tmp_path, "b").read_text().splitlines()[0]
+        assert base != changed
+        assert str(tmp_path) not in base + changed
+
+    @pytest.mark.parametrize("command", list(BASE))
+    def test_destination_is_not_echoed(self, command, tmp_path):
+        a = self.run(self.BASE[command], tmp_path, "a")
+        b = self.run(self.BASE[command], tmp_path, "b")
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("command", list(BASE))
+    def test_json_request_mirrors_csv_echo(self, command, tmp_path):
+        fields = echo(self.run(self.BASE[command], tmp_path, "a"))
+        payload = json.loads(self.run(self.BASE[command] + ["--format", "json"],
+                                      tmp_path, "b").read_text())
+        request = payload["meta"]["request"]
+        assert {k: "+".join(v) if isinstance(v, list) else str(v)
+                for k, v in request.items()} == fields
+
+    def test_json_request_is_strict_json(self, tmp_path):
+        # an anchor of a rule that was not requested is not checked
+        argv = ["sweep", "--points", "2", "--rule", "ian", "--y-opt", "inf", "--format", "json"]
+        text = self.run(argv, tmp_path, "a").read_text()
+
+        def reject(constant):
+            raise ValueError(constant)
+
+        assert json.loads(text, parse_constant=reject)["meta"]["request"]["y_opt"] == "inf"
+
+    def test_resolved_defaults_are_echoed(self, tmp_path):
+        sweep = echo(self.run(["sweep", "--points", "2"], tmp_path, "a"))
+        assert sweep["rule"] == "ian+opt" and sweep["method"] == "cognitive"
+        fig = echo(self.run(["figures", "--fig", "2"], tmp_path, "b"))
+        assert {k: fig[k] for k in ("points", "d", "alpha", "lambda_min", "lambda_max")} == {
+            "points": "30", "d": "1.0", "alpha": "4.0", "lambda_min": "0.01", "lambda_max": "10.0"}

@@ -163,6 +163,16 @@ class TestHighestThroughput:
         assert bound.value == pytest.approx(sol.throughput.value, rel=1e-8)
 
 
+    def test_rule_value_reads_as_its_rule(self):
+        sol = fixed_rate.highest_throughput(CFG1, "ian")
+        assert sol.rule is DecodingRule.IAN
+        assert sol.throughput.value == pytest.approx(T_IAN_AT_INV_PI, rel=1e-10)
+
+    def test_unknown_rule_is_value_error(self):
+        with pytest.raises(ValueError, match="bogus"):
+            fixed_rate.highest_throughput(CFG1, "bogus")
+
+
 class TestCompare:
     def test_report_contents(self):
         rep = fixed_rate.compare_cognitive_vs_fixed(CFG1)

@@ -433,6 +433,21 @@ class TestEstimateTypes:
         with pytest.raises(ValueError, match="window_radius"):
             tightness_report([cfg], n_realizations=100, window_radius=window)
 
+    def test_rule_value_reads_as_its_rule(self):
+        # "ian" is the noise rule, not whatever rule is not the joint one
+        by_value = estimate_cognitive(CFG, "ian", n_realizations=200)
+        assert by_value == estimate_cognitive(CFG, IAN, n_realizations=200)
+        assert by_value.mean < estimate_cognitive(CFG, OPT, n_realizations=200).mean
+
+    def test_unknown_rule_is_value_error(self):
+        sol = fixed_rate.highest_throughput(CFG, OPT)
+        bogus = fixed_rate.FixedRateSolution("bogus", sol.sir_thresholds, sol.rates,
+                                             sol.throughput, sol.at_boundary)
+        with pytest.raises(ValueError, match="bogus"):
+            estimate_cognitive(CFG, "bogus", n_realizations=200)
+        with pytest.raises(ValueError, match="bogus"):
+            estimate_fixed_rate(CFG, bogus, n_realizations=200)
+
     def test_estimate_validation(self):
         for bad in (-1.0, math.nan, math.inf):
             # a value past the double range is a failed computation, not bad input

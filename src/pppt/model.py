@@ -11,8 +11,9 @@ Receivers of the interfering pairs are never materialized: every quantity
 computed downstream (interference, nearest-interferer distance, rates)
 depends only on the transmitters' distances to the typical receiver.  The
 window kernel in ``simulation`` is the only sampler and draws exactly those
-distances; ``rng_from_seed`` keys its two streams per run, one for the
-counts and one for the radii.
+distances; ``rng_from_seed`` keys its three streams per run, one for the
+counts, one for the radii of the decode disc and one for those of the
+noise ring.
 """
 from __future__ import annotations
 
@@ -104,7 +105,8 @@ def rng_from_seed(key: tuple[int, int]) -> np.random.Generator:
     """PCG64 generator keyed by a (seed, stream) pair.
 
     Each pair yields an independent, reproducible stream; a Monte Carlo run
-    seeded ``s`` reads its counts from (s, 0) and its radii from (s, 1).
+    seeded ``s`` reads its counts from (s, 0), its decode-disc radii from
+    (s, 1) and its noise-ring radii from (s, 2).
     np.random.SeedSequence wants non-negative entropy, so negative integers
     are folded into the 64-bit range and any integer is a valid seed.
     """

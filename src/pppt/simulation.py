@@ -19,21 +19,23 @@ mu = lam*pi*d^2, as the closed forms do.  lam = 1e-200 at d = 1e100
 estimates 1e-200 times the throughput at lam = 1, d = 1.
 
 Only the window, the disc r < W = 8*max(d, 1/sqrt(lam)) by default, is
-drawn; the infinite plane beyond it adds its Campbell mean
-2*mu*(W/d)^(2-alpha)/(alpha-2) (Haenggi & Ganti, FnT 2009, sec. 3) to
-every far-field sum.  That mean keeps every full-interference rate finite,
+drawn, as two independent Poisson fields: the decode disc r < d and the
+noise ring d <= r < W (a Poisson field restricted to disjoint sets,
+Haenggi & Ganti, FnT 2009, sec. 2).  The infinite plane beyond the window
+adds its Campbell mean 2*mu*(W/d)^(2-alpha)/(alpha-2) (sec. 3) to every
+noise-set sum.  That mean keeps every full-interference rate finite,
 unless the powers underflow (alpha far above 60).
 
-A run seeded with ``s`` draws all its interferer counts in one call from
-the stream keyed by (s, 0), and the squared radii, realization after
-realization, from the stream keyed by (s, 1), one call per chunk.  Every
-statistic is reduced per realization: far-field sums and minima by
-``reduceat`` over that realization's points, decode-set sums by
-``bincount`` in draw order.  Results are therefore independent of chunk
-sizes and reproducible across runs, and realization ``i`` is the same in
-every run of at least ``i + 1`` realizations.  Sample moments are reduced
-with numpy's pairwise summation, which is deterministic for a fixed
-realization count.
+A run seeded with ``s`` draws all its (disc, ring) count pairs in one call
+from the stream keyed by (s, 0); the squared radii, realization after
+realization and one call per chunk, come from (s, 1) for the disc, uniform
+on [0, 1), and from (s, 2) for the ring, uniform on [1, W^2/d^2).  One
+reduction serves both fields: power sums and minima per realization by
+``reduceat`` over that realization's points.  Results are therefore
+independent of chunk sizes and reproducible across runs, and realization
+``i`` is the same in every run of at least ``i + 1`` realizations.  Sample
+moments are reduced with numpy's pairwise summation, which is
+deterministic for a fixed realization count.
 
 The last sampling pass is kept and handed out again when an estimator
 asks for the same draw (configuration, realization count, seed, window),
@@ -113,57 +115,50 @@ class _RealizationStats:
             arr.setflags(write=False)
 
 
-def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int,
-                   n_realizations: int, chunk_points: int = _CHUNK_POINTS) -> _RealizationStats:
-    """The statistics of ``n_realizations`` realizations in units of d (the
-    link's power is 1); ``window_radius`` is in metres."""
-    window = window_radius / cfg.d
-    mean_count = cfg.mu * window * window
-    r2_scale = window * window
-    # the Campbell mean of the plane beyond the window
-    far_mean = 2.0 * cfg.mu * window ** (2.0 - cfg.alpha) / (cfg.alpha - 2.0)
-    half_alpha = cfg.alpha / 2.0
-    n = n_realizations
-
-    s_dec = np.zeros(n)
-    s_far = np.zeros(n)
-    n_dec = np.zeros(n)
+def _field_stats(counts: np.ndarray, radii: np.random.Generator, lo: float, width: float,
+                 half_alpha: float, chunk_points: int):
+    """Power sum and squared nearest distance per realization of a field of
+    ``counts[i]`` points in realization ``i``, squared radii uniform on
+    [lo, lo + width) (inf where a realization has no point)."""
+    n = len(counts)
+    s = np.zeros(n)
     r2_min = np.full(n, np.inf)
-    r2_far_min = np.full(n, np.inf)
-
-    counts = rng_from_seed((seed, 0)).poisson(mean_count, n)
     ends = np.cumsum(counts)
-    radii = rng_from_seed((seed, 1))
-
     start = 0
     while start < n:
         base = int(ends[start - 1]) if start else 0
         # as many realizations as fit in chunk_points, and at least one
         stop = max(start + 1, int(np.searchsorted(ends, base + chunk_points, "right")))
         r2 = radii.random(int(ends[stop - 1]) - base)
-        r2 *= r2_scale
-
+        r2 *= width
+        r2 += lo
         # reduce over the realizations that have points: each segment then
         # runs to the next one's first point, so it holds exactly its own
         hit = start + np.flatnonzero(counts[start:stop])
         first = ends[hit] - counts[hit] - base
         r2_min[hit] = np.minimum.reduceat(r2, first)
         with np.errstate(over="ignore"):  # a power past the double range is inf
-            p = r2 ** (-half_alpha)
-
-        # the decode set holds about mu points per realization: sum it by
-        # index, then blank it out of the far-field reductions
-        idx = np.flatnonzero(r2 < 1.0)
-        owner = np.searchsorted(first, idx, "right") - 1
-        s_dec[hit] = np.bincount(owner, weights=p[idx], minlength=len(hit))
-        n_dec[hit] = np.bincount(owner, minlength=len(hit))
-        p[idx] = 0.0
-        r2[idx] = np.inf
-        s_far[hit] = np.add.reduceat(p, first)
-        r2_far_min[hit] = np.minimum.reduceat(r2, first)
+            s[hit] = np.add.reduceat(r2 ** (-half_alpha), first)
         start = stop
+    return s, r2_min
 
-    return _RealizationStats(s_dec, s_far + far_mean, n_dec, r2_min, r2_far_min)
+
+def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int,
+                   n_realizations: int, chunk_points: int = _CHUNK_POINTS) -> _RealizationStats:
+    """The statistics of ``n_realizations`` realizations in units of d (the
+    link's power is 1); ``window_radius`` is in metres."""
+    window = window_radius / cfg.d
+    ring = window * window - 1.0  # the ring's width in squared radius
+    # the Campbell mean of the plane beyond the window
+    far_mean = 2.0 * cfg.mu * window ** (2.0 - cfg.alpha) / (cfg.alpha - 2.0)
+    half_alpha = cfg.alpha / 2.0
+    counts = rng_from_seed((seed, 0)).poisson([cfg.mu, cfg.mu * ring], (n_realizations, 2))
+    s_dec, r2_dec_min = _field_stats(counts[:, 0], rng_from_seed((seed, 1)), 0.0, 1.0,
+                                     half_alpha, chunk_points)
+    s_far, r2_far_min = _field_stats(counts[:, 1], rng_from_seed((seed, 2)), 1.0, ring,
+                                     half_alpha, chunk_points)
+    return _RealizationStats(s_dec, s_far + far_mean, counts[:, 0].astype(float),
+                             np.minimum(r2_dec_min, r2_far_min), r2_far_min)
 
 
 def _decode_view(stats: _RealizationStats, rule: DecodingRule):

@@ -183,11 +183,14 @@ class TestEstimateCognitive:
             np.testing.assert_array_equal(getattr(short, field), getattr(long, field)[:150])
 
     def test_run_ending_in_empty_windows(self):
-        # a run whose last realization has no points: the last realization
-        # with points still reduces over all of its own points
+        # a run whose last realization has no points: in each field the last
+        # realization with points (here the one before, with at least two)
+        # still reduces over all of its own points
         cfg = NetworkConfig(0.02, 2.0, 3.0)
-        counts = rng_from_seed((11, 0)).poisson(cfg.lam * math.pi * 25.0, 300)
-        n = next(i for i in range(2, 300) if counts[i - 1] == 0 and counts[i - 2] >= 2)
+        ring = (5.0 / cfg.d) ** 2 - 1.0
+        counts = rng_from_seed((11, 0)).poisson([cfg.mu, cfg.mu * ring], (1000, 2))
+        n = next(i for i in range(2, 1000)
+                 if not counts[i - 1].any() and np.all(counts[i - 2] >= 2))
         got = _collect_stats(cfg, 5.0, seed=11, n_realizations=n)
         want = self.oracle_stats(cfg, 5.0, seed=11, n_realizations=n)
         for field in ("n_dec", "r2_min", "r2_far_min"):
@@ -198,17 +201,18 @@ class TestEstimateCognitive:
     @staticmethod
     def oracle_stats(cfg, window_radius, seed, n_realizations):
         """The five statistics, one realization at a time, from the same draws:
-        each count in turn from stream (seed, 0), each realization's radii in
-        turn from stream (seed, 1), and the far mean added to each noise-set
-        sum.  Drawn in metres, reported as the kernel reports them, in units
-        of d: squared radii over d^2, powers times d^alpha."""
-        counts = rng_from_seed((seed, 0))
-        radii = rng_from_seed((seed, 1))
+        each (disc, ring) count pair in turn from stream (seed, 0), each
+        realization's disc radii in turn from stream (seed, 1) and its ring
+        radii from stream (seed, 2), and the far mean added to each noise-set
+        sum.  Drawn in metres and split at d, reported as the kernel reports
+        them, in units of d: squared radii over d^2, powers times d^alpha."""
+        counts, disc, ring = (rng_from_seed((seed, k)) for k in range(3))
         d2, d_alpha = cfg.d * cfg.d, cfg.d ** cfg.alpha
+        w2 = window_radius * window_radius
         rows = []
         for _ in range(n_realizations):
-            c = counts.poisson(cfg.lam * math.pi * window_radius * window_radius)
-            r2 = window_radius * window_radius * radii.random(c)
+            n_disc, n_ring = counts.poisson([cfg.lam * math.pi * d2, cfg.lam * math.pi * (w2 - d2)])
+            r2 = np.concatenate([d2 * disc.random(n_disc), d2 + (w2 - d2) * ring.random(n_ring)])
             dec = r2 < d2
             p = r2 ** (-cfg.alpha / 2.0)
             rows.append((p[dec].sum() * d_alpha,
@@ -253,21 +257,20 @@ class TestEstimateCognitive:
 
     def test_wide_window_reproduces_frozen_draws(self):
         # the five statistics of a radius-100 window drawn exactly, frozen
-        # from the kernel's output when the runs moved to one counts stream
-        # and one radii stream, before the plane beyond the window added its
-        # far mean; the power sums carry the last-digit latitude of numpy's pow
+        # from the kernel's output when the runs moved to drawing the decode
+        # disc and the noise ring as two fields, one radii stream each; the
+        # power sums carry the last-digit latitude of numpy's pow
         cfg = NetworkConfig(0.3, 1.0, 4.0)
         got = _collect_stats(cfg, 100.0, seed=5, n_realizations=4)
-        np.testing.assert_array_equal(got.n_dec, [1.0, 1.0, 0.0, 1.0])
-        np.testing.assert_array_equal(got.r2_min, [0.3641101955709214, 0.12005313674956497,
-                                                   2.1326290415635274, 0.5098673506387374])
-        np.testing.assert_array_equal(got.r2_far_min, [1.206150971930775, 1.4759547074316703,
-                                                       2.1326290415635274, 2.125252752395168])
-        np.testing.assert_allclose(got.s_dec, [7.542830007432363, 69.38298440224034,
-                                               0.0, 3.846675880795846],
+        np.testing.assert_array_equal(got.n_dec, [2.0, 0.0, 0.0, 3.0])
+        np.testing.assert_array_equal(got.r2_min, [0.47072268318809307, 1.04194881055316,
+                                                   4.01965247947016, 0.537936929104719])
+        np.testing.assert_array_equal(got.r2_far_min, [1.041282705635711, 1.04194881055316,
+                                                       4.01965247947016, 2.2230233912325943])
+        np.testing.assert_allclose(got.s_dec, [6.181402815624666, 0.0, 0.0, 7.020610435980172],
                                    rtol=1e-13, atol=0)
-        frozen = np.array([1.3382823176446217, 1.6076642012502464,
-                           0.4652382549275116, 0.46338461770434464])
+        frozen = np.array([1.8223158452360533, 2.4357768386872434,
+                           0.289754620205274, 0.5392499707795229])
         np.testing.assert_allclose(got.s_far, frozen + far_mean(cfg, 100.0), rtol=1e-13, atol=0)
 
     def test_far_mean_alone_without_noise_set_points(self):
@@ -279,6 +282,20 @@ class TestEstimateCognitive:
         assert 0 < np.count_nonzero(empty) < len(empty)
         assert np.all(stats.s_far[empty] == far_mean(CFG, 1.01))
         assert np.all(stats.s_far[~empty] > far_mean(CFG, 1.01))
+
+    @pytest.mark.parametrize("window", [1.3, 3.0])
+    def test_ring_contact_law(self, window):
+        # the nearest noise-set interferer of the joint rule: past d the
+        # field is Poisson, so r2_far_min - 1 is Exp(mu) truncated at the
+        # window, W^2/d^2 - 1 (an 11% chance of an empty ring at W = 1.3 d);
+        # Kolmogorov-Smirnov distance of 1e5 realizations below 0.01
+        cfg = NetworkConfig(1.0, 1.0, 4.0)
+        stats = _collect_stats(cfg, window, seed=0, n_realizations=100_000)
+        t = np.sort(stats.r2_far_min[np.isfinite(stats.r2_far_min)] - 1.0)
+        model = np.expm1(-cfg.mu * t) / np.expm1(-cfg.mu * (window * window - 1.0))
+        n = len(t)
+        ks = max(np.max(np.arange(1, n + 1) / n - model), np.max(model - np.arange(0, n) / n))
+        assert ks < 0.01
 
     def test_requires_enough_realizations(self):
         with pytest.raises(ValueError):
@@ -320,9 +337,8 @@ class TestEstimateCognitive:
         w = simulation.default_window_radius(cfg)
         rates_big, rates_small = [], []
         for seed in range(300):
-            # realization 0 of a run seeded `seed`, drawn as the window kernel
-            # draws it: its count is the first of stream (seed, 0), its radii
-            # the first of stream (seed, 1)
+            # one realization of the plane within 2w per seed: a Poisson
+            # count, then uniform squared radii
             count = rng_from_seed((seed, 0)).poisson(cfg.lam * math.pi * 4.0 * w * w)
             r = 2.0 * w * np.sqrt(rng_from_seed((seed, 1)).random(count))
             rates_big.append(rate(r, IAN, cfg=cfg, far=far_mean(cfg, 2.0 * w)))
@@ -407,8 +423,15 @@ class TestEstimateFixedRate:
         )
         est = estimate_fixed_rate(CFG, sol, n_realizations=200, seed=1, mode="closest_only",
                                   window_radius=1.01)
-        assert est.mean == pytest.approx(0.025, rel=1e-12)
-        assert est.stderr == pytest.approx(0.007724853839016686, rel=1e-12)
+        stats = simulation._sample(CFG, 200, 1, 1.01)
+        rates = _rates_from_stats(CFG, stats, OPT, "closest_only")
+        assert np.any((stats.n_dec > 0) & np.isinf(rates))
+        # only a count of 0 has a table entry, met where the rate reaches it
+        contrib = np.where((stats.n_dec == 0) & (rates >= 0.5), 0.5, 0.0)
+        assert est.mean > 0
+        assert est.mean == pytest.approx(CFG.lam * contrib.mean(), rel=1e-12)
+        assert est.stderr == pytest.approx(CFG.lam * contrib.std(ddof=1) / math.sqrt(200),
+                                           rel=1e-12)
 
     def test_opt_consistency(self):
         cfg = NetworkConfig(0.2, 1.0, 4.0)

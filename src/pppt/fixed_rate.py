@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ian, opt
-from .ian import _rate, _rate_times_success
+from .ian import _mixture, _rate, _rate_times_success
 from .model import DecodingRule, NetworkConfig, ThroughputValue
-from .numerics import SeriesTruncation, find_root, truncated_poisson_weights
+from .numerics import SeriesTruncation, find_root
 
 __all__ = [
     "FixedRateSolution",
@@ -102,11 +102,7 @@ def highest_throughput(cfg: NetworkConfig, rule: DecodingRule,
     its value.
     """
     rule = DecodingRule(rule)
-    if rule is DecodingRule.IAN:
-        w, edge = np.ones(1), 0.0
-    else:
-        w, edge = truncated_poisson_weights(cfg.mu, truncation), 1.0
-    k = 1.0 + np.arange(len(w))
+    k, w, edge = _mixture(cfg, rule, truncation)
     thresholds, boundary = _thresholds(cfg, rule, k)
     log_b = np.log(thresholds)
     value = float(np.sum(w * _rate_times_success(cfg, k, log_b, edge)))

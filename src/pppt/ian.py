@@ -8,10 +8,12 @@ R = log2(1 + SIR).
 
 The noise rule is the k = 1, edge 0 member of the joint rule's family
 (k = 1+n messages at log2(1 + k*sir)/k, SIR law on sir > edge = 1; see
-:mod:`pppt.opt`).  The private helpers below take k and the edge and serve
-:mod:`pppt.opt` and :mod:`pppt.fixed_rate` too; the SIR law and the rate
-law are each written once, in log sir, with their inverses, and the rate
-law serves :mod:`pppt.simulation` as well.
+:mod:`pppt.opt`).  ``_mixture`` alone decides a rule's shares k, weights
+w and SIR edge; the mean rate, both bounds and the rate density each have
+one private body over (k, w, edge), which :mod:`pppt.opt` and
+:mod:`pppt.fixed_rate` call too.  The SIR law and the rate law are each
+written once, in log sir, with their inverses, and the rate law serves
+:mod:`pppt.simulation` as well.
 
 All expectations are evaluated after the substitution
 u = mu * (sir^(2/alpha) - edge) (mu = lam*pi*d^2), which is Exp(1) and
@@ -21,13 +23,15 @@ a few levels.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
 import numpy as np
 
-from .model import NetworkConfig, ThroughputValue
-from .numerics import BracketError, QuadratureSpec, _scalar_or_array, find_root, integrate
+from .model import DecodingRule, NetworkConfig, ThroughputValue
+from .numerics import (BracketError, QuadratureSpec, SeriesTruncation, _scalar_or_array,
+                       find_root, integrate, truncated_poisson_weights)
 
 __all__ = [
     "asymptote",
@@ -68,14 +72,41 @@ def _log_sir_ccdf(cfg: NetworkConfig, log_b, edge: float):
 
 def _log_sir_at_u(mu: float, half_alpha: float, u, edge: float):
     """The inverse of :func:`_log_sir_ccdf` at u = -log P[sir > b]:
-    log b = (alpha/2) * log(edge + u/mu), elementwise."""
+    log b = (alpha/2) * log(edge + u/mu), elementwise, from log u - log mu
+    where u/mu nears the double range (mu below about 6e-295 at the
+    quadrature's last node, u ~ 6e13)."""
+    if mu < 1.0 and np.max(u) > mu * 1e308:  # u/mu <= u at mu >= 1
+        log_r = np.log(u) - math.log(mu)
+        return half_alpha * (np.logaddexp(0.0, log_r) if edge else log_r)
     return half_alpha * (np.log1p(u / mu) if edge else np.log(u / mu))
 
 
-def _log_mean_sir(cfg: NetworkConfig) -> float:
-    """log E[sir] = log(Gamma(1 + alpha/2) * mu^(-alpha/2)) under the noise rule."""
-    half_alpha = cfg.alpha / 2.0
-    return math.lgamma(1.0 + half_alpha) - half_alpha * math.log(cfg.mu)
+@functools.lru_cache(maxsize=2)
+def _mixture(cfg: NetworkConfig, rule: DecodingRule, truncation: SeriesTruncation | None = None):
+    """(k, w, edge), the one place the rules differ: k = 1 on sir > 0 (noise
+    rule); k = 1+n, series-truncated Poisson(mu) weights, sir > 1 (joint
+    rule).  The last two are kept, read-only, for the next closed forms."""
+    w = np.ones(1) if rule is DecodingRule.IAN else truncated_poisson_weights(cfg.mu, truncation)
+    k = 1.0 + np.arange(len(w))
+    k.flags.writeable = w.flags.writeable = False
+    return k, w, 0.0 if rule is DecodingRule.IAN else 1.0
+
+
+def _log_mean_sir(cfg: NetworkConfig, edge: float, spec: QuadratureSpec | None = None) -> float:
+    """log E[sir] on sir > edge: log(Gamma(1 + alpha/2) * mu^(-alpha/2)) at
+    edge 0; at edge 1 the log of int (1 + t/mu)^(alpha/2) e^-t dt
+    = e^mu * mu^(-alpha/2) * Gamma(1 + alpha/2, mu), its integrand divided
+    by its peak at t0 = max(alpha/2 - mu, 0) in log space, so a mean past
+    the double range has a finite log (1187.6 at mu = 3e-10*pi, alpha = 100).
+    """
+    mu, half_alpha = cfg.mu, cfg.alpha / 2.0
+    if not edge:
+        return math.lgamma(1.0 + half_alpha) - half_alpha * math.log(mu)
+    t0 = max(half_alpha - mu, 0.0)
+    log_peak = _log_sir_at_u(mu, half_alpha, t0, 1.0) - t0
+    shifted = integrate(lambda t: np.exp(_log_sir_at_u(mu, half_alpha, t, 1.0) - t - log_peak),
+                        spec)
+    return log_peak + math.log(shifted)
 
 
 def pdf_nearest_distance(cfg: NetworkConfig, x):
@@ -127,22 +158,25 @@ def _rate_edge(k, edge: float):
     return _rate(k, 0.0) if edge else 0.0
 
 
-def _pdf_rate(cfg: NetworkConfig, k, x, edge: float):
-    """Rate density with k messages sharing the rate log2(1 + k*sir)/k, for
-    the SIR law on sir > edge; zero at and below :func:`_rate_edge`.
-
-    Broadcast over (k, x); evaluated in log space from log sir, so that a
-    SIR past the double range gives a density of 0.
-    """
-    k, x = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(x, dtype=float))
-    out = np.zeros(x.shape)
-    m = x > _rate_edge(k, edge)
-    km, xm = k[m], x[m]
-    # db/dx = ln2 * 2^(k*x); a k*x past the double range is a b past it too
-    with np.errstate(over="ignore"):
-        log_jacobian = math.log(_LN2) + km * xm * _LN2
-    out[m] = _sir_density(cfg, _log_sir_at_rate(xm, km), edge, log_jacobian)
-    return out
+def _pdf_rate(cfg: NetworkConfig, k, w, edge: float, x):
+    """Rate density sum_i w_i * p_i(x), p_i that of log2(1 + k_i*sir)/k_i
+    on sir > edge, zero at and below :func:`_rate_edge`; from log sir, so a
+    SIR past the double range gives 0.  (terms x points) blocks of about
+    2^16 cells keep the memory bounded at any mu."""
+    x = np.asarray(x, dtype=float)
+    dens = []
+    blocks = max(1, math.ceil(x.size * len(w) / 2**16))
+    for xb in np.array_split(x.reshape(1, -1), blocks, axis=1):
+        kb, xb = np.broadcast_arrays(k[:, None], xb)
+        cells = np.zeros(xb.shape)
+        m = xb > _rate_edge(kb, edge)
+        km, xm = kb[m], xb[m]
+        # db/dx = ln2 * 2^(k*x); a k*x past the double range is a b past it too
+        with np.errstate(over="ignore"):
+            log_jacobian = math.log(_LN2) + km * xm * _LN2
+        cells[m] = _sir_density(cfg, _log_sir_at_rate(xm, km), edge, log_jacobian)
+        dens.append(w @ cells)
+    return _scalar_or_array(np.concatenate(dens).reshape(x.shape))
 
 
 def _rate_integrand(mu: float, half_alpha: float, edge: float, k, coef):
@@ -186,6 +220,30 @@ def _rate_times_success(cfg: NetworkConfig, k, log_b, edge: float):
     return out
 
 
+def _mean_rate(cfg: NetworkConfig, k, w, edge: float, spec: QuadratureSpec | None = None) -> float:
+    """E[R] of the mixture (k, w, edge) as one integral, bits/s/Hz; weights
+    below 1e-17 of the largest cannot move it and are left out."""
+    i = np.flatnonzero(w >= 1e-17 * w.max())
+    return integrate(_rate_integrand(cfg.mu, cfg.alpha / 2.0, edge, k[i], w[i])[0], spec)
+
+
+def _lower_bound(cfg: NetworkConfig, k, w, edge: float, y) -> ThroughputValue:
+    """Markov bound sum_i w_i * lam * y_i * P[R_i >= y_i] at the anchors
+    y_i = y(i) of a callable or constant ``y``, each above its rate edge."""
+    ys = np.array([float(y(i)) for i in range(len(w))]) if callable(y) else np.full(len(w), float(y))
+    below = np.flatnonzero(~(ys > _rate_edge(k, edge)))
+    if below.size:
+        i = below[0]
+        raise ValueError(f"rate anchor {ys[i]} must exceed the support edge "
+                         f"{_rate_edge(k[i], edge)} of k = {k[i]:g}")
+    return ThroughputValue(float(w @ _rate_times_success(cfg, k, _log_sir_at_rate(ys, k), edge)))
+
+
+def _upper_bound(cfg: NetworkConfig, k, w, edge: float, spec: QuadratureSpec | None = None):
+    """Jensen bound lam * sum_i w_i * log2(1 + k_i*E[sir])/k_i."""
+    return ThroughputValue(cfg.lam * float(w @ _rate(k, _log_mean_sir(cfg, edge, spec))))
+
+
 def pdf_sir(cfg: NetworkConfig, x):
     """Density of the highest decodable SIR, supported on x > 0.
 
@@ -202,30 +260,22 @@ def pdf_rate(cfg: NetworkConfig, x):
     x^(2/alpha - 1) near zero (integrable for alpha > 2) and decays
     double-exponentially in x.
     """
-    return _scalar_or_array(_pdf_rate(cfg, 1.0, x, 0.0))
-
-
-def _mean_rate(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> float:
-    """Expected highest achievable rate of the typical link, bits/s/Hz."""
-    return integrate(_rate_integrand(cfg.mu, cfg.alpha / 2.0, 0.0, 1.0, 1.0)[0], spec)
+    return _pdf_rate(cfg, *_mixture(cfg, DecodingRule.IAN), x)
 
 
 def cognitive_throughput(cfg: NetworkConfig, spec: QuadratureSpec | None = None) -> ThroughputValue:
     """Density times expected per-realization maximum rate, bits/s/Hz/m^2."""
-    return ThroughputValue(cfg.lam * _mean_rate(cfg, spec))
+    return ThroughputValue(cfg.lam * _mean_rate(cfg, *_mixture(cfg, DecodingRule.IAN), spec))
 
 
 def lower_bound(cfg: NetworkConfig, y: float) -> ThroughputValue:
     """Markov-inequality lower bound lam * y * P[R >= y], valid for any y > 0."""
-    if not y > 0:
-        raise ValueError(f"y must be > 0, got {y}")
-    value = float(_rate_times_success(cfg, 1.0, _log_sir_at_rate(y, 1.0), 0.0))
-    return ThroughputValue(value)
+    return _lower_bound(cfg, *_mixture(cfg, DecodingRule.IAN), y)
 
 
 def upper_bound(cfg: NetworkConfig) -> ThroughputValue:
     """Jensen upper bound lam * log2(1 + E[sir]); E[sir] = Gamma(1+alpha/2) * mu^(-alpha/2)."""
-    return ThroughputValue(cfg.lam * float(_rate(1.0, _log_mean_sir(cfg))))
+    return _upper_bound(cfg, *_mixture(cfg, DecodingRule.IAN))
 
 
 def asymptote(cfg: NetworkConfig) -> ThroughputValue:
@@ -236,7 +286,7 @@ def asymptote(cfg: NetworkConfig) -> ThroughputValue:
     value past the double range is inf, which ThroughputValue rejects.
     """
     with np.errstate(over="ignore"):
-        value = float(np.exp(math.log(cfg.lam) + _log_mean_sir(cfg))) / _LN2
+        value = float(np.exp(math.log(cfg.lam) + _log_mean_sir(cfg, 0.0))) / _LN2
     return ThroughputValue(value)
 
 
@@ -282,7 +332,7 @@ def optimal_density(d: float, alpha: float):
     # a subnormal double keeps too few digits to carry lam* * d^2
     if sys.float_info.min <= lam_star < math.inf:
         cfg = NetworkConfig(lam_star, d, alpha)
-        value = cfg.lam * _mean_rate(cfg)
+        value = cfg.lam * _mean_rate(cfg, *_mixture(cfg, DecodingRule.IAN))
         if sys.float_info.min <= value < math.inf:
             return cfg.lam, ThroughputValue(value)
     raise ValueError(f"optimal density lam* = mu*/(pi*d^2) = {lam_star} or its throughput is "

@@ -23,8 +23,9 @@ drawn, as two independent Poisson fields: the decode disc r < d and the
 noise ring d <= r < W (a Poisson field restricted to disjoint sets,
 Haenggi & Ganti, FnT 2009, sec. 2).  The infinite plane beyond the window
 adds its Campbell mean 2*mu*(W/d)^(2-alpha)/(alpha-2) (sec. 3) to every
-noise-set sum.  That mean keeps every full-interference rate finite,
-unless the powers underflow (alpha far above 60).
+noise-set sum.  That mean keeps every full-interference rate finite
+unless the powers underflow, as mu^(alpha/2) nears 5e-324 (mu ~ 1e-11 at
+alpha = 60, 1e-32 at 20, 1e-162 at 4): the estimate is an ArithmeticError.
 
 A run seeded with ``s`` draws all its (disc, ring) count pairs in one call
 from the stream keyed by (s, 0); the squared radii, realization after

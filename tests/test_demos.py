@@ -1,5 +1,6 @@
-"""Every demo runs to completion as a script (tables only without matplotlib),
-and the README's library quickstart gives the values its comments state."""
+"""Every demo runs to completion as a script, with every warning an error
+(tables only without matplotlib), and the README's library quickstart
+gives the values its comments state."""
 import ast
 import os
 import re
@@ -21,7 +22,8 @@ def test_demos_found():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    # -W error: the package's no-numpy-warning contract covers the demos too
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 

@@ -4,7 +4,9 @@ value >= 0, or a typed error.
 The grid runs alpha from just above 2 to 60 and mu = lam*pi*d^2 from 1e-9
 to 1e6 by decades, at link distances 1e-100, 1 and 1e100 up to mu = 1e3 (d
 moves lam, and with it every value that scales with the density, towards
-the ends of the double range) and at d = 1 above it.  A value past the
+the ends of the double range) and at d = 1 above it, and at mu = 1e-300 and
+2.3e-308, near the smallest normal double, at d = 1, where u/mu at the
+quadrature's last nodes is past the double range.  A value past the
 double range is the library's ArithmeticError; an OverflowError is math's,
 and fails the scan.
 """
@@ -17,7 +19,7 @@ from pppt import fixed_rate, ian, opt
 from pppt.model import DecodingRule, NetworkConfig
 
 ALPHAS = [2.05, 4.0, 20.0, 60.0]
-MUS = [10.0**e for e in range(-9, 7)]
+MUS = [2.3e-308, 1e-300] + [10.0**e for e in range(-9, 7)]
 PDF_POINTS = np.array([1e-3, 1.0, 10.0])
 
 CALLS = {
@@ -41,7 +43,7 @@ def _fixed(cfg, rule):
 
 def _cells(alpha):
     for mu in MUS:
-        for d in (1e-100, 1.0, 1e100) if mu <= 1e3 else (1.0,):
+        for d in (1e-100, 1.0, 1e100) if 1e-9 <= mu <= 1e3 else (1.0,):
             yield mu, d, NetworkConfig(mu / math.pi / d / d, d, alpha)
 
 
@@ -60,6 +62,20 @@ def test_finite_value_or_typed_error(alpha):
                 if not np.all(np.isfinite(values) & (values >= 0)):
                     bad.append((name, mu, d, values))
     assert not bad, bad
+
+
+@pytest.mark.parametrize("mu", [1e-300, 2.3e-308])
+@pytest.mark.parametrize("alpha", [2.05, 4.0, 60.0])
+def test_small_mu_mean_rate_limit(alpha, mu):
+    # with u = mu*sir^(2/alpha) ~ Exp(1) and E[log u] = -gamma, both rules'
+    # E[R] tend to (alpha/2) * (-gamma - ln mu) / ln2 as mu -> 0, and the
+    # joint rule's truncation at sir > 1 stops mattering
+    cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
+    limit = alpha / 2.0 * (-np.euler_gamma - math.log(mu)) / math.log(2.0)
+    assert ian.cognitive_throughput(cfg).value / cfg.lam == pytest.approx(limit, rel=1e-8)
+    assert opt.cognitive_throughput(cfg).value / cfg.lam == pytest.approx(limit, rel=1e-8)
+    assert opt.conditional_mean_rate(cfg, 0) == pytest.approx(limit, rel=1e-8)
+    assert opt.upper_bound(cfg).value == pytest.approx(ian.upper_bound(cfg).value, rel=1e-8)
 
 
 DENSITY_MUS = [1e-9, 1.0, 1e4]

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from pppt import ian
-from pppt.model import NetworkConfig
+from pppt.model import DecodingRule, NetworkConfig
 
 from golden_section import maximize_unimodal
 
@@ -95,7 +95,7 @@ class TestSirLaw:
     def test_mean_is_the_integral_of_the_ccdf(self):
         # E[sir] = int_0^inf P[sir > b] db = Gamma(3) / mu^2 = 2 at alpha = 4, mu = 1
         mass = pdf_mass(lambda b: math.exp(ian._log_sir_ccdf(CFG1, math.log(b), 0.0)))
-        assert ian._log_mean_sir(CFG1) == pytest.approx(math.log(2.0), rel=1e-14)
+        assert ian._log_mean_sir(CFG1, 0.0) == pytest.approx(math.log(2.0), rel=1e-14)
         assert mass == pytest.approx(2.0, rel=1e-9)
 
 
@@ -183,12 +183,14 @@ class TestCognitiveThroughput:
         assert tv.value == pytest.approx(C_IAN_AT_INV_PI, rel=1e-9)
 
     def test_mean_rate_pinned(self):
-        assert ian._mean_rate(CFG1) == pytest.approx(MEAN_RATE_MU1_A4, rel=1e-9)
+        got = ian._mean_rate(CFG1, *ian._mixture(CFG1, DecodingRule.IAN))
+        assert got == pytest.approx(MEAN_RATE_MU1_A4, rel=1e-9)
 
     @pytest.mark.parametrize("mu,alpha,ref", SMALL_MU_MEAN_RATES)
     def test_mean_rate_small_mu(self, mu, alpha, ref):
         cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
-        assert ian._mean_rate(cfg) == pytest.approx(ref, rel=1e-9)
+        got = ian._mean_rate(cfg, *ian._mixture(cfg, DecodingRule.IAN))
+        assert got == pytest.approx(ref, rel=1e-9)
 
     def test_vanishes_with_density(self):
         assert ian.cognitive_throughput(NetworkConfig(1e-12, 1.0, 4.0)).value < 1e-9
@@ -226,10 +228,11 @@ class TestBounds:
         assert want / cfg.lam == pytest.approx(1810.087, rel=1e-6)
 
     def test_lower_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ian.lower_bound(CFG1, 0.0)
-        with pytest.raises(ValueError):
-            ian.lower_bound(CFG1, -1.0)
+        # one message for both rules, naming the rate, the share and the edge
+        for y in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError,
+                               match=rf"^rate anchor {y} must exceed the support edge 0\.0 of k = 1$"):
+                ian.lower_bound(CFG1, y)
 
     def test_upper_direct_substitution(self):
         assert ian.upper_bound(CFG1).value == pytest.approx(math.log2(3.0) / math.pi, rel=1e-14)

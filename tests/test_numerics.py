@@ -241,7 +241,7 @@ class TestSpecialFunctions:
     """The special functions behind the closed forms, as ian and opt
     evaluate them: Gamma(1 + alpha/2) through math.lgamma, and the upper
     incomplete gamma integral Gamma(z, a) = e^-a int (a+t)^(z-1) e^-t dt as
-    the shifted-exponential quadrature of opt._log_truncated_sir_mean, deep
+    the shifted-exponential quadrature of ian._log_mean_sir at edge 1, deep
     into the tail it reaches."""
 
     @pytest.mark.parametrize("z,ref", GAMMA_REFS)

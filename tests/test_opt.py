@@ -155,7 +155,7 @@ class TestMixturePdf:
         assert peak < 16 * 2**20
         w = truncated_poisson_weights(cfg.mu)
         k = 1.0 + np.arange(len(w))
-        want = np.array([w @ _pdf_rate(cfg, k, x, 1.0) for x in xs])
+        want = np.array([_pdf_rate(cfg, k, w, 1.0, x) for x in xs])
         assert np.count_nonzero(want) > 100
         # every point sums all of its terms, which are >= 0: two summation
         # orders agree to (terms) * eps relative
@@ -222,6 +222,14 @@ class TestLowerBound:
             opt.lower_bound(CFG1, 0.5)  # below the single-link edge of 1
         with pytest.raises(ValueError):
             opt.lower_bound(CFG1, lambda i: opt.conditional_support_edge(i))
+        # the first anchor at or below its edge is named with its share k = 1+i
+        with pytest.raises(ValueError,
+                           match=r"^rate anchor 1\.0 must exceed the support edge 1\.0 of k = 1$"):
+            opt.lower_bound(CFG1, 1.0)
+        edge = opt.conditional_support_edge(2)  # log2(4)/3
+        with pytest.raises(ValueError, match=rf"^rate anchor {edge} must exceed the support edge "
+                                             rf"{edge} of k = 3$"):
+            opt.lower_bound(CFG1, lambda i: edge if i == 2 else 2.0)
 
     @pytest.mark.parametrize("alpha", MIXTURE_ALPHAS)
     def test_log_space_matches_direct_formula(self, alpha):
@@ -248,7 +256,7 @@ class TestLowerBound:
 class TestUpperBound:
     def test_truncated_sir_mean_closed_form(self):
         # at mu = 1, alpha = 4 the mean is exactly 5
-        assert opt._log_truncated_sir_mean(CFG1) == pytest.approx(math.log(5.0), abs=1e-12)
+        assert ian._log_mean_sir(CFG1, 1.0) == pytest.approx(math.log(5.0), abs=1e-12)
 
     # cases at alpha = 4 keep the bare mu id
     @pytest.mark.parametrize("mu,alpha", MOMENT_CASES,
@@ -257,11 +265,11 @@ class TestUpperBound:
         cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
         ref, _ = quad(lambda t: (1.0 + t / mu) ** (alpha / 2.0) * math.exp(-t), 0.0, np.inf,
                       epsabs=0.0, epsrel=1e-13, limit=500)
-        assert opt._log_truncated_sir_mean(cfg) == pytest.approx(math.log(ref), abs=1e-9)
+        assert ian._log_mean_sir(cfg, 1.0) == pytest.approx(math.log(ref), abs=1e-9)
 
     def test_moment_large_mu_path(self):
         cfg = NetworkConfig(1000.0, 1.0, 4.0)  # mu ~ 3142, where e^mu overflows
-        log_m = opt._log_truncated_sir_mean(cfg)
+        log_m = ian._log_mean_sir(cfg, 1.0)
         assert log_m == pytest.approx(math.log(1.0 + 2.0 / cfg.mu), abs=1e-3)
         assert log_m > 0.0
 

@@ -2,14 +2,14 @@
 
 Transmitters cannot see their realization, so they pick one SIR threshold
 per joint-decode count (a single one under interference-as-noise), code at
-the matching rate, and accept outages.  The per-count objective
-rate * success-probability, the Markov bound's term, comes from the helper
-in :mod:`pppt.ian` (k = 1, edge 0 under interference-as-noise; k = 1+n,
-edge 1 under joint decoding).  It is concave in the threshold; its
-stationary point is found by bracketed root finding on the derivative of
-the log objective, never by iterating the fixed-point form (whose naive
-iteration collapses to the useless zero threshold).  ``highest_throughput``
-solves the threshold of each count and returns them.
+the matching rate, and accept outages.  A rate y earns y * P[R >= y], so
+the throughput is the Markov bound of :mod:`pppt.ian` at the optimal rates,
+one body with the lower bounds (k = 1, edge 0 under interference-as-noise;
+k = 1+n, edge 1 under joint decoding).  Each term is concave in the
+threshold; its stationary point is found by bracketed root finding on the
+derivative of the log objective, never by iterating the fixed-point form
+(whose naive iteration collapses to the useless zero threshold).
+``highest_throughput`` solves the threshold of each count and returns them.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ian, opt
-from .ian import _mixture, _rate, _rate_times_success
+from .ian import _markov_bound, _mixture, _rate
 from .model import DecodingRule, NetworkConfig, ThroughputValue
 from .numerics import SeriesTruncation, find_root
 
@@ -65,22 +65,22 @@ def _objective_slope(cfg: NetworkConfig, k, b):
             - b ** ((cfg.alpha - 2.0) / cfg.alpha))
 
 
-def _thresholds(cfg: NetworkConfig, rule: DecodingRule, k: np.ndarray):
-    """Optimal thresholds and boundary flags for the decode shares ``k``:
-    the sign change of the rescaled slope, bracketed below from 1e-9 down
-    under interference-as-noise or by the support edge sir = 1 under joint
-    decoding (a slope already >= 0 there flags the boundary), and above by
-    doubling from 2 (out of the domain up to inf, where the slope is nan
-    and find_root raises), then solved share by share.
+def _thresholds(cfg: NetworkConfig, k: np.ndarray, edge: float):
+    """Optimal thresholds and boundary flags for the decode shares ``k`` on
+    sir > edge (0 or 1): the sign change of the rescaled slope, bracketed
+    below from 1e-9 down at edge 0 or by the edge sir = 1 (a slope already
+    >= 0 there flags the boundary), and above by doubling from 2 (out of
+    the domain up to inf, where the slope is nan and find_root raises),
+    then solved share by share.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if rule is DecodingRule.IAN:
+        if not edge:
             lo = 1e-9
-            while _objective_slope(cfg, 1.0, lo) >= 0.0 and lo > 1e-300:
+            while np.any(_objective_slope(cfg, k, lo) >= 0.0) and lo > 1e-300:
                 lo *= 1e-2
             boundary = np.zeros(k.shape, dtype=bool)
         else:
-            lo = 1.0
+            lo = edge
             boundary = _objective_slope(cfg, k, lo) >= 0.0
         b = np.full(k.shape, _BOUNDARY_SIR)
         interior = np.flatnonzero(~boundary)
@@ -96,23 +96,17 @@ def highest_throughput(cfg: NetworkConfig, rule: DecodingRule,
                        truncation: SeriesTruncation | None = None) -> FixedRateSolution:
     """Fixed-rate solution with the optimized thresholds and its throughput.
 
-    Under joint decoding the value is the Poisson-weighted sum of the per
-    count objectives, each at its own optimal threshold; the weights follow
-    the series truncation policy.  ``rule`` is a :class:`DecodingRule` or
-    its value.
+    Its value is the rule's Markov bound at each count's own optimal rate,
+    Poisson-weighted under joint decoding; the weights follow the series
+    truncation policy.  ``rule`` is a :class:`DecodingRule` or its value.
     """
     rule = DecodingRule(rule)
     k, w, edge = _mixture(cfg, rule, truncation)
-    thresholds, boundary = _thresholds(cfg, rule, k)
+    thresholds, boundary = _thresholds(cfg, k, edge)
     log_b = np.log(thresholds)
-    value = float(np.sum(w * _rate_times_success(cfg, k, log_b, edge)))
-    return FixedRateSolution(
-        rule=rule,
-        sir_thresholds=thresholds,
-        rates=_rate(k, log_b),
-        throughput=ThroughputValue(value),
-        at_boundary=boundary,
-    )
+    return FixedRateSolution(rule=rule, sir_thresholds=thresholds, rates=_rate(k, log_b),
+                             throughput=_markov_bound(cfg, k, w, edge, log_b),
+                             at_boundary=boundary)
 
 
 def compare_cognitive_vs_fixed(cfg: NetworkConfig) -> dict:

@@ -201,23 +201,22 @@ def _rate_integrand(mu: float, half_alpha: float, edge: float, k, coef):
     return f, s
 
 
-def _rate_times_success(cfg: NetworkConfig, k, log_b, edge: float):
-    """lam * log2(1 + k*b)/k * P[sir > b], elementwise in (k, log b), edge 0
-    or 1: the Markov lower bound at the rate y = log2(1 + k*b)/k and the
-    fixed-rate objective at the threshold b.
+def _markov_bound(cfg: NetworkConfig, k, w, edge: float, log_b) -> ThroughputValue:
+    """lam * sum_i w_i * log2(1 + k_i*b_i)/k_i * P[sir > b_i] from log b_i,
+    edge 0 or 1: the Markov bound at the rates log2(1 + k_i*b_i)/k_i, and
+    the fixed-rate throughput at the thresholds b_i.
 
     Taken from log b, so a b or k*b past the double range still gives a
-    finite value; where b^(2/alpha) overflows the success probability is 0
-    and so is the value.  lam multiplies last, so a success probability of
+    finite term; where b^(2/alpha) overflows the success probability is 0
+    and so is the term.  lam multiplies last, so a success probability of
     0 gives 0 also where lam * rate would overflow.
     """
-    k, log_b = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(log_b, dtype=float))
     log_success = _log_sir_ccdf(cfg, log_b, edge)
-    out = np.zeros(log_b.shape)
+    terms = np.zeros(log_b.shape)
     m = log_success > -np.inf
     with np.errstate(over="ignore"):
-        out[m] = _rate(k[m], log_b[m]) * np.exp(log_success[m]) * cfg.lam
-    return out
+        terms[m] = _rate(k[m], log_b[m]) * np.exp(log_success[m]) * cfg.lam
+    return ThroughputValue(float(w @ terms))
 
 
 def _mean_rate(cfg: NetworkConfig, k, w, edge: float, spec: QuadratureSpec | None = None) -> float:
@@ -236,7 +235,7 @@ def _lower_bound(cfg: NetworkConfig, k, w, edge: float, y) -> ThroughputValue:
         i = below[0]
         raise ValueError(f"rate anchor {ys[i]} must exceed the support edge "
                          f"{_rate_edge(k[i], edge)} of k = {k[i]:g}")
-    return ThroughputValue(float(w @ _rate_times_success(cfg, k, _log_sir_at_rate(ys, k), edge)))
+    return _markov_bound(cfg, k, w, edge, _log_sir_at_rate(ys, k))
 
 
 def _upper_bound(cfg: NetworkConfig, k, w, edge: float, spec: QuadratureSpec | None = None):

@@ -26,6 +26,8 @@ adds its Campbell mean 2*mu*(W/d)^(2-alpha)/(alpha-2) (sec. 3) to every
 noise-set sum.  That mean keeps every full-interference rate finite
 unless the powers underflow, as mu^(alpha/2) nears 5e-324 (mu ~ 1e-11 at
 alpha = 60, 1e-32 at 20, 1e-162 at 4): the estimate is an ArithmeticError.
+So is a window whose (W/d)^2 overflows, 64*pi/mu for the default one
+below mu ~ 1.1e-306.
 
 A run seeded with ``s`` draws all its (disc, ring) count pairs in one call
 from the stream keyed by (s, 0); the squared radii, realization after
@@ -150,6 +152,8 @@ def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int,
     link's power is 1); ``window_radius`` is in metres."""
     window = window_radius / cfg.d
     ring = window * window - 1.0  # the ring's width in squared radius
+    if not math.isfinite(ring):
+        raise ArithmeticError(f"the window's (W/d)^2 overflows a double at mu = {cfg.mu:g}")
     # the Campbell mean of the plane beyond the window
     far_mean = 2.0 * cfg.mu * window ** (2.0 - cfg.alpha) / (cfg.alpha - 2.0)
     half_alpha = cfg.alpha / 2.0

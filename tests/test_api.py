@@ -25,24 +25,57 @@ def test_all_names_resolve(name):
 # public names no file of the library or the demos loads, with the reason
 # each stays public
 EXTERNAL_CALLERS = {
+    "pppt.opt.pdf_sir":
+        "acceptance criterion 1 integrates it (tests/test_acceptance.py)",
     "pppt.simulation.default_window_radius":
         "benchmarks/tracer.py reads it by its qualified name",
 }
 
 
+def _module_aliases(tree, package):
+    """Names a file binds to modules (``from pppt import opt``,
+    ``from . import ian as _ian``, ``import numpy as np``), and the
+    qualified names it imports by name from a module."""
+    aliases, imported = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name if alias.asname else alias.name.split(".")[0]
+                aliases[alias.asname or top] = top
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, [package, node.module])) if node.level else node.module
+            for alias in node.names:
+                full = f"{base}.{alias.name}"
+                if full in MODULES:
+                    aliases[alias.asname or alias.name] = full
+                else:
+                    imported.add(full)
+    return aliases, imported
+
+
 @pytest.fixture(scope="module")
 def referenced_names():
-    """Per file of the library and the demos, every name it loads in code,
-    bare or as an attribute; definitions, imports and docstrings do not
-    count."""
+    """Per file of the library and the demos, the qualified names
+    ``module.attr`` it uses: imported by name from the module, or loaded as
+    an attribute of a name bound to it.  An attribute of a base that names
+    no module (the CLI's loop over modules) counts for every module, as
+    ``*.attr``.  Definitions, bare loads and docstrings do not count."""
     names = {}
     for path in [*(ROOT / "src" / "pppt").glob("*.py"), *(ROOT / "demos").glob("*.py")]:
-        loaded = names[path] = set()
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
+        tree = ast.parse(path.read_text(), str(path))
+        package = "pppt" if path.parent.name == "pppt" else None
+        aliases, names[path] = _module_aliases(tree, package)
+
+        def module_of(node):
+            if isinstance(node, ast.Name):
+                return aliases.get(node.id)
+            if isinstance(node, ast.Attribute) and (base := module_of(node.value)):
+                return f"{base}.{node.attr}" if f"{base}.{node.attr}" in MODULES else None
+            return None
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names[path].add(f"{module_of(node.value) or '*'}.{node.attr}")
     return names
 
 
@@ -54,7 +87,8 @@ def test_every_public_name_has_a_caller(name, referenced_names):
     own = ROOT / "src" / "pppt" / f"{name.rsplit('.', 1)[1]}.py"
     used = set().union(*(loaded for path, loaded in referenced_names.items() if path != own))
     unused = sorted(attr for attr in module.__all__
-                    if attr not in used and not inspect.isclass(getattr(module, attr))
+                    if not {f"{name}.{attr}", f"*.{attr}"} & used
+                    and not inspect.isclass(getattr(module, attr))
                     and f"{name}.{attr}" not in EXTERNAL_CALLERS)
     assert not unused, f"nothing in src/ or demos/ outside {name} uses {unused}"
 

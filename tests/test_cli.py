@@ -449,6 +449,17 @@ class TestSimulateCommand:
         echo = dict(zip(header[2:], rows[0][2:]))
         assert echo == {"n_realizations": "300", "seed": "0", "interference_mode": "closest_only"}
 
+    def test_overflowed_window_is_numerical_failure(self, tmp_path, capsys):
+        # mu ~ 9.4e-307: the default window's (W/d)^2 overflows a double
+        out = tmp_path / "sim.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--rule", "ian", "--lambda", "3e-307",
+                         "--realizations", "100", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the window's (W/d)^2 overflows")
+        assert not out.exists()
+
     def test_power_accounting_flag_is_usage_error(self, capsys):
         # one power accounting, the paper's: there is nothing to select
         with pytest.raises(SystemExit) as exc:

@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from pppt import fixed_rate, ian, opt
-from pppt.ian import _rate_times_success
+from pppt.ian import _markov_bound
 from pppt.model import DecodingRule, NetworkConfig
 from pppt.numerics import truncated_poisson_weights
 
@@ -40,18 +41,24 @@ def threshold(cfg, rule, joint=0):
     return float(sol.sir_thresholds[joint]), bool(sol.at_boundary[joint])
 
 
-class TestRateTimesSuccess:
-    # the fixed-rate objective at a threshold, from the shared ian helper
+def one_term(cfg, k, log_b, edge):
+    """The Markov bound of the one-term mixture k: the fixed-rate objective
+    at the threshold exp(log_b)."""
+    return _markov_bound(cfg, np.atleast_1d(k), np.ones(1), edge, np.atleast_1d(log_b)).value
+
+
+class TestMarkovBound:
+    # the fixed-rate objective at a threshold, from the shared ian body
     def test_ian_direct_substitution(self):
-        v = _rate_times_success(CFG1, 1.0, math.log(1.0), 0.0)
+        v = one_term(CFG1, 1.0, math.log(1.0), 0.0)
         assert v == pytest.approx(1.0 / (math.e * math.pi), rel=1e-14)
 
     def test_ian_concave_hump_limits(self):
-        assert _rate_times_success(CFG1, 1.0, math.log(1e-12), 0.0) < 1e-11
-        assert _rate_times_success(CFG1, 1.0, math.log(1e12), 0.0) < 1e-11
+        assert one_term(CFG1, 1.0, math.log(1e-12), 0.0) < 1e-11
+        assert one_term(CFG1, 1.0, math.log(1e12), 0.0) < 1e-11
 
     def test_opt_term_matches_formula(self):
-        v = _rate_times_success(CFG1, 2.0, math.log(2.0), 1.0)
+        v = one_term(CFG1, 2.0, math.log(2.0), 1.0)
         expected = CFG1.lam * math.log2(5.0) / 2.0 * math.exp(-(math.sqrt(2.0) - 1.0))
         assert v == pytest.approx(expected, rel=1e-14)
 
@@ -60,7 +67,7 @@ class TestRateTimesSuccess:
         # (1+joint)*sir overflows a double at joint = 5; the success
         # probability exp(-sqrt(1e308)) is 0 either way
         cfg = NetworkConfig(1.0, 1.0, 4.0)
-        assert _rate_times_success(cfg, 1.0 + joint, math.log(1e308), edge) == 0.0
+        assert one_term(cfg, 1.0 + joint, math.log(1e308), edge) == 0.0
 
 
 class TestOptimalSirThreshold:
@@ -131,6 +138,19 @@ class TestHighestThroughput:
         sol = fixed_rate.highest_throughput(CFG1, DecodingRule.OPT)
         assert sol.throughput.value == pytest.approx(T_OPT_AT_INV_PI, rel=1e-9)
         assert len(sol.rates) == len(truncated_poisson_weights(CFG1.mu))
+
+    @pytest.mark.parametrize("alpha", [2.5, 4.0, 20.0])
+    @pytest.mark.parametrize("mu", [0.01, 1.0, 30.0, 3142.0])
+    def test_opt_is_poisson_sum_of_objectives(self, mu, alpha):
+        # lam * sum_n pmf(n; mu) * log2(1 + k*b)/k * exp(-mu*(b^(2/alpha) - 1)),
+        # k = 1+n, over the solution's own counts and thresholds
+        cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
+        sol = fixed_rate.highest_throughput(cfg, DecodingRule.OPT)
+        n = np.arange(len(sol.sir_thresholds))
+        k, b = 1.0 + n, sol.sir_thresholds
+        expected = cfg.lam * np.sum(poisson.pmf(n, cfg.mu) * np.log2(1.0 + k * b) / k
+                                    * np.exp(-cfg.mu * (b ** (2.0 / alpha) - 1.0)))
+        assert sol.throughput.value == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("rule", list(DecodingRule))
     @pytest.mark.parametrize("alpha", [56.0, 60.0])

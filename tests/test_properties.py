@@ -9,11 +9,12 @@ threshold 2^y - 1.
 """
 import math
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pppt import fixed_rate, ian, opt
-from pppt.ian import _rate_times_success
+from pppt.ian import _markov_bound
 from pppt.model import DecodingRule, NetworkConfig
 
 SLACK = 1e-9
@@ -83,5 +84,6 @@ def test_noise_rule_bound_is_fixed_rate_objective(x, alpha, y):
     # 2^y - 1 by expm1: the subtraction loses digits at small y, which the
     # success probability amplifies by up to mu
     threshold = math.expm1(y * math.log(2.0))
-    objective = float(_rate_times_success(cfg, 1.0, math.log(threshold), 0.0))
+    objective = _markov_bound(cfg, np.ones(1), np.ones(1), 0.0,
+                              np.atleast_1d(math.log(threshold))).value
     assert math.isclose(bound, objective, rel_tol=1e-12, abs_tol=0.0), (bound, objective)

@@ -456,6 +456,13 @@ class TestEstimateTypes:
         with pytest.raises(ValueError, match="window_radius"):
             tightness_report([cfg], n_realizations=100, window_radius=window)
 
+    def test_overflowed_window_is_numerical_failure(self):
+        # the default window's (W/d)^2 = 64*pi/mu overflows below mu ~ 1.1e-306:
+        # valid input the sampler cannot draw, not a usage error
+        cfg = NetworkConfig(3e-307, 1.0, 2.05)
+        with pytest.raises(ArithmeticError, match=r"\(W/d\)\^2 overflows .* mu = 9.42"):
+            estimate_cognitive(cfg, IAN, n_realizations=100)
+
     def test_rule_value_reads_as_its_rule(self):
         # "ian" is the noise rule, not whatever rule is not the joint one
         by_value = estimate_cognitive(CFG, "ian", n_realizations=200)

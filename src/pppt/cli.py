@@ -91,13 +91,22 @@ def _cmd_pdf(args) -> int:
         raise ValueError("--n applies to --rule opt only")
     xs = _grid(args.x_min, args.x_max, args.points, args.grid_log, "x")
     cfg = _cfg(args)
-    if DecodingRule(args.rule) is DecodingRule.IAN:
-        dens = np.asarray(ian.pdf_rate(cfg, xs))
-    elif args.n is not None:
+    mod = ian if DecodingRule(args.rule) is DecodingRule.IAN else opt
+    if args.n is not None:
         dens = np.asarray(opt.pdf_rate_conditional(cfg, args.n, xs))
     else:
-        dens = np.asarray(opt.pdf_rate(cfg, xs))
+        dens = np.asarray(mod.pdf_rate(cfg, xs))
     _emit(args, ["x", "density"], [[float(x), float(p)] for x, p in zip(xs, dens)])
+    with np.errstate(over="ignore"):  # a tall peak on a coarse grid: mass inf, no warning
+        mass = float(np.sum((dens[1:] + dens[:-1]) * np.diff(xs))) / 2.0
+    if mass < 0.5:  # the law lies off the grid, as on the default one at large mu
+        # E[R] at lam near 1 and the same mu, so lam * E[R] cannot overflow
+        e = math.frexp(cfg.lam)[1] // 2 * 2
+        unit = NetworkConfig(math.ldexp(cfg.lam, -e), math.ldexp(cfg.d, e // 2), cfg.alpha)
+        mean = (opt.conditional_mean_rate(cfg, args.n) if args.n is not None
+                else mod.cognitive_throughput(unit).value / unit.lam)
+        print(f"warning: the x grid carries {mass:.3g} of the rate law's mass; its mean is "
+              f"{mean:.6g} bits/s/Hz, set --x-min and --x-max around it", file=sys.stderr)
     return 0
 
 

@@ -30,8 +30,8 @@ import sys
 import numpy as np
 
 from .model import DecodingRule, NetworkConfig, ThroughputValue
-from .numerics import (BracketError, QuadratureSpec, SeriesTruncation, _scalar_or_array,
-                       find_root, integrate, truncated_poisson_weights)
+from .numerics import (BracketError, QuadratureSpec, SeriesTruncation, _poisson_gauss,
+                       _scalar_or_array, find_root, integrate, truncated_poisson_weights)
 
 __all__ = [
     "asymptote",
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_GAUSS_MIN_MU = 50.0  # above it the Gauss rule of Poisson(mu) is no slower than the series
 
 
 def _rate(k, log_b):
@@ -90,6 +91,15 @@ def _mixture(cfg: NetworkConfig, rule: DecodingRule, truncation: SeriesTruncatio
     k = 1.0 + np.arange(len(w))
     k.flags.writeable = w.flags.writeable = False
     return k, w, 0.0 if rule is DecodingRule.IAN else 1.0
+
+
+def _smooth_mixture(cfg: NetworkConfig, truncation: SeriesTruncation | None = None):
+    """:func:`_mixture` of the joint rule for a summand smooth in the count;
+    above mu = 50 without a truncation, the 32-node Gauss rule of Poisson(mu)."""
+    if truncation is not None or cfg.mu <= _GAUSS_MIN_MU:
+        return _mixture(cfg, DecodingRule.OPT, truncation)
+    n, w = _poisson_gauss(cfg.mu)
+    return 1.0 + n, w, 1.0
 
 
 def _log_mean_sir(cfg: NetworkConfig, edge: float, spec: QuadratureSpec | None = None) -> float:

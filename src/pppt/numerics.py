@@ -234,3 +234,16 @@ def truncated_poisson_weights(mean: float, truncation: SeriesTruncation | None =
     hit = np.nonzero(csum >= 1.0 - truncation.mass_tol)[0]
     k = int(hit[0]) if hit.size else cap
     return w[: k + 1]
+
+
+@functools.lru_cache(maxsize=2)
+def _poisson_gauss(mean: float):
+    """Nodes n_j and weights W_j, read-only, of the 32-node Gauss rule of
+    Poisson(mean) (Golub & Welsch, Math. Comp. 23, 1969): the eigenvalues and
+    squared first eigenvector components of the Charlier Jacobi matrix,
+    diagonal n + mean and off-diagonal sqrt(n*mean), less mean for digits."""
+    off = np.sqrt(np.arange(1.0, 32.0) * mean)  # eigh reads the lower triangle
+    nodes, vecs = np.linalg.eigh(np.diag(np.arange(32.0)) + np.diag(off, -1))
+    nodes, w = nodes + mean, vecs[0] ** 2
+    nodes.flags.writeable = w.flags.writeable = False
+    return nodes, w

@@ -10,15 +10,18 @@ Each function here is a one-line face over a closed form of :mod:`pppt.ian`
 that serves both rules: ``ian._mixture`` gives this rule's shares k = 1+n,
 Poisson weights truncated by the series policy of :mod:`pppt.numerics`, and
 SIR edge 1 (the noise rule is its one-term member k = 1, edge 0).  The
-cognitive throughput takes the whole mixture inside one integral, so its
-quadrature tolerance bounds the error of E[R], not of each E[R | n];
-:func:`conditional_mean_rate` keeps the per-term integral.
+two sums smooth in n, E[R] and the Jensen bound, read ``ian._smooth_mixture``,
+a 32-node Gauss rule in n above mu = 50.  The cognitive throughput takes the
+whole mixture inside one integral, so its quadrature tolerance bounds the
+error of E[R], not of each E[R | n]; :func:`conditional_mean_rate` keeps
+the per-term integral.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .ian import _lower_bound, _mean_rate, _mixture, _pdf_rate, _pdf_sir, _rate_edge, _upper_bound
+from .ian import (_lower_bound, _mean_rate, _mixture, _pdf_rate, _pdf_sir, _rate_edge,
+                  _smooth_mixture, _upper_bound)
 from .model import DecodingRule, NetworkConfig, ThroughputValue
 from .numerics import QuadratureSpec, SeriesTruncation
 
@@ -93,15 +96,14 @@ def cognitive_throughput(cfg: NetworkConfig, spec: QuadratureSpec | None = None,
     The Poisson mixture is summed inside one integral over the shared
     shifted-exponential variable u = mu*(sir^(2/alpha) - 1) of
     :func:`conditional_mean_rate`:
-    E[R] = int e^-u * sum_i (w_i/k_i) * log2(1 + k_i*(1 + u/mu)^(alpha/2)) du
-    with k_i = 1+i, so the quadrature tolerance applies to E[R] itself.
-    The quadrature runs in x = u/s with the noise rule's scale
-    s = mu clipped to [1, alpha/2].  Each level of the rule is one
-    (nodes x terms) array; weights below 1e-17 of the largest cannot move
-    E[R] and are left out.
+    E[R] = int e^-u * sum_i (w_i/k_i) * log2(1 + k_i*(1 + u/mu)^(alpha/2)) du,
+    so the quadrature tolerance applies to E[R] itself.  The sum runs over
+    the series k_i = 1+i at mu <= 50 or under ``truncation``, else over the
+    32 Gauss nodes k_j = 1+n_j of Poisson(mu), as cheap at any mu; weights
+    below 1e-17 of the largest are left out.  The quadrature runs in
+    x = u/s with the noise rule's scale s = mu clipped to [1, alpha/2].
     """
-    return ThroughputValue(cfg.lam * _mean_rate(cfg, *_mixture(cfg, DecodingRule.OPT, truncation),
-                                                spec))
+    return ThroughputValue(cfg.lam * _mean_rate(cfg, *_smooth_mixture(cfg, truncation), spec))
 
 
 def lower_bound(cfg: NetworkConfig, y,
@@ -118,5 +120,6 @@ def lower_bound(cfg: NetworkConfig, y,
 
 def upper_bound(cfg: NetworkConfig, spec: QuadratureSpec | None = None,
                 truncation: SeriesTruncation | None = None) -> ThroughputValue:
-    """Jensen upper bound: per-joint-count rate at the mean truncated SIR."""
-    return _upper_bound(cfg, *_mixture(cfg, DecodingRule.OPT, truncation), spec)
+    """Jensen upper bound: per-joint-count rate at the mean truncated SIR,
+    summed as :func:`cognitive_throughput` sums its mixture."""
+    return _upper_bound(cfg, *_smooth_mixture(cfg, truncation), spec)

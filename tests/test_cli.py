@@ -117,6 +117,46 @@ class TestPdf:
         header, rows = read_csv(out)
         assert column(header, rows, "density") == [0.0, 0.0]
 
+    def test_grid_off_the_law_warns(self, tmp_path, capsys):
+        # mu = 1e4: the mixture rate lies near log2(1 + mu)/mu = 1.3e-3, below
+        # the default grid, which stays the default
+        out = tmp_path / "pdf.csv"
+        assert main(["pdf", "--rule", "opt", "--lambda", "3183", "--points", "50",
+                     "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        mean = opt.cognitive_throughput(NetworkConfig(3183.0, 1.0, 4.0)).value / 3183.0
+        assert err == [f"warning: the x grid carries 0 of the rate law's mass; its mean is "
+                       f"{mean:.6g} bits/s/Hz, set --x-min and --x-max around it"]
+        header, rows = read_csv(out)
+        assert column(header, rows, "x")[::49] == [0.05, 10.0]
+        assert column(header, rows, "density") == [0.0] * 50
+
+    @pytest.mark.parametrize("argv,mean", [
+        (["--rule", "ian", "--lambda", "100", "--points", "3"],
+         lambda: ian.cognitive_throughput(NetworkConfig(100.0, 1.0, 4.0)).value / 100.0),
+        (["--rule", "opt", "--n", "2", "--lambda", "0.3183", "--x-max", "0.6"],
+         lambda: opt.conditional_mean_rate(NetworkConfig(0.3183, 1.0, 4.0), 2)),
+        # lam * E[R] is past the double range here, E[R] is not
+        (["--rule", "ian", "--lambda", "1e307", "--d", "1e-158", "--x-min", "500",
+          "--x-max", "600", "--points", "2"],
+         lambda: ian.cognitive_throughput(
+             NetworkConfig(1.0, math.sqrt(NetworkConfig(1e307, 1e-158, 4.0).mu / math.pi),
+                           4.0)).value),
+    ], ids=["ian", "opt-n", "lam-near-max"])
+    def test_warning_names_the_mean_rate(self, argv, mean, tmp_path, capsys):
+        assert main(["pdf", *argv, "--out", str(tmp_path / "pdf.csv")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: the x grid carries ")
+        assert f"; its mean is {mean():.6g} bits/s/Hz," in err[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["--rule", "ian", "--lambda", "0.3183", "--alpha", "4", "--d", "1"],
+        ["--rule", "opt", "--n", "2", "--lambda", "0.3183"],
+    ], ids=["ian", "opt-n"])
+    def test_readme_commands_do_not_warn(self, argv, tmp_path, capsys):
+        assert main(["pdf", *argv, "--out", str(tmp_path / "pdf.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_density_past_the_double_range_is_numerical_failure(self, tmp_path, capsys):
         # x^(2/alpha - 1) at x = 5e-324, alpha = 60 is about e^719
         out = tmp_path / "pdf.csv"

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pppt import ian, opt
+from pppt import ian, numerics, opt
 from pppt.ian import _pdf_rate
-from pppt.model import NetworkConfig
-from pppt.numerics import SeriesTruncation, truncated_poisson_weights
+from pppt.model import DecodingRule, NetworkConfig
+from pppt.numerics import QuadratureSpec, SeriesTruncation, truncated_poisson_weights
 
 # Frozen from a term-by-term Riemann-sum oracle cross-checked by a direct
 # 4e6-draw Monte Carlo of the model law and by 30-digit mpmath quadrature.
@@ -23,6 +23,12 @@ NORMALIZATION_CFGS = [
 MIXTURE_ALPHAS = [2.05, 2.5, 4.0, 6.0, 20.0, 60.0]
 MOMENT_CASES = ([(mu, 4.0) for mu in (0.5, 5.0, 50.0, 300.0, 599.0)]
                 + [(mu, alpha) for alpha in (2.05, 20.0) for mu in (0.5, 50.0, 599.0)])
+# the Gauss rule in the decode count: from just above its crossover at mu = 50
+# to the documented mu = 1e6, against the series at mass_tol 1e-14
+GAUSS_ALPHAS = (2.05, 4.0, 60.0)
+GAUSS_MUS = (50.5, 314.0, 3142.0, 3e4, 1e5, 1e6)
+REF_SPEC, REF_TRUNCATION = QuadratureSpec(rel_tol=1e-12), SeriesTruncation(mass_tol=1e-14)
+SMOOTH_SUMS = (opt.cognitive_throughput, opt.upper_bound)
 
 
 def mean_rate_term_sum(cfg, truncation=None):
@@ -300,3 +306,49 @@ class TestTruncationControl:
         short = opt.cognitive_throughput(CFG1, truncation=SeriesTruncation(mass_tol=0.5)).value
         full = opt.cognitive_throughput(CFG1).value
         assert short < full  # dropped tail mass can only lower the series
+
+
+def series_body(f, cfg, truncation=None):
+    """``f`` (cognitive_throughput or upper_bound) summed over the Poisson series."""
+    mixture = ian._mixture(cfg, DecodingRule.OPT, truncation)
+    if f is opt.cognitive_throughput:
+        return cfg.lam * ian._mean_rate(cfg, *mixture)
+    return ian._upper_bound(cfg, *mixture).value
+
+
+class TestGaussRule:
+    @pytest.mark.parametrize("alpha", GAUSS_ALPHAS)
+    @pytest.mark.parametrize("mu", GAUSS_MUS)
+    def test_matches_full_series(self, mu, alpha):
+        cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
+        for f in SMOOTH_SUMS:
+            ref = f(cfg, REF_SPEC, REF_TRUNCATION).value
+            assert f(cfg, REF_SPEC).value == pytest.approx(ref, rel=1e-12, abs=0.0), f.__name__
+
+    @pytest.mark.parametrize("lam", (0.3183, 10.0, 50.0 / math.pi))
+    def test_series_at_and_below_crossover(self, lam):
+        cfg = NetworkConfig(lam, 1.0, 4.0)
+        assert cfg.mu <= 50.0
+        for f in SMOOTH_SUMS:
+            assert f(cfg).value == series_body(f, cfg), f.__name__
+
+    @pytest.mark.parametrize("mu", (1.0, 314.0, 1e6))
+    def test_series_wherever_truncation_is_passed(self, mu):
+        cfg = NetworkConfig(mu / math.pi, 1.0, 4.0)
+        for cut in (SeriesTruncation(), REF_TRUNCATION):
+            for f in SMOOTH_SUMS:
+                assert f(cfg, truncation=cut).value == series_body(f, cfg, cut), f.__name__
+
+    def test_large_mu_builds_no_series(self, monkeypatch):
+        # at mu = 1e6 the series has about 1e6 terms; the Gauss rule has 32
+        def no_series(*args):
+            raise AssertionError("Poisson series built")
+
+        ian._mixture.cache_clear()
+        monkeypatch.setattr(numerics, "truncated_poisson_weights", no_series)
+        monkeypatch.setattr(ian, "truncated_poisson_weights", no_series)
+        cfg = NetworkConfig(1e6 / math.pi, 1.0, 4.0)
+        for f in SMOOTH_SUMS:
+            assert 0.0 < f(cfg).value < math.inf
+        with pytest.raises(AssertionError, match="series built"):  # the lower bound reads counts
+            opt.lower_bound(cfg, 2.0)

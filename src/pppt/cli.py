@@ -25,6 +25,7 @@ from . import __version__, fixed_rate, ian, opt, simulation
 from .model import DecodingRule, NetworkConfig
 
 _RULES = tuple(rule.value for rule in DecodingRule)
+_CLOSED_FORMS = {DecodingRule.IAN: ian, DecodingRule.OPT: opt}  # each rule's closed forms
 _MODES = {"full": "full", "closest": "closest_only"}
 _METHODS = ("cognitive", "fixed", "bounds", "simulate")
 
@@ -67,8 +68,9 @@ def _emit(args, header: list[str], rows: list[list], out: str | None = None,
 
 def _grid(lo: float, hi: float, points: int, log: bool, flag: str) -> np.ndarray:
     """``points`` >= 2 values from ``lo`` to ``hi``, log-spaced if ``log``.
-    The bounds must be finite, in increasing order, and positive on a log
-    grid, where numpy would warn and fill the cells with NaN."""
+    The bounds must be finite, in increasing order, a finite span apart,
+    and positive on a log grid; elsewhere numpy would warn and fill the
+    cells with NaN or inf."""
     if points < 2:
         raise ValueError("--points must be >= 2")
     floor = 0.0 if log else -math.inf
@@ -77,6 +79,8 @@ def _grid(lo: float, hi: float, points: int, log: bool, flag: str) -> np.ndarray
                          + (" and > 0 on a log grid" if log else "") + f", got {lo} and {hi}")
     if not lo < hi:
         raise ValueError(f"--{flag}-min must be below --{flag}-max, got {lo} and {hi}")
+    if hi - lo == math.inf:  # a linear grid's step would overflow
+        raise ValueError(f"--{flag}-max - --{flag}-min overflows a double, got {hi} - {lo}")
     return (np.geomspace if log else np.linspace)(lo, hi, points)
 
 
@@ -91,11 +95,9 @@ def _cmd_pdf(args) -> int:
         raise ValueError("--n applies to --rule opt only")
     xs = _grid(args.x_min, args.x_max, args.points, args.grid_log, "x")
     cfg = _cfg(args)
-    mod = ian if DecodingRule(args.rule) is DecodingRule.IAN else opt
-    if args.n is not None:
-        dens = np.asarray(opt.pdf_rate_conditional(cfg, args.n, xs))
-    else:
-        dens = np.asarray(mod.pdf_rate(cfg, xs))
+    mod = _CLOSED_FORMS[DecodingRule(args.rule)]
+    dens = np.asarray(mod.pdf_rate(cfg, xs) if args.n is None
+                      else opt.pdf_rate_conditional(cfg, args.n, xs))
     _emit(args, ["x", "density"], [[float(x), float(p)] for x, p in zip(xs, dens)])
     with np.errstate(over="ignore"):  # a tall peak on a coarse grid: mass inf, no warning
         mass = float(np.sum((dens[1:] + dens[:-1]) * np.diff(xs))) / 2.0
@@ -116,10 +118,12 @@ def _analytic_groups(names, y_ian: float, y_opt: float) -> list:
     """One-column groups of the analytic throughputs among ``names`` (there is
     no asymptote_opt); a lower bound reads its rate anchor only when it runs."""
     cells = {"asymptote_ian": lambda cfg: (ian.asymptote(cfg).value,)}
-    for name, mod, y in (("ian", ian, y_ian), ("opt", opt, y_opt)):
+    anchors = {DecodingRule.IAN: y_ian, DecodingRule.OPT: y_opt}
+    for rule, mod in _CLOSED_FORMS.items():
+        name, y = rule.value, anchors[rule]
         cells |= {
             f"cognitive_{name}": lambda cfg, mod=mod: (mod.cognitive_throughput(cfg).value,),
-            f"fixed_{name}": lambda cfg, rule=DecodingRule(name):
+            f"fixed_{name}": lambda cfg, rule=rule:
                 (fixed_rate.highest_throughput(cfg, rule).throughput.value,),
             f"lower_{name}": lambda cfg, mod=mod, y=y: (mod.lower_bound(cfg, y).value,),
             f"upper_{name}": lambda cfg, mod=mod: (mod.upper_bound(cfg).value,),
@@ -214,13 +218,12 @@ def _cmd_figures(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _cfg(args)
-    rule = DecodingRule(args.rule)
     mode = _MODES[args.mode]
     if args.method == "cognitive":
         est = simulation.estimate_cognitive(
-            cfg, rule, mode=mode, n_realizations=args.realizations, seed=args.seed)
+            cfg, args.rule, mode=mode, n_realizations=args.realizations, seed=args.seed)
     else:
-        sol = fixed_rate.highest_throughput(cfg, rule)
+        sol = fixed_rate.highest_throughput(cfg, args.rule)
         est = simulation.estimate_fixed_rate(
             cfg, sol, n_realizations=args.realizations, seed=args.seed, mode=mode)
     _emit(args, ["mean", "stderr", "n_realizations", "seed", "interference_mode"],

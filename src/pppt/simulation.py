@@ -2,15 +2,14 @@
 
 Estimators measure the typical link exactly as the analysis does: one
 receiver at the origin, full aggregate interference from every transmitter
-on the plane, no mutual-achievability coupling between links, and
-each jointly decoded interferer counted at the link's own power, a lower
-bound on the symmetric joint-decoding rate.  Every
-per-link statistic (aggregate interference, nearest distance, decode-set
-powers) depends on the interferer positions only through their distances to
-the origin, so the window kernel samples squared radii directly — one
-uniform per point — and never materializes planar coordinates.  It is the
-only sampler in the package, and every rate, per realization or per batch,
-comes from its statistics through the rate law of :mod:`pppt.ian`.
+on the plane, no mutual-achievability coupling between links, and each
+jointly decoded interferer counted at the link's own power, a lower bound
+on the symmetric joint-decoding rate.  Every per-link statistic (aggregate
+interference, nearest distance, decode-set powers) depends on the
+interferer positions only through their distances to the origin, so the
+window kernel samples squared radii directly — one uniform per point — and
+never materializes planar coordinates.  It is the only sampler in the
+package, and every rate comes from it through the rate law of :mod:`pppt.ian`.
 
 Distances are measured in units of the link distance d: without fading
 the SIR of a Poisson field is scale-free, so the link's own power is 1 and
@@ -40,17 +39,21 @@ independent of chunk sizes and reproducible across runs, and realization
 moments are reduced with numpy's pairwise summation, which is
 deterministic for a fixed realization count.
 
-The last sampling pass is kept and handed out again when an estimator
-asks for the same draw (configuration, realization count, seed, window),
-so every estimate at one density, whatever its rule, interference mode or
-estimator, comes from one pass.  It holds about 40 bytes per realization (five float arrays)
-until the next pass, and its arrays are read-only.
+A pass is a read-only table of per-rule views, the sampler's twin of
+:func:`pppt.ian._mixture`: a rule's decode count, noise power sum and
+squared nearest noise distance per realization.  An estimator checks its
+rule and interference mode before anything is drawn, then reads its rule's
+view.  The last pass, about 40 bytes per realization (five float arrays),
+is kept for the next estimate at the same draw (configuration, realization
+count, seed, window), so every estimate at one density comes from one pass.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,22 +105,6 @@ def default_window_radius(cfg: NetworkConfig) -> float:
     return 8.0 * max(cfg.d, 1.0 / math.sqrt(cfg.lam))
 
 
-@dataclass(frozen=True)
-class _RealizationStats:
-    """Distance-based sufficient statistics of a batch of realizations."""
-
-    s_dec: np.ndarray       # power sum over the decode set (r < d), in d^-alpha
-    s_far: np.ndarray       # power sum over the noise set (r >= d), in d^-alpha
-    n_dec: np.ndarray       # decode-set sizes
-    r2_min: np.ndarray      # squared nearest-interferer distance in d^2 (inf if none)
-    r2_far_min: np.ndarray  # squared nearest noise-set distance in d^2 (inf if none)
-
-    def __post_init__(self):
-        # one pass may be shared by several estimators through _sample's cache
-        for arr in (self.s_dec, self.s_far, self.n_dec, self.r2_min, self.r2_far_min):
-            arr.setflags(write=False)
-
-
 def _field_stats(counts: np.ndarray, radii: np.random.Generator, lo: float, width: float,
                  half_alpha: float, chunk_points: int):
     """Power sum and squared nearest distance per realization of a field of
@@ -146,10 +133,33 @@ def _field_stats(counts: np.ndarray, radii: np.random.Generator, lo: float, widt
     return s, r2_min
 
 
+class _View(NamedTuple):
+    """One decoding rule's reading of a pass, per realization, in units of d."""
+
+    n: np.ndarray         # decode count
+    noise: np.ndarray     # noise power sum, in d^-alpha
+    r2_noise: np.ndarray  # squared nearest noise distance in d^2 (inf if none)
+
+
+def _views(n_dec: np.ndarray, disc, ring) -> MappingProxyType:
+    """Each rule's view of a pass, the twin of ``ian._mixture``, from its two
+    fields of (power sum, squared nearest distance) per realization: the
+    decode disc r < d with ``n_dec`` points, which the joint rule decodes and
+    the noise rule does not, and the ring with the plane beyond the window."""
+    (s_dec, r2_dec), (s_far, r2_far) = disc, ring
+    s_all, r2_all = s_dec + s_far, np.minimum(r2_dec, r2_far)
+    for arr in (n_dec, s_all, r2_all, s_far, r2_far):
+        arr.setflags(write=False)
+    return MappingProxyType({
+        DecodingRule.IAN: _View(np.broadcast_to(0.0, n_dec.shape), s_all, r2_all),
+        DecodingRule.OPT: _View(n_dec, s_far, r2_far),
+    })
+
+
 def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int,
-                   n_realizations: int, chunk_points: int = _CHUNK_POINTS) -> _RealizationStats:
-    """The statistics of ``n_realizations`` realizations in units of d (the
-    link's power is 1); ``window_radius`` is in metres."""
+                   n_realizations: int, chunk_points: int = _CHUNK_POINTS):
+    """The per-rule views of ``n_realizations`` realizations in units of d
+    (the link's power is 1); ``window_radius`` is in metres."""
     window = window_radius / cfg.d
     ring = window * window - 1.0  # the ring's width in squared radius
     if not math.isfinite(ring):
@@ -158,56 +168,39 @@ def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int,
     far_mean = 2.0 * cfg.mu * window ** (2.0 - cfg.alpha) / (cfg.alpha - 2.0)
     half_alpha = cfg.alpha / 2.0
     counts = rng_from_seed((seed, 0)).poisson([cfg.mu, cfg.mu * ring], (n_realizations, 2))
-    s_dec, r2_dec_min = _field_stats(counts[:, 0], rng_from_seed((seed, 1)), 0.0, 1.0,
-                                     half_alpha, chunk_points)
+    disc = _field_stats(counts[:, 0], rng_from_seed((seed, 1)), 0.0, 1.0, half_alpha,
+                        chunk_points)
     s_far, r2_far_min = _field_stats(counts[:, 1], rng_from_seed((seed, 2)), 1.0, ring,
                                      half_alpha, chunk_points)
-    return _RealizationStats(s_dec, s_far + far_mean, counts[:, 0].astype(float),
-                             np.minimum(r2_dec_min, r2_far_min), r2_far_min)
+    return _views(counts[:, 0].astype(float), disc, (s_far + far_mean, r2_far_min))
 
 
-def _decode_view(stats: _RealizationStats, rule: DecodingRule):
-    """(decode count, noise power sum, squared nearest noise distance) per
-    realization under ``rule``, a :class:`DecodingRule` or its value.  The
-    noise rule decodes no interferer, so every interferer is noise."""
-    if DecodingRule(rule) is DecodingRule.IAN:
-        return 0.0, stats.s_dec + stats.s_far, stats.r2_min
-    return stats.n_dec, stats.s_far, stats.r2_far_min
-
-
-def _rates_from_stats(cfg: NetworkConfig, stats: _RealizationStats, rule: DecodingRule,
-                      mode: str) -> np.ndarray:
-    """The cognitive rate law, log2(1 + share * SIR) / share per realization.
+def _rates_from_stats(cfg: NetworkConfig, view: _View, mode: str) -> np.ndarray:
+    """The cognitive rate law, log2(1 + share * SIR) / share per realization
+    of one rule's view.
 
     share = 1 + n for n jointly decoded interferers, each at the link's own
-    power as in the paper.  Under joint decoding the decode set holds the
-    interferers strictly closer than the link distance (ties go to the
-    noise set); interference as noise is the same law with an empty decode
-    set.  As the analytic chains do,
-    ``closest_only`` replaces the noise-set interference by its nearest
-    interferer's power.  No noise interference gives rate inf, a noise
-    power past the double range 0.
+    power as in the paper; the decode set holds the interferers strictly
+    closer than the link distance (ties go to the noise set).  As the
+    analytic chains do, ``closest_only`` (any mode but ``full``) replaces
+    the noise-set interference by its nearest interferer's power.  No noise
+    interference gives rate inf, a noise power past the double range 0.
     """
-    if mode not in _INTERFERENCE_MODES:
-        raise ValueError(f"interference mode must be one of {_INTERFERENCE_MODES}, got {mode!r}")
-    n, s_noise, r2_noise = _decode_view(stats, rule)
     with np.errstate(divide="ignore"):
-        log_noise = np.log(s_noise) if mode == "full" else -cfg.alpha / 2.0 * np.log(r2_noise)
-    return _rate(1.0 + n, -log_noise)
+        log_noise = (np.log(view.noise) if mode == "full"
+                     else -cfg.alpha / 2.0 * np.log(view.r2_noise))
+    return _rate(1.0 + view.n, -log_noise)
 
 
 @functools.lru_cache(maxsize=1)
 def _sample(cfg: NetworkConfig, n_realizations: int, seed: int,
-            window_radius: float | None) -> _RealizationStats:
+            window_radius: float | None) -> MappingProxyType:
     """One validated pass of the window kernel, shared by every estimator.
 
     The window, the disc drawn exactly, is the default one or a given
     finite radius above d (a smaller one would put part of the decode set
-    in the far mean).  The key is the draw itself: the pass is a
-    deterministic function of these four arguments, and the rule and mode
-    only read it, so the last pass is reused for any estimate at the same
-    draw.  It holds about 40 bytes per realization until the next pass, and
-    its arrays are read-only.
+    in the far mean).  The key is the draw itself: the rule and mode only
+    pick and read a view, so the last pass serves any estimate at its draw.
     """
     if n_realizations < _MIN_REALIZATIONS:
         raise ValueError(f"need at least {_MIN_REALIZATIONS} realizations for a usable "
@@ -217,6 +210,16 @@ def _sample(cfg: NetworkConfig, n_realizations: int, seed: int,
     elif not (math.isfinite(window_radius) and window_radius > cfg.d):
         raise ValueError(f"window_radius must be finite and > d = {cfg.d}, got {window_radius}")
     return _collect_stats(cfg, window_radius, seed, n_realizations)
+
+
+def _view(cfg: NetworkConfig, rule: DecodingRule, mode: str, n_realizations: int, seed: int,
+          window_radius: float | None) -> _View:
+    """``rule``'s view of the pass at this draw, the rule (a
+    :class:`DecodingRule` or its value) and mode checked before the draw."""
+    rule = DecodingRule(rule)
+    if mode not in _INTERFERENCE_MODES:
+        raise ValueError(f"interference mode must be one of {_INTERFERENCE_MODES}, got {mode!r}")
+    return _sample(cfg, n_realizations, seed, window_radius)[rule]
 
 
 def _estimate(cfg: NetworkConfig, values: np.ndarray) -> SimulationEstimate:
@@ -234,8 +237,8 @@ def estimate_cognitive(cfg: NetworkConfig, rule: DecodingRule, mode: str = "full
                        window_radius: float | None = None) -> SimulationEstimate:
     """Simulated cognitive spatial throughput: lam times the sample mean of
     the per-realization maximum rate, with its standard error."""
-    stats = _sample(cfg, n_realizations, seed, window_radius)
-    return _estimate(cfg, _rates_from_stats(cfg, stats, rule, mode))
+    view = _view(cfg, rule, mode, n_realizations, seed, window_radius)
+    return _estimate(cfg, _rates_from_stats(cfg, view, mode))
 
 
 def estimate_fixed_rate(cfg: NetworkConfig, solution: FixedRateSolution,
@@ -248,13 +251,12 @@ def estimate_fixed_rate(cfg: NetworkConfig, solution: FixedRateSolution,
     sample mean of rate * success; counts beyond the solution's table
     (vanishing Poisson tail) count as outages.
     """
-    stats = _sample(cfg, n_realizations, seed, window_radius)
-    achievable = _rates_from_stats(cfg, stats, solution.rule, mode)
+    view = _view(cfg, solution.rule, mode, n_realizations, seed, window_radius)
     # a count past the table meets the rate 0 appended to it, an outage
     # also where the rate is inf
-    counts = np.asarray(_decode_view(stats, solution.rule)[0], dtype=np.intp)
-    target = np.append(solution.rates, 0.0)[np.minimum(counts, len(solution.rates))]
-    contrib = np.where(achievable >= target, target, 0.0)
+    counts = np.minimum(view.n.astype(np.intp), len(solution.rates))
+    target = np.append(solution.rates, 0.0)[counts]
+    contrib = np.where(_rates_from_stats(cfg, view, mode) >= target, target, 0.0)
     return _estimate(cfg, contrib)
 
 
@@ -262,26 +264,20 @@ def tightness_report(cfgs, n_realizations: int = 10_000, seed: int = 0,
                      window_radius: float | None = None) -> list[dict]:
     """Analytic vs full-interference simulated throughput, per configuration.
 
-    One sampling pass per configuration feeds both decoding rules, so the
-    two simulated columns see identical realizations.  They are
+    One sampling pass per configuration feeds every decoding rule, so the
+    simulated columns see identical realizations.  They are
     :func:`estimate_cognitive`'s values at the same draw.
     """
     rows = []
     for cfg in cfgs:
-        stats = _sample(cfg, n_realizations, seed, window_radius)
-        sim_ian, sim_opt = (_estimate(cfg, _rates_from_stats(cfg, stats, rule, "full"))
-                            for rule in (DecodingRule.IAN, DecodingRule.OPT))
+        views = _sample(cfg, n_realizations, seed, window_radius)
+        sim = {}
+        for rule in DecodingRule:
+            est = _estimate(cfg, _rates_from_stats(cfg, views[rule], "full"))
+            sim |= {f"c_{rule.value}_simulated": est.mean, f"c_{rule.value}_stderr": est.stderr}
         c_ian = _ian_analytic.cognitive_throughput(cfg).value
         c_opt = _opt_analytic.cognitive_throughput(cfg).value
-        rows.append({
-            "lam": cfg.lam,
-            "c_ian_analytic": c_ian,
-            "c_opt_analytic": c_opt,
-            "c_ian_simulated": sim_ian.mean,
-            "c_ian_stderr": sim_ian.stderr,
-            "c_opt_simulated": sim_opt.mean,
-            "c_opt_stderr": sim_opt.stderr,
-            "ratio_analytic": c_ian / c_opt,
-            "ratio_simulated": sim_ian.mean / sim_opt.mean,
-        })
+        rows.append({"lam": cfg.lam, "c_ian_analytic": c_ian, "c_opt_analytic": c_opt, **sim,
+                     "ratio_analytic": c_ian / c_opt,
+                     "ratio_simulated": sim["c_ian_simulated"] / sim["c_opt_simulated"]})
     return rows

@@ -220,7 +220,7 @@ def test_criterion_10_contact_distance_law():
     distances against the Rayleigh contact law is below 0.01."""
     cfg = NetworkConfig(1.0, 1.0, 4.0)
     stats = simulation._collect_stats(cfg, 10.0, seed=0, n_realizations=100_000)
-    dists = np.sqrt(stats.r2_min)
+    dists = np.sqrt(stats[DecodingRule.IAN].r2_noise)
     dists.sort()
     model = -np.expm1(-cfg.lam * math.pi * dists**2)
     n = len(dists)

@@ -105,6 +105,16 @@ class TestPdf:
         assert capsys.readouterr().err == "error: --x-min must be below --x-max, got 5.0 and 1.0\n"
         assert not out.exists()
 
+    def test_overflowing_span_is_usage_error(self, tmp_path, capsys):
+        # finite bounds whose difference is past the double range: numpy's
+        # linear grid would warn and write nan and inf x cells
+        out = tmp_path / "pdf.csv"
+        assert main(["pdf", "--rule", "ian", "--lambda", "0.3", "--x-min=-1e308",
+                     "--x-max", "1e308", "--points", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --x-max - --x-min overflows a double, got 1e+308 - -1e+308\n")
+        assert not out.exists()
+
     def test_no_mass_past_the_double_range_is_zero(self, tmp_path):
         # 10^6 * x * ln2 overflows: a SIR past the double range, density 0
         out = tmp_path / "pdf.csv"
@@ -224,9 +234,8 @@ class TestSweep:
                      "--out", str(out)]) == 0
         assert len(calls) == len(set(calls)) == 4  # 2 densities x 2 rules, one call per cell
         assert len(passes) == 2  # one draw per density feeds both rules
-        for stats in passes:  # a shared pass cannot be written through
-            assert not any(getattr(stats, f).flags.writeable
-                           for f in ("s_dec", "s_far", "n_dec", "r2_min", "r2_far_min"))
+        for views in passes:  # a shared pass cannot be written through
+            assert not any(arr.flags.writeable for view in views.values() for arr in view)
         header, rows = read_csv(out)
         assert header == ["lambda", "sim_ian", "sim_ian_stderr", "sim_opt", "sim_opt_stderr"]
 
@@ -251,6 +260,14 @@ class TestSweep:
 
     def test_bad_grid_is_usage_error(self):
         assert main(["sweep", "--lambda-min", "5", "--lambda-max", "1"]) == 2
+
+    def test_overflowing_linear_span_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--no-log", "--lambda-min=-1e308", "--lambda-max", "1e308",
+                     "--points", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --lambda-max - --lambda-min overflows a double, got 1e+308 - -1e+308\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["--alpha", "2"],

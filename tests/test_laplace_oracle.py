@@ -48,9 +48,12 @@ def disc_exponent(z: float, r: float, alpha: float) -> float:
                       + z ** delta * math.gamma(1.0 - delta) * gammaincc(1.0 - delta, x))
 
 
-def exact_throughput(cfg: NetworkConfig, column: str, window: float = math.inf) -> float:
+def exact_throughput(cfg: NetworkConfig, column: str, window: float = math.inf,
+                     knee_shift: float = 0.0) -> float:
     """lam * E[rate] when the interferers within ``window`` are exact and the
-    plane beyond it is replaced by its mean; the exact plane by default."""
+    plane beyond it is replaced by its mean; the exact plane by default.
+    ``knee_shift`` moves the quadrature's knee break (in log z) to check
+    that the value does not depend on where the panels meet."""
     lam, d, alpha = cfg.lam, cfg.d, cfg.alpha
     sig = d ** -alpha
     mu = lam * math.pi * d * d
@@ -67,14 +70,23 @@ def exact_throughput(cfg: NetworkConfig, column: str, window: float = math.inf) 
         # sum_n w_n (1 - e^{-z(1+n)S}) / (1+n)
         return noise * -math.expm1(-mu * -math.expm1(-z * sig)) / mu
 
-    # two panels split at z = 1/S; the upper one in log z, where the
-    # Laplace functional decays double-exponentially; past z = e^700 the
-    # weight is below e^{-lam*pi*W^2} <= e^{-64*pi} for any window from the
-    # default one out to the whole plane
-    lower, _ = quad(lambda z: weight(z) / z, 0.0, 1.0 / sig, epsabs=0.0, epsrel=1e-10, limit=200)
-    upper, _ = quad(lambda u: weight(math.exp(u)) if u < 700.0 else 0.0, math.log(1.0 / sig),
-                    math.inf, epsabs=0.0, epsrel=1e-10, limit=200)
-    return lam * (lower + upper) / math.log(2.0)
+    # in u = log z the weight is one smooth bump, integrated on three panels
+    # split at z = 1/S and at its knee, below which it falls like z: the
+    # noise rule's whole-plane functional has lam*pi*Gamma(1 - delta)*z^delta
+    # = 1 there (z ~ 1e-60 at alpha = 60, mu = 100), the joint rule's ring
+    # and decode terms mu*S*z = 1.  Past u = 700 the weight is below
+    # e^{-lam*pi*W^2} <= e^{-64*pi} for any window from the default one out
+    # to the whole plane
+    delta = 2.0 / alpha
+    if column == "ian":
+        knee = -math.log(lam * math.pi * math.gamma(1.0 - delta)) / delta
+    else:
+        knee = -math.log(mu * sig)
+    lo, hi = sorted((knee + knee_shift, -math.log(sig)))
+    f = lambda u: weight(math.exp(u)) if u < 700.0 else 0.0
+    panels = [quad(f, a, b, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+              for a, b in ((-math.inf, lo), (lo, hi), (hi, math.inf))]
+    return lam * math.fsum(panels) / math.log(2.0)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -104,7 +116,7 @@ def test_kernel_matches_exact_throughput(lam, alpha):
     window = simulation.default_window_radius(cfg)
     stats = _collect_stats(cfg, window, seed=11, n_realizations=400)
     for column, rule in RULES.items():
-        rates = lam * _rates_from_stats(cfg, stats, rule, "full")
+        rates = lam * _rates_from_stats(cfg, stats[rule], "full")
         stderr = np.std(rates, ddof=1) / math.sqrt(len(rates))
         z = (np.mean(rates) - exact_throughput(cfg, column)) / stderr
         assert abs(z) <= 4.0, (column, z)
@@ -128,3 +140,16 @@ def test_exact_throughput_below_closest_interferer_closed_forms(lam, alpha):
     cfg = NetworkConfig(lam, 1.0, alpha)
     assert exact_throughput(cfg, "ian") < ian.cognitive_throughput(cfg).value
     assert exact_throughput(cfg, "opt") < opt.cognitive_throughput(cfg).value
+
+
+# past the test grid, where the noise rule's knee lies at z ~ 1e-21 (alpha =
+# 20) and 1e-60 (alpha = 60): a quad over z in [0, 1/S] missed it, with
+# scipy's roundoff warning, and returned 0.003 of the closed form
+@pytest.mark.parametrize("alpha", [20.0, 60.0])
+@pytest.mark.parametrize("column", list(RULES))
+def test_oracle_converges_past_the_grid(column, alpha):
+    cfg = NetworkConfig(100.0 / math.pi, 1.0, alpha)  # mu = 100
+    exact = exact_throughput(cfg, column)
+    assert exact_throughput(cfg, column, knee_shift=2.0) == pytest.approx(exact, rel=1e-8)
+    closed_form = {"ian": ian, "opt": opt}[column].cognitive_throughput(cfg).value
+    assert 0.0 < exact < closed_form

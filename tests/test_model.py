@@ -58,28 +58,28 @@ class TestSampling:
     CFG = NetworkConfig(1.0, 10.0, 4.0)
 
     def counts(self, cfg, n):
-        return _collect_stats(cfg, 10.0, seed=0, n_realizations=n).n_dec
+        return _collect_stats(cfg, 10.0, seed=0, n_realizations=n)[DecodingRule.OPT].n
 
     def test_deterministic(self):
-        a = _collect_stats(self.CFG, 10.0, seed=1234, n_realizations=20)
-        b = _collect_stats(self.CFG, 10.0, seed=1234, n_realizations=20)
-        c = _collect_stats(self.CFG, 10.0, seed=1235, n_realizations=20)
-        assert np.array_equal(a.r2_min, b.r2_min) and np.array_equal(a.s_dec, b.s_dec)
-        assert not np.array_equal(a.r2_min, c.r2_min)
+        a, b, c = (_collect_stats(self.CFG, 10.0, seed=s, n_realizations=20)[DecodingRule.IAN]
+                   for s in (1234, 1234, 1235))
+        assert np.array_equal(a.r2_noise, b.r2_noise) and np.array_equal(a.noise, b.noise)
+        assert not np.array_equal(a.r2_noise, c.r2_noise)
 
     def test_negative_seed_accepted(self):
         a = _collect_stats(self.CFG, 10.0, seed=-3, n_realizations=20)
         b = _collect_stats(self.CFG, 10.0, seed=2**64 - 3, n_realizations=20)
-        for field in ("s_dec", "s_far", "n_dec", "r2_min", "r2_far_min"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
+        for rule in DecodingRule:
+            assert all(np.array_equal(x, y) for x, y in zip(a[rule], b[rule]))
 
     def test_interferers_inside_window(self):
         # a point at or beyond the window radius would land in the noise set
         cfg = self.CFG
         stats = _collect_stats(cfg, 10.0, seed=7, n_realizations=20)
-        assert np.all(stats.n_dec > 0) and np.all(stats.r2_min < 100.0)
-        assert np.all(stats.s_far == 2.0 * cfg.mu / (cfg.alpha - 2.0))
-        assert np.all(np.isinf(stats.r2_far_min))
+        ring = stats[DecodingRule.OPT]
+        assert np.all(ring.n > 0) and np.all(stats[DecodingRule.IAN].r2_noise < 100.0)
+        assert np.all(ring.noise == 2.0 * cfg.mu / (cfg.alpha - 2.0))
+        assert np.all(np.isinf(ring.r2_noise))
 
     def test_empty_process_limit(self):
         # mu ~ 3e-9: almost no link has an interferer within d, but the
@@ -126,6 +126,6 @@ class TestNearestDistance:
         # the noise set holds only the far mean of the plane beyond it
         cfg = NetworkConfig(1e-9, 1.0, 4.0)
         stats = _collect_stats(cfg, 10.0, seed=0, n_realizations=50)
-        assert np.all(np.isinf(stats.r2_min)) and np.all(np.isinf(stats.r2_far_min))
-        assert not np.any(stats.n_dec) and not np.any(stats.s_dec)
-        assert np.all(stats.s_far == 2.0 * cfg.mu * 10.0 ** (2.0 - cfg.alpha) / (cfg.alpha - 2.0))
+        for view in stats.values():
+            assert np.all(np.isinf(view.r2_noise)) and not np.any(view.n)
+            assert np.all(view.noise == 2.0 * cfg.mu * 10.0 ** (2.0 - cfg.alpha) / (cfg.alpha - 2.0))

@@ -12,8 +12,8 @@ from pppt.simulation import (
     _INTERFERENCE_MODES,
     SimulationEstimate,
     _collect_stats,
-    _RealizationStats,
     _rates_from_stats,
+    _views,
     estimate_cognitive,
     estimate_fixed_rate,
     tightness_report,
@@ -31,18 +31,15 @@ def far_mean(cfg, window_radius):
 def rate(dists, rule, mode="full", cfg=CFG, far=0.0):
     """The rate law on one realization given by its interferer distances,
     split at the link distance as the window kernel splits a batch, with
-    ``far`` added to the noise-set sum."""
+    ``far`` added to the noise-set sum, read through the rule's view."""
     r2 = np.asarray(dists, dtype=float) ** 2
     p = r2 ** (-cfg.alpha / 2.0)
     dec = r2 < cfg.d * cfg.d
-    row = _RealizationStats(
-        s_dec=np.array([p[dec].sum()]),
-        s_far=np.array([p[~dec].sum() + far]),
-        n_dec=np.array([float(dec.sum())]),
-        r2_min=np.array([r2.min(initial=np.inf)]),
-        r2_far_min=np.array([r2[~dec].min(initial=np.inf)]),
-    )
-    return float(_rates_from_stats(cfg, row, rule, mode)[0])
+    s_far, r2_far = np.array([p[~dec].sum() + far]), np.array([r2[~dec].min(initial=np.inf)])
+    views = _views(np.array([float(dec.sum())]),
+                   (np.array([p[dec].sum()]), np.array([r2[dec].min(initial=np.inf)])),
+                   (s_far, r2_far))
+    return float(_rates_from_stats(cfg, views[rule], mode)[0])
 
 
 # strategy: small sets of interferer distances at sane values
@@ -59,8 +56,8 @@ class TestPerRealizationRates:
 
     def test_full_never_exceeds_closest(self):
         stats = _collect_stats(CFG, 20.0, seed=0, n_realizations=30)
-        full = _rates_from_stats(CFG, stats, IAN, "full")
-        closest = _rates_from_stats(CFG, stats, IAN, "closest_only")
+        full = _rates_from_stats(CFG, stats[IAN], "full")
+        closest = _rates_from_stats(CFG, stats[IAN], "closest_only")
         assert np.all(full <= closest + 1e-12)
 
     def test_empty_window_capped(self):
@@ -94,7 +91,7 @@ class TestPerRealizationRates:
                                n_realizations=100)
         for rule in DecodingRule:
             for mode in _INTERFERENCE_MODES:
-                assert np.all(np.isfinite(_rates_from_stats(cfg, stats, rule, mode)))
+                assert np.all(np.isfinite(_rates_from_stats(cfg, stats[rule], mode)))
 
     def test_tie_goes_to_noise_set(self):
         # an interferer exactly at the link distance is treated as noise
@@ -164,8 +161,9 @@ class TestEstimateCognitive:
     def test_chunking_does_not_change_results(self):
         tiny = _collect_stats(CFG, 100.0, seed=9, n_realizations=200, chunk_points=500)
         big = _collect_stats(CFG, 100.0, seed=9, n_realizations=200, chunk_points=10_000_000)
-        for field in ("s_dec", "s_far", "n_dec", "r2_min", "r2_far_min"):
-            np.testing.assert_array_equal(getattr(tiny, field), getattr(big, field))
+        for rule in DecodingRule:
+            for got, want in zip(tiny[rule], big[rule]):
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("chunk_points", [None, 50],
                              ids=["default-chunks", "sub-realization-chunks"])
@@ -178,9 +176,10 @@ class TestEstimateCognitive:
         kwargs = {} if chunk_points is None else {"chunk_points": chunk_points}
         short = _collect_stats(cfg, w, seed=8, n_realizations=150, **kwargs)
         long = _collect_stats(cfg, w, seed=8, n_realizations=400, **kwargs)
-        assert np.any(short.n_dec == 0) and np.all(np.isfinite(short.r2_min))
-        for field in ("s_dec", "s_far", "n_dec", "r2_min", "r2_far_min"):
-            np.testing.assert_array_equal(getattr(short, field), getattr(long, field)[:150])
+        assert np.any(short[OPT].n == 0) and np.all(np.isfinite(short[IAN].r2_noise))
+        for rule in DecodingRule:
+            for got, want in zip(short[rule], long[rule]):
+                np.testing.assert_array_equal(got, want[:150])
 
     def test_run_ending_in_empty_windows(self):
         # a run whose last realization has no points: in each field the last
@@ -192,11 +191,18 @@ class TestEstimateCognitive:
         n = next(i for i in range(2, 1000)
                  if not counts[i - 1].any() and np.all(counts[i - 2] >= 2))
         got = _collect_stats(cfg, 5.0, seed=11, n_realizations=n)
-        want = self.oracle_stats(cfg, 5.0, seed=11, n_realizations=n)
-        for field in ("n_dec", "r2_min", "r2_far_min"):
-            np.testing.assert_array_equal(getattr(got, field), want[field])
-        for field in ("s_dec", "s_far"):
-            np.testing.assert_allclose(getattr(got, field), want[field], rtol=1e-13, atol=0)
+        self.assert_views_match(got, self.oracle_stats(cfg, 5.0, seed=11, n_realizations=n))
+
+    @staticmethod
+    def assert_views_match(got, want):
+        """The kernel's per-rule views against the oracle's five statistics:
+        counts and distances exactly, power sums to 1e-13.  The noise rule
+        decodes nothing, so both fields are its noise."""
+        for view, n, s, r2 in ((got[IAN], 0.0, want["s_dec"] + want["s_far"], want["r2_min"]),
+                               (got[OPT], want["n_dec"], want["s_far"], want["r2_far_min"])):
+            np.testing.assert_array_equal(view.n, n)
+            np.testing.assert_array_equal(view.r2_noise, r2)
+            np.testing.assert_allclose(view.noise, s, rtol=1e-13, atol=0)
 
     @staticmethod
     def oracle_stats(cfg, window_radius, seed, n_realizations):
@@ -232,10 +238,7 @@ class TestEstimateCognitive:
         kwargs = {} if chunk_points is None else {"chunk_points": chunk_points}
         got = _collect_stats(cfg, w, seed=11, n_realizations=n, **kwargs)
         want = self.oracle_stats(cfg, w, seed=11, n_realizations=n)
-        for field in ("n_dec", "r2_min", "r2_far_min"):
-            np.testing.assert_array_equal(getattr(got, field), want[field])
-        for field in ("s_dec", "s_far"):
-            np.testing.assert_allclose(getattr(got, field), want[field], rtol=1e-13, atol=0)
+        self.assert_views_match(got, want)
         if lam < 1:  # the cases the ids promise are really in the data
             assert np.any(want["n_dec"] == 0) and np.any(want["n_dec"] > 0)
         if chunk_points is not None:  # empty windows, and decode sets with nothing beyond
@@ -262,26 +265,27 @@ class TestEstimateCognitive:
         # power sums carry the last-digit latitude of numpy's pow
         cfg = NetworkConfig(0.3, 1.0, 4.0)
         got = _collect_stats(cfg, 100.0, seed=5, n_realizations=4)
-        np.testing.assert_array_equal(got.n_dec, [2.0, 0.0, 0.0, 3.0])
-        np.testing.assert_array_equal(got.r2_min, [0.47072268318809307, 1.04194881055316,
-                                                   4.01965247947016, 0.537936929104719])
-        np.testing.assert_array_equal(got.r2_far_min, [1.041282705635711, 1.04194881055316,
-                                                       4.01965247947016, 2.2230233912325943])
-        np.testing.assert_allclose(got.s_dec, [6.181402815624666, 0.0, 0.0, 7.020610435980172],
-                                   rtol=1e-13, atol=0)
-        frozen = np.array([1.8223158452360533, 2.4357768386872434,
-                           0.289754620205274, 0.5392499707795229])
-        np.testing.assert_allclose(got.s_far, frozen + far_mean(cfg, 100.0), rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(got[IAN].n, 0.0)
+        np.testing.assert_array_equal(got[OPT].n, [2.0, 0.0, 0.0, 3.0])
+        np.testing.assert_array_equal(got[IAN].r2_noise, [0.47072268318809307, 1.04194881055316,
+                                                          4.01965247947016, 0.537936929104719])
+        np.testing.assert_array_equal(got[OPT].r2_noise, [1.041282705635711, 1.04194881055316,
+                                                          4.01965247947016, 2.2230233912325943])
+        s_dec = np.array([6.181402815624666, 0.0, 0.0, 7.020610435980172])
+        s_far = np.array([1.8223158452360533, 2.4357768386872434,
+                          0.289754620205274, 0.5392499707795229]) + far_mean(cfg, 100.0)
+        np.testing.assert_allclose(got[IAN].noise, s_dec + s_far, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got[OPT].noise, s_far, rtol=1e-13, atol=0)
 
     def test_far_mean_alone_without_noise_set_points(self):
         # a window just past d leaves most realizations without a noise-set
         # point: their far-field sum is the plane's mean beyond the window,
         # and only that
-        stats = _collect_stats(CFG, 1.01, seed=1, n_realizations=200)
-        empty = np.isinf(stats.r2_far_min)
+        ring = _collect_stats(CFG, 1.01, seed=1, n_realizations=200)[OPT]
+        empty = np.isinf(ring.r2_noise)
         assert 0 < np.count_nonzero(empty) < len(empty)
-        assert np.all(stats.s_far[empty] == far_mean(CFG, 1.01))
-        assert np.all(stats.s_far[~empty] > far_mean(CFG, 1.01))
+        assert np.all(ring.noise[empty] == far_mean(CFG, 1.01))
+        assert np.all(ring.noise[~empty] > far_mean(CFG, 1.01))
 
     @pytest.mark.parametrize("window", [1.3, 3.0])
     def test_ring_contact_law(self, window):
@@ -290,8 +294,8 @@ class TestEstimateCognitive:
         # window, W^2/d^2 - 1 (an 11% chance of an empty ring at W = 1.3 d);
         # Kolmogorov-Smirnov distance of 1e5 realizations below 0.01
         cfg = NetworkConfig(1.0, 1.0, 4.0)
-        stats = _collect_stats(cfg, window, seed=0, n_realizations=100_000)
-        t = np.sort(stats.r2_far_min[np.isfinite(stats.r2_far_min)] - 1.0)
+        r2_far = _collect_stats(cfg, window, seed=0, n_realizations=100_000)[OPT].r2_noise
+        t = np.sort(r2_far[np.isfinite(r2_far)] - 1.0)
         model = np.expm1(-cfg.mu * t) / np.expm1(-cfg.mu * (window * window - 1.0))
         n = len(t)
         ks = max(np.max(np.arange(1, n + 1) / n - model), np.max(model - np.arange(0, n) / n))
@@ -423,11 +427,11 @@ class TestEstimateFixedRate:
         )
         est = estimate_fixed_rate(CFG, sol, n_realizations=200, seed=1, mode="closest_only",
                                   window_radius=1.01)
-        stats = simulation._sample(CFG, 200, 1, 1.01)
-        rates = _rates_from_stats(CFG, stats, OPT, "closest_only")
-        assert np.any((stats.n_dec > 0) & np.isinf(rates))
+        view = simulation._sample(CFG, 200, 1, 1.01)[OPT]
+        rates = _rates_from_stats(CFG, view, "closest_only")
+        assert np.any((view.n > 0) & np.isinf(rates))
         # only a count of 0 has a table entry, met where the rate reaches it
-        contrib = np.where((stats.n_dec == 0) & (rates >= 0.5), 0.5, 0.0)
+        contrib = np.where((view.n == 0) & (rates >= 0.5), 0.5, 0.0)
         assert est.mean > 0
         assert est.mean == pytest.approx(CFG.lam * contrib.mean(), rel=1e-12)
         assert est.stderr == pytest.approx(CFG.lam * contrib.std(ddof=1) / math.sqrt(200),
@@ -478,6 +482,34 @@ class TestEstimateTypes:
         with pytest.raises(ValueError, match="bogus"):
             estimate_fixed_rate(CFG, bogus, n_realizations=200)
 
+    def test_bad_input_raises_before_the_draw(self, monkeypatch):
+        # a bad rule or mode costs no pass: 20 000 dense realizations would
+        # take about half a second to draw before the error
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a pass was drawn")
+
+        simulation._sample.cache_clear()  # a kept pass would hide a draw
+        monkeypatch.setattr(simulation, "_collect_stats", no_draw)
+        cfg = NetworkConfig(30.0, 1.0, 4.0)
+        sol = fixed_rate.highest_throughput(cfg, IAN)
+        bogus = fixed_rate.FixedRateSolution("bogus", sol.sir_thresholds, sol.rates,
+                                             sol.throughput, sol.at_boundary)
+        n = 20_000
+        with pytest.raises(ValueError, match="'closest'"):
+            estimate_cognitive(cfg, IAN, mode="closest", n_realizations=n)
+        with pytest.raises(ValueError, match="bogus"):
+            estimate_cognitive(cfg, "bogus", n_realizations=n)
+        with pytest.raises(ValueError, match="'closest'"):
+            estimate_fixed_rate(cfg, sol, n_realizations=n, mode="closest")
+        with pytest.raises(ValueError, match="bogus"):
+            estimate_fixed_rate(cfg, bogus, n_realizations=n)
+        # the report reads both rules in full-interference mode; what it is
+        # given, the window and the realization count, is checked first too
+        with pytest.raises(ValueError, match="window_radius"):
+            tightness_report([cfg], n_realizations=n, window_radius=0.5)
+        with pytest.raises(ValueError, match="realizations"):
+            tightness_report([cfg], n_realizations=50)
+
     def test_estimate_validation(self):
         for bad in (-1.0, math.nan, math.inf):
             # a value past the double range is a failed computation, not bad input
@@ -508,3 +540,39 @@ class TestTightnessReport:
         for name, rule in (("ian", IAN), ("opt", OPT)):
             est = estimate_cognitive(cfg, rule, n_realizations=400, seed=13)
             assert (est.mean, est.stderr) == (row[f"c_{name}_simulated"], row[f"c_{name}_stderr"])
+
+
+class TestNoiseRuleExactLaw:
+    """At alpha = 4 the noise rule's full-plane interference, in units of
+    d^-alpha, follows the Levy law P[I <= y] = erfc(mu*sqrt(pi)/(2*sqrt(y)))
+    (Haenggi & Ganti, FnT 2009, sec. 3), so P[SIR >= b] = erfc(mu*sqrt(pi*b)/2)
+    and P[R <= x] = erf(mu*sqrt(pi*(2^x - 1))/2).  Both tests read one pass
+    of 20 000 realizations per density, seed 37; the plane beyond the window
+    enters as its mean, far below either test's resolution."""
+
+    N, SEED = 20_000, 37
+
+    @pytest.fixture(scope="class", params=[0.01, 0.3183, 3.0])
+    def cfg(self, request):
+        # class scope runs both tests at one density in turn, so the second
+        # reads the pass the first drew
+        return NetworkConfig(request.param, 1.0, 4.0)
+
+    def test_rate_law(self, cfg):
+        # Kolmogorov-Smirnov distance below 1.63/sqrt(n), the 1% critical value
+        view = simulation._sample(cfg, self.N, self.SEED, None)[IAN]
+        x = np.sort(_rates_from_stats(cfg, view, "full"))
+        model = np.array([math.erf(cfg.mu * math.sqrt(math.pi * math.expm1(v * math.log(2.0))) / 2.0)
+                          for v in x])
+        n = len(x)
+        ks = max(np.max(np.arange(1, n + 1) / n - model), np.max(model - np.arange(0, n) / n))
+        assert ks < 1.63 / math.sqrt(n)
+
+    def test_fixed_rate_success_law(self, cfg):
+        # the full-interference estimate at the optimal threshold b of the
+        # closest-interferer model, against lam*log2(1 + b)*P[SIR >= b]
+        b = fixed_rate.highest_throughput(cfg, IAN).sir_thresholds[0]
+        est = estimate_fixed_rate(cfg, fixed_rate.highest_throughput(cfg, IAN), self.N, self.SEED,
+                                  "full")
+        exact = cfg.lam * math.log2(1.0 + b) * math.erfc(cfg.mu * math.sqrt(math.pi * b) / 2.0)
+        assert abs(est.mean - exact) <= 4.0 * est.stderr

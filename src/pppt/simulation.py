@@ -212,8 +212,8 @@ def _sample(cfg: NetworkConfig, n_realizations: int, seed: int,
     return _collect_stats(cfg, window_radius, seed, n_realizations)
 
 
-def _view(cfg: NetworkConfig, rule: DecodingRule, mode: str, n_realizations: int, seed: int,
-          window_radius: float | None) -> _View:
+def _rule_view(cfg: NetworkConfig, rule: DecodingRule, mode: str, n_realizations: int,
+               seed: int, window_radius: float | None) -> _View:
     """``rule``'s view of the pass at this draw, the rule (a
     :class:`DecodingRule` or its value) and mode checked before the draw."""
     rule = DecodingRule(rule)
@@ -237,7 +237,7 @@ def estimate_cognitive(cfg: NetworkConfig, rule: DecodingRule, mode: str = "full
                        window_radius: float | None = None) -> SimulationEstimate:
     """Simulated cognitive spatial throughput: lam times the sample mean of
     the per-realization maximum rate, with its standard error."""
-    view = _view(cfg, rule, mode, n_realizations, seed, window_radius)
+    view = _rule_view(cfg, rule, mode, n_realizations, seed, window_radius)
     return _estimate(cfg, _rates_from_stats(cfg, view, mode))
 
 
@@ -251,7 +251,7 @@ def estimate_fixed_rate(cfg: NetworkConfig, solution: FixedRateSolution,
     sample mean of rate * success; counts beyond the solution's table
     (vanishing Poisson tail) count as outages.
     """
-    view = _view(cfg, solution.rule, mode, n_realizations, seed, window_radius)
+    view = _rule_view(cfg, solution.rule, mode, n_realizations, seed, window_radius)
     # a count past the table meets the rate 0 appended to it, an outage
     # also where the rate is inf
     counts = np.minimum(view.n.astype(np.intp), len(solution.rates))

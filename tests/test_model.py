@@ -126,6 +126,7 @@ class TestNearestDistance:
         # the noise set holds only the far mean of the plane beyond it
         cfg = NetworkConfig(1e-9, 1.0, 4.0)
         stats = _collect_stats(cfg, 10.0, seed=0, n_realizations=50)
+        far = 2.0 * cfg.mu * 10.0 ** (2.0 - cfg.alpha) / (cfg.alpha - 2.0)
         for view in stats.values():
             assert np.all(np.isinf(view.r2_noise)) and not np.any(view.n)
-            assert np.all(view.noise == 2.0 * cfg.mu * 10.0 ** (2.0 - cfg.alpha) / (cfg.alpha - 2.0))
+            assert np.all(view.noise == far)

@@ -562,8 +562,8 @@ class TestNoiseRuleExactLaw:
         # Kolmogorov-Smirnov distance below 1.63/sqrt(n), the 1% critical value
         view = simulation._sample(cfg, self.N, self.SEED, None)[IAN]
         x = np.sort(_rates_from_stats(cfg, view, "full"))
-        model = np.array([math.erf(cfg.mu * math.sqrt(math.pi * math.expm1(v * math.log(2.0))) / 2.0)
-                          for v in x])
+        sir = [math.expm1(v * math.log(2.0)) for v in x]  # 2^x - 1
+        model = np.array([math.erf(cfg.mu * math.sqrt(math.pi * b) / 2.0) for b in sir])
         n = len(x)
         ks = max(np.max(np.arange(1, n + 1) / n - model), np.max(model - np.arange(0, n) / n))
         assert ks < 1.63 / math.sqrt(n)
@@ -571,8 +571,8 @@ class TestNoiseRuleExactLaw:
     def test_fixed_rate_success_law(self, cfg):
         # the full-interference estimate at the optimal threshold b of the
         # closest-interferer model, against lam*log2(1 + b)*P[SIR >= b]
-        b = fixed_rate.highest_throughput(cfg, IAN).sir_thresholds[0]
-        est = estimate_fixed_rate(cfg, fixed_rate.highest_throughput(cfg, IAN), self.N, self.SEED,
-                                  "full")
+        sol = fixed_rate.highest_throughput(cfg, IAN)
+        b = sol.sir_thresholds[0]
+        est = estimate_fixed_rate(cfg, sol, self.N, self.SEED, "full")
         exact = cfg.lam * math.log2(1.0 + b) * math.erfc(cfg.mu * math.sqrt(math.pi * b) / 2.0)
         assert abs(est.mean - exact) <= 4.0 * est.stderr

@@ -103,3 +103,47 @@ def test_cli_import_needs_numpy_only():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _openblas():
+    import numpy
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:  # numpy < 1.26 does not report its BLAS as data
+        return False
+    return "openblas" in blas.lower()
+
+
+blas_threads = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or not _openblas(),
+    reason="needs /proc/self/task and numpy built on OpenBLAS")
+
+
+def _threads_after(code, **env_vars):
+    """Thread count and OPENBLAS_NUM_THREADS after ``code`` in a fresh
+    interpreter whose environment sets no BLAS thread count but ``env_vars``."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.update(env_vars)
+    probe = (f"{code}; import os; "
+             "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    count, value = proc.stdout.split()
+    return int(count), value
+
+
+@blas_threads
+def test_import_loads_one_blas_thread_and_restores_environment():
+    assert _threads_after("import pppt") == (1, "None")
+
+
+@blas_threads
+@pytest.mark.parametrize("first, env_vars", [("", {"OPENBLAS_NUM_THREADS": "2"}),
+                                             ("import numpy; ", {})],
+                         ids=["explicit-setting", "numpy-imported-first"])
+def test_blas_threads_left_to_the_caller(first, env_vars):
+    assert (_threads_after(first + "import pppt", **env_vars)
+            == _threads_after("import numpy", **env_vars))

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +193,29 @@ class TestSweep:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--method", "cognitive", "--method", "fixed", "--method", "bounds",
+         "--alpha", "4", "--lambda-min", "0.01", "--lambda-max", "1000", "--points", "6"],
+        # OpenBLAS splits a gemv over threads from 9216 cells; this density's
+        # (terms x points) blocks hold 34200, the sweep's largest 4884
+        ["pdf", "--rule", "opt", "--lambda", "31.83", "--points", "400"],
+    ], ids=["sweep", "pdf"])
+    def test_one_blas_thread_changes_no_number(self, argv, tmp_path):
+        # `-m pppt.cli` loads OpenBLAS with one thread; importing numpy first
+        # keeps its default of one thread per CPU
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        default = "import numpy, sys; from pppt.cli import main; sys.exit(main(sys.argv[1:]))"
+        outs = []
+        for launch in (["-m", "pppt.cli"], ["-c", default]):
+            outs.append(tmp_path / f"{len(outs)}.csv")
+            proc = subprocess.run([sys.executable, *launch, *argv, "--out", str(outs[-1])],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_cognitive_dominates_fixed_rowwise(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -26,7 +26,6 @@ from .model import DecodingRule, NetworkConfig
 
 _RULES = tuple(rule.value for rule in DecodingRule)
 _CLOSED_FORMS = {DecodingRule.IAN: ian, DecodingRule.OPT: opt}  # each rule's closed forms
-_MODES = {"full": "full", "closest": "closest_only"}
 _METHODS = ("cognitive", "fixed", "bounds", "simulate")
 
 
@@ -160,8 +159,7 @@ def _cmd_sweep(args) -> int:
 
     def simulated(cfg, rule):  # one sampling pass gives the mean and its stderr
         est = simulation.estimate_cognitive(
-            cfg, rule, mode=_MODES[args.mode], n_realizations=args.realizations,
-            seed=args.seed)
+            cfg, rule, mode=args.mode, n_realizations=args.realizations, seed=args.seed)
         return est.mean, est.stderr
 
     groups = []
@@ -218,16 +216,15 @@ def _cmd_figures(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _cfg(args)
-    mode = _MODES[args.mode]
     if args.method == "cognitive":
         est = simulation.estimate_cognitive(
-            cfg, args.rule, mode=mode, n_realizations=args.realizations, seed=args.seed)
+            cfg, args.rule, mode=args.mode, n_realizations=args.realizations, seed=args.seed)
     else:
         sol = fixed_rate.highest_throughput(cfg, args.rule)
         est = simulation.estimate_fixed_rate(
-            cfg, sol, n_realizations=args.realizations, seed=args.seed, mode=mode)
+            cfg, sol, n_realizations=args.realizations, seed=args.seed, mode=args.mode)
     _emit(args, ["mean", "stderr", "n_realizations", "seed", "interference_mode"],
-          [[est.mean, est.stderr, args.realizations, args.seed, mode]])
+          [[est.mean, est.stderr, args.realizations, args.seed, args.mode]])
     return 0
 
 
@@ -263,7 +260,7 @@ def _add_sim_flags(p):
     p.add_argument("--realizations", type=int, default=10_000, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="S",
                    help="base seed for all randomness (default 0, never the clock)")
-    p.add_argument("--mode", choices=sorted(_MODES), default="full",
+    p.add_argument("--mode", choices=sorted(simulation._INTERFERENCE_MODES), default="full",
                    help="aggregate interference or nearest interferer only")
 
 

@@ -1,4 +1,4 @@
-"""Network model primitives shared by the analytic and simulation modules.
+"""Network model types shared by the analytic and simulation modules.
 
 Transmitters form a homogeneous Poisson point process on the plane; each one
 has a dedicated receiver at a fixed distance ``d`` in a uniformly random
@@ -6,14 +6,6 @@ direction (the bipolar model).  Statistics of the whole network are read off
 a typical link whose receiver sits at the origin: conditioning a homogeneous
 process on an extra point does not change its law, so the added pair is
 representative.
-
-Receivers of the interfering pairs are never materialized: every quantity
-computed downstream (interference, nearest-interferer distance, rates)
-depends only on the transmitters' distances to the typical receiver.  The
-window kernel in ``simulation`` is the only sampler and draws exactly those
-distances; ``rng_from_seed`` keys its three streams per run, one for the
-counts, one for the radii of the decode disc and one for those of the
-noise ring.
 """
 from __future__ import annotations
 
@@ -21,8 +13,6 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "DecodingRule",
@@ -99,15 +89,3 @@ def _check_throughput(what: str, value: float) -> None:
     if not (math.isfinite(value) and value >= 0):
         error = ValueError if math.isfinite(value) else ArithmeticError
         raise error(f"{what} must be finite and >= 0, got {value}")
-
-
-def rng_from_seed(key: tuple[int, int]) -> np.random.Generator:
-    """PCG64 generator keyed by a (seed, stream) pair.
-
-    Each pair yields an independent, reproducible stream; a Monte Carlo run
-    seeded ``s`` reads its counts from (s, 0), its decode-disc radii from
-    (s, 1) and its noise-ring radii from (s, 2).
-    np.random.SeedSequence wants non-negative entropy, so negative integers
-    are folded into the 64-bit range and any integer is a valid seed.
-    """
-    return np.random.default_rng(tuple(int(k) % 2**64 for k in key))

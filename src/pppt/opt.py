@@ -9,9 +9,10 @@ messages, giving R = log2(1 + k*sir) / k on the support x > log2(1+k)/k.
 Each function here is a one-line face over a closed form of :mod:`pppt.ian`
 that serves both rules: ``ian._mixture`` gives this rule's shares k = 1+n,
 Poisson weights truncated by the series policy of :mod:`pppt.numerics`, and
-SIR edge 1 (the noise rule is its one-term member k = 1, edge 0).  The
-two sums smooth in n, E[R] and the Jensen bound, read ``ian._smooth_mixture``,
-a 32-node Gauss rule in n above mu = 50.  The cognitive throughput takes the
+SIR edge 1 (the noise rule is its one-term member k = 1, edge 0), and
+:func:`_given` the law given n, its one-term member k = 1+n.  The two sums
+smooth in n, E[R] and the Jensen bound, read ``ian._smooth_mixture``, a
+32-node Gauss rule in n above mu = 50.  The cognitive throughput takes the
 whole mixture inside one integral, so its quadrature tolerance bounds the
 error of E[R], not of each E[R | n]; :func:`conditional_mean_rate` keeps
 the per-term integral.
@@ -47,15 +48,18 @@ def pdf_sir(cfg: NetworkConfig, x):
     return _pdf_sir(cfg, x, 1.0)
 
 
-def _check_count(n) -> None:
+def _given(n):
+    """The law given n decoded interferers, the one-term mixture (k = 1+n,
+    w = 1, SIR edge 1), for a count checked to be an integer >= 0."""
     if not (isinstance(n, (int, np.integer)) and n >= 0):
         raise ValueError(f"joint-decode count must be an integer >= 0, got {n!r}")
+    return np.array([1.0 + n]), np.ones(1), 1.0
 
 
 def conditional_support_edge(n: int) -> float:
     """Smallest rate with positive density when 1+n messages are decoded."""
-    _check_count(n)
-    return float(_rate_edge(1.0 + n, 1.0))
+    (k,), _, edge = _given(n)
+    return float(_rate_edge(k, edge))
 
 
 def pdf_rate_conditional(cfg: NetworkConfig, n: int, x):
@@ -64,8 +68,7 @@ def pdf_rate_conditional(cfg: NetworkConfig, n: int, x):
     Zero at and below log2(2+n)/(1+n); above it, the push-forward of the
     truncated SIR density through (1+n)*R = log2(1 + (1+n)*sir).
     """
-    _check_count(n)
-    return _pdf_rate(cfg, np.array([1.0 + n]), np.ones(1), 1.0, x)
+    return _pdf_rate(cfg, *_given(n), x)
 
 
 def pdf_rate(cfg: NetworkConfig, x):
@@ -85,8 +88,7 @@ def conditional_mean_rate(cfg: NetworkConfig, n: int) -> float:
     with u = mu*(sir^(2/alpha) - 1) ~ Exp(1),
     E[R | n] = (1+n)^-1 * E[ log2(1 + (1+n) * (1 + u/mu)^(alpha/2)) ].
     """
-    _check_count(n)
-    return _mean_rate(cfg, np.array([1.0 + n]), np.ones(1), 1.0)
+    return _mean_rate(cfg, *_given(n))
 
 
 def cognitive_throughput(cfg: NetworkConfig, spec: QuadratureSpec | None = None,

@@ -29,23 +29,25 @@ So is a window whose (W/d)^2 overflows, 64*pi/mu for the default one
 below mu ~ 1.1e-306.
 
 A run seeded with ``s`` draws all its (disc, ring) count pairs in one call
-from the stream keyed by (s, 0); the squared radii, realization after
-realization and one call per chunk, come from (s, 1) for the disc, uniform
-on [0, 1), and from (s, 2) for the ring, uniform on [1, W^2/d^2).  One
-reduction serves both fields: power sums and minima per realization by
-``reduceat`` over that realization's points.  Results are therefore
-independent of chunk sizes and reproducible across runs, and realization
-``i`` is the same in every run of at least ``i + 1`` realizations.  Sample
-moments are reduced with numpy's pairwise summation, which is
-deterministic for a fixed realization count.
+from the PCG64 stream :func:`_rng` keys by (s, 0); the squared radii,
+realization after realization and one call per chunk, come from (s, 1)
+for the disc, uniform on [0, 1), and from (s, 2) for the ring, uniform on
+[1, W^2/d^2).  One reduction serves both fields: power sums and minima
+per realization by ``reduceat`` over that realization's points.  Results
+are therefore independent of chunk sizes and reproducible across runs,
+and realization ``i`` is the same in every run of at least ``i + 1``
+realizations.  Sample moments are reduced with numpy's pairwise
+summation, which is deterministic for a fixed realization count.
 
 A pass is a read-only table of per-rule views, the sampler's twin of
 :func:`pppt.ian._mixture`: a rule's decode count, noise power sum and
 squared nearest noise distance per realization.  An estimator checks its
 rule and interference mode before anything is drawn, then reads its rule's
-view.  The last pass, about 40 bytes per realization (five float arrays),
-is kept for the next estimate at the same draw (configuration, realization
-count, seed, window), so every estimate at one density comes from one pass.
+view: mode ``full`` counts every interferer, ``closest`` only the nearest
+noise interferer, the closed forms' approximation.  The last pass, about
+40 bytes per realization (five float arrays), is kept for the next
+estimate at the same draw (configuration, realization count, seed,
+window), so every estimate at one density comes from one pass.
 """
 from __future__ import annotations
 
@@ -61,7 +63,7 @@ from . import ian as _ian_analytic
 from . import opt as _opt_analytic
 from .fixed_rate import FixedRateSolution
 from .ian import _rate
-from .model import DecodingRule, NetworkConfig, _check_throughput, rng_from_seed
+from .model import DecodingRule, NetworkConfig, _check_throughput
 
 __all__ = [
     "SimulationEstimate",
@@ -71,7 +73,7 @@ __all__ = [
     "tightness_report",
 ]
 
-_INTERFERENCE_MODES = ("full", "closest_only")
+_INTERFERENCE_MODES = ("full", "closest")
 
 _CHUNK_POINTS = 1 << 16
 
@@ -106,7 +108,7 @@ def default_window_radius(cfg: NetworkConfig) -> float:
 
 
 def _field_stats(counts: np.ndarray, radii: np.random.Generator, lo: float, width: float,
-                 half_alpha: float, chunk_points: int):
+                 half_alpha: float):
     """Power sum and squared nearest distance per realization of a field of
     ``counts[i]`` points in realization ``i``, squared radii uniform on
     [lo, lo + width) (inf where a realization has no point)."""
@@ -117,8 +119,8 @@ def _field_stats(counts: np.ndarray, radii: np.random.Generator, lo: float, widt
     start = 0
     while start < n:
         base = int(ends[start - 1]) if start else 0
-        # as many realizations as fit in chunk_points, and at least one
-        stop = max(start + 1, int(np.searchsorted(ends, base + chunk_points, "right")))
+        # as many realizations as fit in _CHUNK_POINTS, and at least one
+        stop = max(start + 1, int(np.searchsorted(ends, base + _CHUNK_POINTS, "right")))
         r2 = radii.random(int(ends[stop - 1]) - base)
         r2 *= width
         r2 += lo
@@ -156,8 +158,14 @@ def _views(n_dec: np.ndarray, disc, ring) -> MappingProxyType:
     })
 
 
-def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int,
-                   n_realizations: int, chunk_points: int = _CHUNK_POINTS):
+def _rng(seed: int, stream: int) -> np.random.Generator:
+    """PCG64 generator of the run seeded ``seed``: stream 0 draws its counts,
+    1 its decode-disc radii and 2 its noise-ring radii.  SeedSequence wants
+    non-negative entropy, so any integer seed is folded into the 64-bit range."""
+    return np.random.default_rng((int(seed) % 2**64, stream))
+
+
+def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int, n_realizations: int):
     """The per-rule views of ``n_realizations`` realizations in units of d
     (the link's power is 1); ``window_radius`` is in metres."""
     window = window_radius / cfg.d
@@ -167,11 +175,9 @@ def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int,
     # the Campbell mean of the plane beyond the window
     far_mean = 2.0 * cfg.mu * window ** (2.0 - cfg.alpha) / (cfg.alpha - 2.0)
     half_alpha = cfg.alpha / 2.0
-    counts = rng_from_seed((seed, 0)).poisson([cfg.mu, cfg.mu * ring], (n_realizations, 2))
-    disc = _field_stats(counts[:, 0], rng_from_seed((seed, 1)), 0.0, 1.0, half_alpha,
-                        chunk_points)
-    s_far, r2_far_min = _field_stats(counts[:, 1], rng_from_seed((seed, 2)), 1.0, ring,
-                                     half_alpha, chunk_points)
+    counts = _rng(seed, 0).poisson([cfg.mu, cfg.mu * ring], (n_realizations, 2))
+    disc = _field_stats(counts[:, 0], _rng(seed, 1), 0.0, 1.0, half_alpha)
+    s_far, r2_far_min = _field_stats(counts[:, 1], _rng(seed, 2), 1.0, ring, half_alpha)
     return _views(counts[:, 0].astype(float), disc, (s_far + far_mean, r2_far_min))
 
 
@@ -182,7 +188,7 @@ def _rates_from_stats(cfg: NetworkConfig, view: _View, mode: str) -> np.ndarray:
     share = 1 + n for n jointly decoded interferers, each at the link's own
     power as in the paper; the decode set holds the interferers strictly
     closer than the link distance (ties go to the noise set).  As the
-    analytic chains do, ``closest_only`` (any mode but ``full``) replaces
+    analytic chains do, ``closest`` (any mode but ``full``) replaces
     the noise-set interference by its nearest interferer's power.  No noise
     interference gives rate inf, a noise power past the double range 0.
     """

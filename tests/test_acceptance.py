@@ -187,12 +187,12 @@ def test_criterion_8_simulation_consistency():
     worst_z = 0.0
     for lam in (0.01, 0.1, 1.0):
         cfg = NetworkConfig(lam, 1.0, 4.0)
-        est = simulation.estimate_cognitive(cfg, DecodingRule.IAN, mode="closest_only",
+        est = simulation.estimate_cognitive(cfg, DecodingRule.IAN, mode="closest",
                                             n_realizations=10_000, seed=seed)
         worst_z = max(worst_z, abs(est.mean - ian.cognitive_throughput(cfg).value) / est.stderr)
         sol = fixed_rate.highest_throughput(cfg, DecodingRule.IAN)
         estf = simulation.estimate_fixed_rate(cfg, sol, n_realizations=10_000,
-                                              seed=seed, mode="closest_only")
+                                              seed=seed, mode="closest")
         worst_z = max(worst_z, abs(estf.mean - sol.throughput.value) / estf.stderr)
     report("8 simulation consistency", worst_z <= 3.0, f"worst |z| = {worst_z:.2f}")
 

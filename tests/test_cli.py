@@ -514,7 +514,7 @@ class TestSimulateCommand:
         header, rows = read_csv(out)
         assert float(rows[0][header.index("mean")]) > 0
         echo = dict(zip(header[2:], rows[0][2:]))
-        assert echo == {"n_realizations": "300", "seed": "3", "interference_mode": "closest_only"}
+        assert echo == {"n_realizations": "300", "seed": "3", "interference_mode": "closest"}
 
     def test_default_seed_is_zero(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -531,7 +531,7 @@ class TestSimulateCommand:
         header, rows = read_csv(out)
         assert float(rows[0][header.index("mean")]) >= 0
         echo = dict(zip(header[2:], rows[0][2:]))
-        assert echo == {"n_realizations": "300", "seed": "0", "interference_mode": "closest_only"}
+        assert echo == {"n_realizations": "300", "seed": "0", "interference_mode": "closest"}
 
     def test_overflowed_window_is_numerical_failure(self, tmp_path, capsys):
         # mu ~ 9.4e-307: the default window's (W/d)^2 overflows a double

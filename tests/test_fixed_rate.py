@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from golden_section import maximize_unimodal
 from scipy.stats import poisson
 
 from pppt import fixed_rate, ian, opt
-from pppt.ian import _markov_bound
+from pppt.ian import _log_sir_ccdf, _markov_bound, _rate
 from pppt.model import DecodingRule, NetworkConfig
 from pppt.numerics import truncated_poisson_weights
 
@@ -208,3 +209,26 @@ class TestCompare:
         rep = fixed_rate.compare_cognitive_vs_fixed(NetworkConfig(1.0, 1.0, 4.0))
         assert rep["t_ian"] <= min(rep["c_ian"], rep["t_opt"])
         assert max(rep["c_ian"], rep["t_opt"]) <= rep["c_opt"]
+
+
+# the slope root stops at 1e-12 absolute in b, far above the optima near
+# 1e-22 of the analytic-sweep grid's last 12 alpha = 20 cells (lam ~ 38.88
+# to 1000), which fall short of the optimum
+SOLVER_MISSES = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1b: the threshold solver misses the optimum")
+
+
+@pytest.mark.parametrize("alpha,lam", [
+    pytest.param(alpha, lam, id=f"alpha{alpha:g}-lam{lam:.4g}",
+                 marks=SOLVER_MISSES if alpha == 20.0 and i >= 28 else ())
+    for alpha in (2.5, 4.0, 20.0) for i, lam in enumerate(np.geomspace(0.01, 1000.0, 40))])
+def test_noise_rule_threshold_is_the_optimum(alpha, lam):
+    # the noise rule's throughput is lam * max over x = log b of the rate
+    # times its success probability, log-concave in x, so golden section
+    # on its log finds that maximum from values alone
+    cfg = NetworkConfig(lam, 1.0, alpha)
+    _, log_best = maximize_unimodal(
+        lambda x: math.log(_rate(1.0, x)) + _log_sir_ccdf(cfg, x, 0.0), (-700.0, 50.0), 1e-10)
+    want = lam * math.exp(log_best)
+    got = fixed_rate.highest_throughput(cfg, DecodingRule.IAN).throughput.value
+    assert abs(got - want) <= 1e-9 * want

@@ -89,7 +89,7 @@ class TestSampling:
         cfg = NetworkConfig(1e-9, 1.0, 4.0)
         for rule, closed_form in ((DecodingRule.IAN, ian), (DecodingRule.OPT, opt)):
             analytic = closed_form.cognitive_throughput(cfg).value
-            closest = estimate_cognitive(cfg, rule, "closest_only", n_realizations=100)
+            closest = estimate_cognitive(cfg, rule, "closest", n_realizations=100)
             assert abs(closest.mean - analytic) < 4.0 * closest.stderr
             full = estimate_cognitive(cfg, rule, n_realizations=100)
             assert 0.0 < full.mean < analytic

@@ -7,12 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pppt import fixed_rate, ian, simulation
-from pppt.model import DecodingRule, NetworkConfig, ThroughputValue, rng_from_seed
+from pppt.model import DecodingRule, NetworkConfig, ThroughputValue
 from pppt.simulation import (
     _INTERFERENCE_MODES,
     SimulationEstimate,
     _collect_stats,
     _rates_from_stats,
+    _rng,
     _views,
     estimate_cognitive,
     estimate_fixed_rate,
@@ -52,12 +53,12 @@ class TestPerRealizationRates:
 
     def test_single_interferer_modes_agree(self):
         assert rate([2.0], IAN, "full") == pytest.approx(
-            rate([2.0], IAN, "closest_only"), rel=1e-12)
+            rate([2.0], IAN, "closest"), rel=1e-12)
 
     def test_full_never_exceeds_closest(self):
         stats = _collect_stats(CFG, 20.0, seed=0, n_realizations=30)
         full = _rates_from_stats(CFG, stats[IAN], "full")
-        closest = _rates_from_stats(CFG, stats[IAN], "closest_only")
+        closest = _rates_from_stats(CFG, stats[IAN], "closest")
         assert np.all(full <= closest + 1e-12)
 
     def test_empty_window_capped(self):
@@ -75,7 +76,7 @@ class TestPerRealizationRates:
         assert rate([0.5, 2.0], OPT) == pytest.approx(0.5 * math.log2(33.0), rel=1e-12)
 
     def test_opt_closest_only_uses_nearest_noise_interferer(self):
-        assert rate([0.5, 2.0, 3.0], OPT, "closest_only") == pytest.approx(
+        assert rate([0.5, 2.0, 3.0], OPT, "closest") == pytest.approx(
             0.5 * math.log2(33.0), rel=1e-12)
 
     def test_opt_empty_noise_set_capped(self):
@@ -154,28 +155,31 @@ class TestEstimateCognitive:
         simulation._sample.cache_clear()
         passes.clear()
         estimate_cognitive(CFG, OPT, mode="full", n_realizations=300, seed=7)
-        estimate_cognitive(CFG, OPT, mode="closest_only", n_realizations=300, seed=7)
+        estimate_cognitive(CFG, OPT, mode="closest", n_realizations=300, seed=7)
         estimate_fixed_rate(CFG, sol, n_realizations=300, seed=7)
         assert len(passes) == 1
 
-    def test_chunking_does_not_change_results(self):
-        tiny = _collect_stats(CFG, 100.0, seed=9, n_realizations=200, chunk_points=500)
-        big = _collect_stats(CFG, 100.0, seed=9, n_realizations=200, chunk_points=10_000_000)
+    def test_chunking_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_CHUNK_POINTS", 500)
+        tiny = _collect_stats(CFG, 100.0, seed=9, n_realizations=200)
+        monkeypatch.setattr(simulation, "_CHUNK_POINTS", 10_000_000)
+        big = _collect_stats(CFG, 100.0, seed=9, n_realizations=200)
         for rule in DecodingRule:
             for got, want in zip(tiny[rule], big[rule]):
                 np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("chunk_points", [None, 50],
                              ids=["default-chunks", "sub-realization-chunks"])
-    def test_prefix_stable(self, chunk_points):
+    def test_prefix_stable(self, chunk_points, monkeypatch):
         # realization i is the same in every run of at least i + 1
         # realizations; about 200 points per realization and 39% empty decode
         # sets, so 50-point chunks each hold a single realization
         cfg = NetworkConfig(0.3, 1.0, 4.0)
         w = simulation.default_window_radius(cfg)
-        kwargs = {} if chunk_points is None else {"chunk_points": chunk_points}
-        short = _collect_stats(cfg, w, seed=8, n_realizations=150, **kwargs)
-        long = _collect_stats(cfg, w, seed=8, n_realizations=400, **kwargs)
+        if chunk_points is not None:
+            monkeypatch.setattr(simulation, "_CHUNK_POINTS", chunk_points)
+        short = _collect_stats(cfg, w, seed=8, n_realizations=150)
+        long = _collect_stats(cfg, w, seed=8, n_realizations=400)
         assert np.any(short[OPT].n == 0) and np.all(np.isfinite(short[IAN].r2_noise))
         for rule in DecodingRule:
             for got, want in zip(short[rule], long[rule]):
@@ -187,7 +191,7 @@ class TestEstimateCognitive:
         # still reduces over all of its own points
         cfg = NetworkConfig(0.02, 2.0, 3.0)
         ring = (5.0 / cfg.d) ** 2 - 1.0
-        counts = rng_from_seed((11, 0)).poisson([cfg.mu, cfg.mu * ring], (1000, 2))
+        counts = _rng(11, 0).poisson([cfg.mu, cfg.mu * ring], (1000, 2))
         n = next(i for i in range(2, 1000)
                  if not counts[i - 1].any() and np.all(counts[i - 2] >= 2))
         got = _collect_stats(cfg, 5.0, seed=11, n_realizations=n)
@@ -212,7 +216,7 @@ class TestEstimateCognitive:
         radii from stream (seed, 2), and the far mean added to each noise-set
         sum.  Drawn in metres and split at d, reported as the kernel reports
         them, in units of d: squared radii over d^2, powers times d^alpha."""
-        counts, disc, ring = (rng_from_seed((seed, k)) for k in range(3))
+        counts, disc, ring = (_rng(seed, k) for k in range(3))
         d2, d_alpha = cfg.d * cfg.d, cfg.d ** cfg.alpha
         w2 = window_radius * window_radius
         rows = []
@@ -232,11 +236,13 @@ class TestEstimateCognitive:
         (0.3, 1.0, 4.0, None, 100, None),
         (0.02, 2.0, 3.0, 5.0, 300, 4),
     ], ids=["dense", "empty-decode-sets", "empty-windows-in-chunk"])
-    def test_kernel_matches_per_realization_oracle(self, lam, d, alpha, window, n, chunk_points):
+    def test_kernel_matches_per_realization_oracle(self, lam, d, alpha, window, n, chunk_points,
+                                                   monkeypatch):
         cfg = NetworkConfig(lam, d, alpha)
         w = simulation.default_window_radius(cfg) if window is None else window
-        kwargs = {} if chunk_points is None else {"chunk_points": chunk_points}
-        got = _collect_stats(cfg, w, seed=11, n_realizations=n, **kwargs)
+        if chunk_points is not None:
+            monkeypatch.setattr(simulation, "_CHUNK_POINTS", chunk_points)
+        got = _collect_stats(cfg, w, seed=11, n_realizations=n)
         want = self.oracle_stats(cfg, w, seed=11, n_realizations=n)
         self.assert_views_match(got, want)
         if lam < 1:  # the cases the ids promise are really in the data
@@ -307,7 +313,7 @@ class TestEstimateCognitive:
 
     def test_closest_only_matches_analytic(self):
         cfg = NetworkConfig(0.1, 1.0, 4.0)
-        est = estimate_cognitive(cfg, DecodingRule.IAN, mode="closest_only",
+        est = estimate_cognitive(cfg, DecodingRule.IAN, mode="closest",
                                  n_realizations=3000, seed=17)
         analytic = ian.cognitive_throughput(cfg).value
         assert abs(est.mean - analytic) < 4.0 * est.stderr
@@ -316,7 +322,7 @@ class TestEstimateCognitive:
         # mu = 3.1e-5: an isolated link's rate often exceeds 30 bits, and a
         # cap there would pull the estimate about 28 sigma low
         cfg = NetworkConfig(1e-5, 1.0, 4.0)
-        est = estimate_cognitive(cfg, DecodingRule.IAN, mode="closest_only",
+        est = estimate_cognitive(cfg, DecodingRule.IAN, mode="closest",
                                  n_realizations=20_000, seed=19)
         analytic = ian.cognitive_throughput(cfg).value
         assert abs(est.mean - analytic) < 4.0 * est.stderr
@@ -324,7 +330,7 @@ class TestEstimateCognitive:
     def test_full_below_closest_on_average(self):
         cfg = NetworkConfig(0.3, 1.0, 4.0)
         full = estimate_cognitive(cfg, DecodingRule.IAN, mode="full", n_realizations=2000, seed=3)
-        clo = estimate_cognitive(cfg, DecodingRule.IAN, mode="closest_only", n_realizations=2000, seed=3)
+        clo = estimate_cognitive(cfg, DecodingRule.IAN, mode="closest", n_realizations=2000, seed=3)
         assert full.mean <= clo.mean
 
     def test_stderr_scales_with_realizations(self):
@@ -343,8 +349,8 @@ class TestEstimateCognitive:
         for seed in range(300):
             # one realization of the plane within 2w per seed: a Poisson
             # count, then uniform squared radii
-            count = rng_from_seed((seed, 0)).poisson(cfg.lam * math.pi * 4.0 * w * w)
-            r = 2.0 * w * np.sqrt(rng_from_seed((seed, 1)).random(count))
+            count = _rng(seed, 0).poisson(cfg.lam * math.pi * 4.0 * w * w)
+            r = 2.0 * w * np.sqrt(_rng(seed, 1).random(count))
             rates_big.append(rate(r, IAN, cfg=cfg, far=far_mean(cfg, 2.0 * w)))
             rates_small.append(rate(r[r <= w], IAN, cfg=cfg, far=far_mean(cfg, w)))
         gap = cfg.lam * abs(np.mean(rates_big) - np.mean(rates_small))
@@ -383,7 +389,7 @@ class TestEstimateFixedRate:
         cfg = NetworkConfig(0.1, 1.0, 4.0)
         sol = fixed_rate.highest_throughput(cfg, DecodingRule.IAN)
         est = estimate_fixed_rate(cfg, sol, n_realizations=3000,
-                                  seed=29, mode="closest_only")
+                                  seed=29, mode="closest")
         assert abs(est.mean - sol.throughput.value) < 4.0 * est.stderr
 
     def test_rate_above_cap_is_achievable(self):
@@ -393,14 +399,14 @@ class TestEstimateFixedRate:
         sol = fixed_rate.highest_throughput(cfg, DecodingRule.IAN)
         assert sol.rates[0] > 30.0
         est = estimate_fixed_rate(cfg, sol, n_realizations=20_000,
-                                  seed=23, mode="closest_only")
+                                  seed=23, mode="closest")
         assert abs(est.mean - sol.throughput.value) < 4.0 * est.stderr
 
     def test_full_below_closest(self):
         cfg = NetworkConfig(0.3, 1.0, 4.0)
         sol = fixed_rate.highest_throughput(cfg, DecodingRule.IAN)
         full = estimate_fixed_rate(cfg, sol, 2000, seed=4, mode="full")
-        clo = estimate_fixed_rate(cfg, sol, 2000, seed=4, mode="closest_only")
+        clo = estimate_fixed_rate(cfg, sol, 2000, seed=4, mode="closest")
         assert full.mean <= clo.mean
 
     def test_unreachable_threshold_gives_zero(self):
@@ -425,10 +431,10 @@ class TestEstimateFixedRate:
             throughput=ThroughputValue(0.0),
             at_boundary=np.array([False]),
         )
-        est = estimate_fixed_rate(CFG, sol, n_realizations=200, seed=1, mode="closest_only",
+        est = estimate_fixed_rate(CFG, sol, n_realizations=200, seed=1, mode="closest",
                                   window_radius=1.01)
         view = simulation._sample(CFG, 200, 1, 1.01)[OPT]
-        rates = _rates_from_stats(CFG, view, "closest_only")
+        rates = _rates_from_stats(CFG, view, "closest")
         assert np.any((view.n > 0) & np.isinf(rates))
         # only a count of 0 has a table entry, met where the rate reaches it
         contrib = np.where((view.n == 0) & (rates >= 0.5), 0.5, 0.0)
@@ -441,7 +447,7 @@ class TestEstimateFixedRate:
         cfg = NetworkConfig(0.2, 1.0, 4.0)
         sol = fixed_rate.highest_throughput(cfg, DecodingRule.OPT)
         est = estimate_fixed_rate(cfg, sol, n_realizations=3000,
-                                  seed=31, mode="closest_only")
+                                  seed=31, mode="closest")
         assert abs(est.mean - sol.throughput.value) < 4.0 * est.stderr
 
 
@@ -495,12 +501,12 @@ class TestEstimateTypes:
         bogus = fixed_rate.FixedRateSolution("bogus", sol.sir_thresholds, sol.rates,
                                              sol.throughput, sol.at_boundary)
         n = 20_000
-        with pytest.raises(ValueError, match="'closest'"):
-            estimate_cognitive(cfg, IAN, mode="closest", n_realizations=n)
+        with pytest.raises(ValueError, match="'closest_only'"):
+            estimate_cognitive(cfg, IAN, mode="closest_only", n_realizations=n)
         with pytest.raises(ValueError, match="bogus"):
             estimate_cognitive(cfg, "bogus", n_realizations=n)
-        with pytest.raises(ValueError, match="'closest'"):
-            estimate_fixed_rate(cfg, sol, n_realizations=n, mode="closest")
+        with pytest.raises(ValueError, match="'closest_only'"):
+            estimate_fixed_rate(cfg, sol, n_realizations=n, mode="closest_only")
         with pytest.raises(ValueError, match="bogus"):
             estimate_fixed_rate(cfg, bogus, n_realizations=n)
         # the report reads both rules in full-interference mode; what it is

@@ -21,15 +21,11 @@ if "numpy" not in _sys.modules and not _os.environ.keys() & {
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import fixed_rate, ian, numerics, opt, simulation
-from .model import DecodingRule, NetworkConfig, ThroughputValue
-from .numerics import QuadratureSpec, SeriesTruncation
+from .model import DecodingRule, NetworkConfig
 
 __all__ = [
     "DecodingRule",
     "NetworkConfig",
-    "QuadratureSpec",
-    "SeriesTruncation",
-    "ThroughputValue",
     "__version__",
     "fixed_rate",
     "ian",

@@ -245,15 +245,14 @@ def _cmd_compare(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(p, *, lam=False, out=True):
+def _add_common(p, *, lam=False):
     p.add_argument("--d", type=float, default=1.0, help="TX-RX distance in meters")
     p.add_argument("--alpha", type=float, default=4.0, help="path-loss exponent (> 2)")
     if lam:
         p.add_argument("--lambda", dest="lam", type=float, required=True,
                        help="transmitter density in nodes/m^2")
-    if out:
-        p.add_argument("--out", default="-", help="output path, '-' for stdout")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default="-", help="output path, '-' for stdout")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_sim_flags(p):

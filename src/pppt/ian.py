@@ -202,7 +202,6 @@ def _rate_integrand(mu: float, half_alpha: float, edge: float, k, coef):
     alpha = 60).
     """
     s = min(max(mu, 1.0), half_alpha)
-    k, coef = np.atleast_1d(k, coef)
 
     def f(x):
         u = s * x
@@ -303,7 +302,7 @@ def _stationarity_residual(mu: float, alpha: float) -> float:
     # d(lam * E[R])/dlam = 0 is equivalent, after the u-substitution, to
     #   int u^(..) log2(1+x(u)) e^-u du  =  int (u-1) * same  du;
     # both sides are evaluated with the same quadrature and subtracted.
-    f, s = _rate_integrand(mu, alpha / 2.0, 0.0, 1.0, 1.0)
+    f, s = _rate_integrand(mu, alpha / 2.0, 0.0, np.ones(1), np.ones(1))
     return integrate(f) - integrate(lambda x: (s * x - 1.0) * f(x))
 
 

@@ -93,6 +93,17 @@ def test_every_public_name_has_a_caller(name, referenced_names):
     assert not unused, f"nothing in src/ or demos/ outside {name} uses {unused}"
 
 
+def test_every_package_alias_has_a_caller(referenced_names):
+    # a package alias is only a second path to its module's name, so classes
+    # get no exemption: some file must load it through pppt itself
+    package = importlib.import_module("pppt")
+    used = set().union(*referenced_names.values())
+    unused = sorted(attr for attr in package.__all__
+                    if not inspect.ismodule(getattr(package, attr))
+                    and f"pppt.{attr}" not in used)
+    assert not unused, f"nothing in src/ or demos/ loads {unused} from pppt"
+
+
 def test_cli_import_needs_numpy_only():
     # scipy is a test oracle, not a runtime dependency
     env = dict(os.environ)

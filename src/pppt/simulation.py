@@ -33,7 +33,10 @@ from the PCG64 stream :func:`_rng` keys by (s, 0); the squared radii,
 realization after realization and one call per chunk, come from (s, 1)
 for the disc, uniform on [0, 1), and from (s, 2) for the ring, uniform on
 [1, W^2/d^2).  One reduction serves both fields: power sums and minima
-per realization by ``reduceat`` over that realization's points.  Results
+per realization by ``reduceat`` over that realization's points.  A
+field's chunks reuse one buffer, 8 bytes per point of its largest chunk:
+each chunk's squared radii are drawn into it, and their powers overwrite
+them once the minima are taken.  Results
 are therefore independent of chunk sizes and reproducible across runs,
 and realization ``i`` is the same in every run of at least ``i + 1``
 realizations.  Sample moments are reduced with numpy's pairwise
@@ -111,17 +114,23 @@ def _field_stats(counts: np.ndarray, radii: np.random.Generator, lo: float, widt
                  half_alpha: float):
     """Power sum and squared nearest distance per realization of a field of
     ``counts[i]`` points in realization ``i``, squared radii uniform on
-    [lo, lo + width) (inf where a realization has no point)."""
+    [lo, lo + width) (inf where a realization has no point).
+
+    The chunks reuse one buffer, sized by the largest: each chunk's squared
+    radii are drawn into it, and their powers overwrite them after the
+    minimum."""
     n = len(counts)
     s = np.zeros(n)
     r2_min = np.full(n, np.inf)
     ends = np.cumsum(counts)
+    # a chunk holds at most _CHUNK_POINTS points or a single realization
+    buf = np.empty(min(max(_CHUNK_POINTS, int(counts.max())), int(ends[-1])))
     start = 0
     while start < n:
         base = int(ends[start - 1]) if start else 0
         # as many realizations as fit in _CHUNK_POINTS, and at least one
         stop = max(start + 1, int(np.searchsorted(ends, base + _CHUNK_POINTS, "right")))
-        r2 = radii.random(int(ends[stop - 1]) - base)
+        r2 = radii.random(out=buf[:int(ends[stop - 1]) - base])
         r2 *= width
         r2 += lo
         # reduce over the realizations that have points: each segment then
@@ -130,7 +139,7 @@ def _field_stats(counts: np.ndarray, radii: np.random.Generator, lo: float, widt
         first = ends[hit] - counts[hit] - base
         r2_min[hit] = np.minimum.reduceat(r2, first)
         with np.errstate(over="ignore"):  # a power past the double range is inf
-            s[hit] = np.add.reduceat(r2 ** (-half_alpha), first)
+            s[hit] = np.add.reduceat(np.power(r2, -half_alpha, out=r2), first)
         start = stop
     return s, r2_min
 

@@ -265,6 +265,23 @@ class TestEstimateCognitive:
             tracemalloc.stop()
         assert peak < 32e6
 
+    def test_kernel_holds_one_chunk_buffer(self):
+        # each realization's ring here holds about 3.1e5 points, more than a
+        # chunk, so a chunk is one realization; its powers overwrite its
+        # radii, so the peak is one float64 per point of the largest ring
+        # (two if the powers take an array of their own)
+        cfg = NetworkConfig(10.0, 1.0, 4.0)
+        ring = 100.0 ** 2 - 1.0
+        largest = _rng(0, 0).poisson([cfg.mu, cfg.mu * ring], (100, 2))[:, 1].max()
+        assert largest > simulation._CHUNK_POINTS
+        tracemalloc.start()
+        try:
+            _collect_stats(cfg, 100.0, seed=0, n_realizations=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * largest
+
     def test_wide_window_reproduces_frozen_draws(self):
         # the five statistics of a radius-100 window drawn exactly, frozen
         # from the kernel's output when the runs moved to drawing the decode

@@ -94,9 +94,9 @@ def _mixture(cfg: NetworkConfig, rule: DecodingRule, truncation: SeriesTruncatio
 
 
 def _smooth_mixture(cfg: NetworkConfig, truncation: SeriesTruncation | None = None):
-    """:func:`_mixture` of the joint rule for a summand smooth in the count;
-    above mu = 50 without a truncation, the 32-node Gauss rule of Poisson(mu)."""
-    if truncation is not None or cfg.mu <= _GAUSS_MIN_MU:
+    """:func:`_mixture` of the joint rule for a summand smooth in the count
+    at mu <= 50; above it, the 32-node Gauss rule of Poisson(mu)."""
+    if cfg.mu <= _GAUSS_MIN_MU:
         return _mixture(cfg, DecodingRule.OPT, truncation)
     n, w = _poisson_gauss(cfg.mu)
     return 1.0 + n, w, 1.0
@@ -171,11 +171,13 @@ def _rate_edge(k, edge: float):
 def _pdf_rate(cfg: NetworkConfig, k, w, edge: float, x):
     """Rate density sum_i w_i * p_i(x), p_i that of log2(1 + k_i*sir)/k_i
     on sir > edge, zero at and below :func:`_rate_edge`; from log sir, so a
-    SIR past the double range gives 0.  (terms x points) blocks of about
-    2^16 cells keep the memory bounded at any mu."""
+    SIR past the double range gives 0.  The K terms of nonzero weight run in
+    (K x points) blocks of under 2^16 + K cells: bounded memory at any mu."""
     x = np.asarray(x, dtype=float)
+    i = np.flatnonzero(w)  # a weight of exactly 0 adds exactly 0
+    k, w = k[i], w[i]
     dens = []
-    blocks = max(1, math.ceil(x.size * len(w) / 2**16))
+    blocks = max(1, min(x.size, math.ceil(x.size * len(w) / 2**16)))
     for xb in np.array_split(x.reshape(1, -1), blocks, axis=1):
         kb, xb = np.broadcast_arrays(k[:, None], xb)
         cells = np.zeros(xb.shape)

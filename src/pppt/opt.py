@@ -12,10 +12,10 @@ Poisson weights truncated by the series policy of :mod:`pppt.numerics`, and
 SIR edge 1 (the noise rule is its one-term member k = 1, edge 0), and
 :func:`_given` the law given n, its one-term member k = 1+n.  The two sums
 smooth in n, E[R] and the Jensen bound, read ``ian._smooth_mixture``, a
-32-node Gauss rule in n above mu = 50.  The cognitive throughput takes the
-whole mixture inside one integral, so its quadrature tolerance bounds the
-error of E[R], not of each E[R | n]; :func:`conditional_mean_rate` keeps
-the per-term integral.
+32-node Gauss rule in n above mu = 50; the rate density skips terms of
+weight 0.  The cognitive throughput takes the whole mixture inside one
+integral, so its quadrature tolerance bounds the error of E[R], not of each
+E[R | n]; :func:`conditional_mean_rate` keeps the per-term integral.
 """
 from __future__ import annotations
 
@@ -74,9 +74,9 @@ def pdf_rate_conditional(cfg: NetworkConfig, n: int, x):
 def pdf_rate(cfg: NetworkConfig, x):
     """Unconditional rate density: Poisson mixture of the conditional ones.
 
-    The conditional densities are evaluated as (terms x points) blocks of
-    about 2^16 cells and contracted with the Poisson weights, so every point
-    sums all of its terms and the memory stays bounded at any mu.
+    The conditional densities of the K terms of nonzero weight are evaluated
+    in (K x points) blocks of under 2^16 + K cells and contracted with the
+    weights, so every point sums all its terms and memory is bounded at any mu.
     """
     return _pdf_rate(cfg, *_mixture(cfg, DecodingRule.OPT), x)
 
@@ -100,8 +100,8 @@ def cognitive_throughput(cfg: NetworkConfig, spec: QuadratureSpec | None = None,
     :func:`conditional_mean_rate`:
     E[R] = int e^-u * sum_i (w_i/k_i) * log2(1 + k_i*(1 + u/mu)^(alpha/2)) du,
     so the quadrature tolerance applies to E[R] itself.  The sum runs over
-    the series k_i = 1+i at mu <= 50 or under ``truncation``, else over the
-    32 Gauss nodes k_j = 1+n_j of Poisson(mu), as cheap at any mu; weights
+    the series k_i = 1+i, stopped by ``truncation``, at mu <= 50, else over
+    the 32 Gauss nodes k_j = 1+n_j of Poisson(mu), as cheap at any mu; weights
     below 1e-17 of the largest are left out.  The quadrature runs in
     x = u/s with the noise rule's scale s = mu clipped to [1, alpha/2].
     """

@@ -57,6 +57,20 @@ def lower_bound_direct(cfg, y):
     return cfg.lam * total
 
 
+@pytest.fixture
+def rate_edge_cells(monkeypatch):
+    """The size of each (terms x points) block ``ian._pdf_rate`` evaluates,
+    read from its one call of ``ian._rate_edge`` per block."""
+    cells, rate_edge = [], ian._rate_edge
+
+    def counted(k, edge):
+        cells.append(np.size(k))
+        return rate_edge(k, edge)
+
+    monkeypatch.setattr(ian, "_rate_edge", counted)
+    return cells
+
+
 class TestTruncatedSirPdf:
     def test_zero_at_and_below_one(self):
         assert opt.pdf_sir(CFG1, 0.5) == 0.0
@@ -167,6 +181,20 @@ class TestMixturePdf:
         # orders agree to (terms) * eps relative
         np.testing.assert_allclose(got, want, rtol=len(w) * np.finfo(float).eps, atol=0.0)
 
+    def test_skips_terms_of_weight_zero(self, rate_edge_cells):
+        # mu = 3e4: 7517 of the 31109 series weights are not 0; a weight of
+        # exactly 0 adds exactly 0, so no other term is evaluated
+        cfg = NetworkConfig(3e4 / math.pi, 1.0, 4.0)
+        c = math.log2(1.0 + cfg.mu) / cfg.mu  # the rate of about mu messages
+        assert np.count_nonzero(opt.pdf_rate(cfg, np.geomspace(c / 3, 3 * c, 200))) > 10
+        assert sum(rate_edge_cells) == 200 * 7517
+
+    def test_no_empty_blocks(self, rate_edge_cells):
+        # 3 points x 70000 terms is 3.2 blocks' worth of 2^16 cells: a point a block
+        k, w = 1.0 + np.arange(70000), np.full(70000, 1 / 70000)
+        _pdf_rate(CFG1, k, w, 1.0, [1.5, 2.0, 3.0])
+        assert rate_edge_cells == [70000] * 3
+
     def test_mixture_below_largest_component(self):
         w = truncated_poisson_weights(CFG1.mu)
         for x in np.linspace(0.2, 4.0, 12):
@@ -200,9 +228,13 @@ class TestCognitiveThroughput:
         for mu in np.geomspace(1e-6, 5e3, 9):
             cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
             # stopping at half the mass cuts the reference's terms near the
-            # mean; both sides share the cut
-            cut = SeriesTruncation(mass_tol=0.5) if mu > 100 else None
-            got = opt.cognitive_throughput(cfg, truncation=cut).value / cfg.lam
+            # mean; both sides share the cut, which above mu = 50 only the
+            # series takes
+            if mu > 100:
+                cut = SeriesTruncation(mass_tol=0.5)
+                got = series_body(opt.cognitive_throughput, cfg, cut) / cfg.lam
+            else:
+                cut, got = None, opt.cognitive_throughput(cfg).value / cfg.lam
             assert got == pytest.approx(mean_rate_term_sum(cfg, cut), rel=1e-8), mu
 
     def test_split_semi_infinite_range(self):
@@ -308,12 +340,12 @@ class TestTruncationControl:
         assert short < full  # dropped tail mass can only lower the series
 
 
-def series_body(f, cfg, truncation=None):
+def series_body(f, cfg, truncation=None, spec=None):
     """``f`` (cognitive_throughput or upper_bound) summed over the Poisson series."""
     mixture = ian._mixture(cfg, DecodingRule.OPT, truncation)
     if f is opt.cognitive_throughput:
-        return cfg.lam * ian._mean_rate(cfg, *mixture)
-    return ian._upper_bound(cfg, *mixture).value
+        return cfg.lam * ian._mean_rate(cfg, *mixture, spec)
+    return ian._upper_bound(cfg, *mixture, spec).value
 
 
 class TestGaussRule:
@@ -322,8 +354,11 @@ class TestGaussRule:
     def test_matches_full_series(self, mu, alpha):
         cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
         for f in SMOOTH_SUMS:
-            ref = f(cfg, REF_SPEC, REF_TRUNCATION).value
-            assert f(cfg, REF_SPEC).value == pytest.approx(ref, rel=1e-12, abs=0.0), f.__name__
+            got = f(cfg, REF_SPEC).value
+            ref = series_body(f, cfg, REF_TRUNCATION, REF_SPEC)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0), f.__name__
+            for cut in (SeriesTruncation(), REF_TRUNCATION):
+                assert f(cfg, REF_SPEC, cut).value == got, f.__name__
 
     @pytest.mark.parametrize("lam", (0.3183, 10.0, 50.0 / math.pi))
     def test_series_at_and_below_crossover(self, lam):
@@ -333,11 +368,14 @@ class TestGaussRule:
             assert f(cfg).value == series_body(f, cfg), f.__name__
 
     @pytest.mark.parametrize("mu", (1.0, 314.0, 1e6))
-    def test_series_wherever_truncation_is_passed(self, mu):
+    def test_truncation_sets_only_the_series(self, mu):
+        # a passed truncation stops the series at mu <= 50 and leaves the
+        # Gauss rule above it untouched
         cfg = NetworkConfig(mu / math.pi, 1.0, 4.0)
         for cut in (SeriesTruncation(), REF_TRUNCATION):
             for f in SMOOTH_SUMS:
-                assert f(cfg, truncation=cut).value == series_body(f, cfg, cut), f.__name__
+                want = series_body(f, cfg, cut) if mu <= 50.0 else f(cfg).value
+                assert f(cfg, truncation=cut).value == want, f.__name__
 
     def test_large_mu_builds_no_series(self, monkeypatch):
         # at mu = 1e6 the series has about 1e6 terms; the Gauss rule has 32
@@ -349,6 +387,7 @@ class TestGaussRule:
         monkeypatch.setattr(ian, "truncated_poisson_weights", no_series)
         cfg = NetworkConfig(1e6 / math.pi, 1.0, 4.0)
         for f in SMOOTH_SUMS:
-            assert 0.0 < f(cfg).value < math.inf
+            for cut in (None, SeriesTruncation(), REF_TRUNCATION):
+                assert 0.0 < f(cfg, truncation=cut).value < math.inf
         with pytest.raises(AssertionError, match="series built"):  # the lower bound reads counts
             opt.lower_bound(cfg, 2.0)

@@ -154,7 +154,7 @@ def _sweep(grid, d, alpha, groups):
 
 
 def _cmd_sweep(args) -> int:
-    rules = args.rule or ["ian", "opt"]
+    rules = args.rule or list(_RULES)
     methods = args.method or ["cognitive"]
 
     def simulated(cfg, rule):  # one sampling pass gives the mean and its stderr
@@ -238,8 +238,7 @@ def _cmd_optimal_density(args) -> int:
 
 def _cmd_compare(args) -> int:
     report = fixed_rate.compare_cognitive_vs_fixed(_cfg(args))
-    keys = ["c_ian", "t_ian", "c_opt", "t_opt", "gap_ian", "gap_opt"]
-    _emit(args, keys, [[report[k] for k in keys]])
+    _emit(args, list(report), [list(report.values())])
     return 0
 
 

@@ -73,13 +73,12 @@ def _log_sir_ccdf(cfg: NetworkConfig, log_b, edge: float):
 
 def _log_sir_at_u(mu: float, half_alpha: float, u, edge: float):
     """The inverse of :func:`_log_sir_ccdf` at u = -log P[sir > b]:
-    log b = (alpha/2) * log(edge + u/mu), elementwise, from log u - log mu
-    where u/mu nears the double range (mu below about 6e-295 at the
-    quadrature's last node, u ~ 6e13)."""
-    if mu < 1.0 and np.max(u) > mu * 1e308:  # u/mu <= u at mu >= 1
+    log b = (alpha/2) * log(edge + u/mu), elementwise, from log u - log mu,
+    so u/mu past the double range (mu ~ 1e-300) is no special case; u = 0
+    gives 0 at edge 1 and -inf at edge 0, quietly."""
+    with np.errstate(divide="ignore"):
         log_r = np.log(u) - math.log(mu)
-        return half_alpha * (np.logaddexp(0.0, log_r) if edge else log_r)
-    return half_alpha * (np.log1p(u / mu) if edge else np.log(u / mu))
+    return half_alpha * (np.logaddexp(0.0, log_r) if edge else log_r)
 
 
 @functools.lru_cache(maxsize=2)

@@ -223,7 +223,8 @@ def truncated_poisson_weights(mean: float, truncation: SeriesTruncation | None =
         log_pm = m * math.log(mean) - mean - math.lgamma(m + 1.0)
     else:  # Stirling series for lgamma(m+1) - (m+1/2)log m + m - log(2 pi)/2
         stirlerr = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * m * m)) / (m * m)) / m
-        bd0 = m * math.log1p((m - mean) / mean) + mean - m  # m*log(m/mean) + mean - m
+        # m*log(m/mean) + mean - m, mean - m taken first: it cancels the log term
+        bd0 = m * math.log1p((m - mean) / mean) + (mean - m)
         log_pm = -bd0 - 0.5 * math.log(2.0 * math.pi * m) - stirlerr
     log_step = math.log(mean) - np.log(np.arange(1.0, cap + 1))  # log(w_i / w_(i-1))
     log_w = np.full(cap + 1, log_pm)

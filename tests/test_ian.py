@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -83,7 +85,7 @@ class TestSirLaw:
         assert got[0] == -math.inf
 
     @pytest.mark.parametrize("edge", [0.0, 1.0])
-    @pytest.mark.parametrize("mu", [1e-9, 1.0, 1e6])
+    @pytest.mark.parametrize("mu", [1e-9, 1.0, 1e6, 1e-300])
     def test_inverse_round_trip(self, mu, edge):
         # _log_sir_at_u inverts _log_sir_ccdf: -log P[sir > b(u)] = u
         u = np.geomspace(1e-12, 1e3, 61)
@@ -91,6 +93,25 @@ class TestSirLaw:
             cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
             log_b = ian._log_sir_at_u(mu, alpha / 2.0, u, edge)
             np.testing.assert_allclose(-ian._log_sir_ccdf(cfg, log_b, edge), u, rtol=1e-12)
+        # u = 0, the peak of the edge-1 mean's integrand at mu >= alpha/2: b = 1, quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ian._log_sir_at_u(mu, 2.0, 0.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("edge", [0.0, 1.0])
+    def test_inverse_past_the_double_range(self, edge):
+        # mu = 2.3e-308, the foot of the domain: u/mu passes the double range
+        # from u = 4.1 (so does b^(2/alpha), where _log_sir_ccdf reads P = 0);
+        # log b = (alpha/2) * log(edge + u/mu) against 40-digit decimals
+        mu, u = 2.3e-308, np.geomspace(1e-12, 1e3, 61)
+        assert np.any(u > mu * sys.float_info.max)
+        for alpha in (2.05, 4.0, 60.0):
+            with localcontext() as ctx:
+                ctx.prec = 40
+                want = [float((Decimal(edge) + Decimal(x) / Decimal(mu)).ln() * Decimal(alpha) / 2)
+                        for x in u]
+            np.testing.assert_allclose(ian._log_sir_at_u(mu, alpha / 2.0, u, edge), want,
+                                       rtol=1e-14)
 
     def test_mean_is_the_integral_of_the_ccdf(self):
         # E[sir] = int_0^inf P[sir > b] db = Gamma(3) / mu^2 = 2 at alpha = 4, mu = 1

@@ -226,6 +226,15 @@ class TestPoissonWeights:
         assert w.sum() >= 1.0 - 1e-10
         assert w.sum() <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("mean", [2338.5396861201048, 10000.3])
+    def test_mass_to_the_last_digits(self, mean):
+        # Loader's deviance must cancel mean - m before it meets m*log1p(...):
+        # rounded at the scale of mean, every weight is 1.4e-13 (5.7e-13) low
+        # and a 1e-14 series runs to the cap
+        w = truncated_poisson_weights(mean, SeriesTruncation(1e-14))
+        assert len(w) < _series_cap(mean) + 1
+        assert math.fsum(w) == pytest.approx(1.0, rel=0.0, abs=2e-14)
+
     def test_degenerate_weights(self):
         np.testing.assert_array_equal(truncated_poisson_weights(0.0), [1.0])
 

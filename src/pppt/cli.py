@@ -25,7 +25,6 @@ from . import __version__, fixed_rate, ian, opt, simulation
 from .model import DecodingRule, NetworkConfig
 
 _RULES = tuple(rule.value for rule in DecodingRule)
-_CLOSED_FORMS = {DecodingRule.IAN: ian, DecodingRule.OPT: opt}  # each rule's closed forms
 _METHODS = ("cognitive", "fixed", "bounds", "simulate")
 
 
@@ -94,7 +93,7 @@ def _cmd_pdf(args) -> int:
         raise ValueError("--n applies to --rule opt only")
     xs = _grid(args.x_min, args.x_max, args.points, args.grid_log, "x")
     cfg = _cfg(args)
-    mod = _CLOSED_FORMS[DecodingRule(args.rule)]
+    mod = fixed_rate._CLOSED_FORMS[DecodingRule(args.rule)]
     dens = np.asarray(mod.pdf_rate(cfg, xs) if args.n is None
                       else opt.pdf_rate_conditional(cfg, args.n, xs))
     _emit(args, ["x", "density"], [[float(x), float(p)] for x, p in zip(xs, dens)])
@@ -118,7 +117,7 @@ def _analytic_groups(names, y_ian: float, y_opt: float) -> list:
     no asymptote_opt); a lower bound reads its rate anchor only when it runs."""
     cells = {"asymptote_ian": lambda cfg: (ian.asymptote(cfg).value,)}
     anchors = {DecodingRule.IAN: y_ian, DecodingRule.OPT: y_opt}
-    for rule, mod in _CLOSED_FORMS.items():
+    for rule, mod in fixed_rate._CLOSED_FORMS.items():
         name, y = rule.value, anchors[rule]
         cells |= {
             f"cognitive_{name}": lambda cfg, mod=mod: (mod.cognitive_throughput(cfg).value,),

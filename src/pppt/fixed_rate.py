@@ -28,6 +28,8 @@ __all__ = [
     "highest_throughput",
 ]
 
+_CLOSED_FORMS = {DecodingRule.IAN: ian, DecodingRule.OPT: opt}  # each rule's closed forms
+
 # supremum sits on the open boundary sir -> 1+ when no interior stationary
 # point exists; returned threshold is nudged inside the support
 _BOUNDARY_SIR = 1.0 + 1e-9
@@ -115,19 +117,13 @@ def compare_cognitive_vs_fixed(cfg: NetworkConfig) -> dict:
     The gaps are nonnegative up to quadrature noise; a violation beyond
     -1e-9 indicates an internal inconsistency and raises.
     """
-    c_ian = ian.cognitive_throughput(cfg).value
-    c_opt = opt.cognitive_throughput(cfg).value
-    t_ian = highest_throughput(cfg, DecodingRule.IAN).throughput.value
-    t_opt = highest_throughput(cfg, DecodingRule.OPT).throughput.value
-    report = {
-        "c_ian": c_ian,
-        "t_ian": t_ian,
-        "c_opt": c_opt,
-        "t_opt": t_opt,
-        "gap_ian": c_ian - t_ian,
-        "gap_opt": c_opt - t_opt,
-    }
-    for key in ("gap_ian", "gap_opt"):
+    report = {}
+    for rule, mod in _CLOSED_FORMS.items():
+        report[f"c_{rule.value}"] = mod.cognitive_throughput(cfg).value
+        report[f"t_{rule.value}"] = highest_throughput(cfg, rule).throughput.value
+    for rule in _CLOSED_FORMS:
+        key = f"gap_{rule.value}"
+        report[key] = report[f"c_{rule.value}"] - report[f"t_{rule.value}"]
         if report[key] < -1e-9:
             raise ArithmeticError(f"{key} = {report[key]} violates the cognitive >= fixed ordering")
     return report

@@ -65,10 +65,13 @@ def _log_sir_at_rate(y, k):
 
 def _log_sir_ccdf(cfg: NetworkConfig, log_b, edge: float):
     """The SIR law on sir > edge (0 or 1) from log b, elementwise:
-    log P[sir > b] = -mu * (b^(2/alpha) - edge), -inf where b^(2/alpha) overflows."""
+    log P[sir > b] = -mu * (b^(2/alpha) - edge), taken as -exp(log mu + z)
+    at z = (2/alpha)*log b >= 709, where b^(2/alpha) = e^z overflows and
+    mu * e^z need not (mu below about 1e-305); -inf where that overflows too."""
     z = (2.0 / cfg.alpha) * log_b
     with np.errstate(over="ignore"):
-        return -cfg.mu * (np.expm1(z) if edge else np.exp(z))
+        return np.where(z < 709.0, -cfg.mu * (np.expm1(z) if edge else np.exp(z)),
+                        -np.exp(math.log(cfg.mu) + z))
 
 
 def _log_sir_at_u(mu: float, half_alpha: float, u, edge: float):
@@ -217,9 +220,9 @@ def _markov_bound(cfg: NetworkConfig, k, w, edge: float, log_b) -> ThroughputVal
     the fixed-rate throughput at the thresholds b_i.
 
     Taken from log b, so a b or k*b past the double range still gives a
-    finite term; where b^(2/alpha) overflows the success probability is 0
-    and so is the term.  lam multiplies last, so a success probability of
-    0 gives 0 also where lam * rate would overflow.
+    finite term; where mu * b^(2/alpha) overflows the success probability
+    is 0 and so is the term.  lam multiplies last, so a success probability
+    of 0 gives 0 also where lam * rate would overflow.
     """
     log_success = _log_sir_ccdf(cfg, log_b, edge)
     terms = np.zeros(log_b.shape)

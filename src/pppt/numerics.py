@@ -198,6 +198,28 @@ def find_root(h, bracket) -> float:
     raise ArithmeticError(f"root finding did not converge in {_MAX_ROOT_STEPS} steps")
 
 
+# stirlerr(m) = lgamma(m+1) - (m+1/2)*log(m) + m - log(2*pi)/2 for m = 1..29,
+# 50-digit values rounded to doubles, as Loader keeps his table; at m >= 30
+# its Stirling series to the m^-7 term is good to the last digit
+_STIRLERR = (
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+    0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801, 0.0052076559196096404,
+    0.004901395948434738, 0.004629153749334028, 0.004385560249232324, 0.004166319691996922,
+    0.00396795421864086, 0.0037876180684444346, 0.0036229602246830948, 0.003472021382978767,
+    0.003333155636728093, 0.003204970228055038, 0.0030862786826087773, 0.002976063983550409,
+    0.0028734493623524663,
+)
+
+
+def _stirlerr(m: int) -> float:
+    if m <= len(_STIRLERR):
+        return _STIRLERR[m - 1]
+    mm = float(m) * m
+    return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * mm)) / mm) / mm) / m
+
+
 def _series_cap(mean: float) -> int:
     return int(math.ceil(mean + 12.0 * math.sqrt(mean) + 20.0))
 
@@ -207,8 +229,8 @@ def truncated_poisson_weights(mean: float, truncation: SeriesTruncation | None =
 
     K is the smallest index at which the accumulated mass reaches
     1 - mass_tol, capped at ceil(mean + 12*sqrt(mean) + 20).  The log pmf is
-    taken at m = floor(mean) in Loader's saddle-point form, which keeps its
-    digits where m*log(mean) and lgamma(m+1) are large and cancel, and
+    taken at m = floor(mean) >= 1 in Loader's saddle-point form, which keeps
+    its digits where m*log(mean) and lgamma(m+1) are large and cancel, and
     carried outward by the ratios mean/i, whose partial sums stay small
     where the weights matter.
     """
@@ -219,13 +241,12 @@ def truncated_poisson_weights(mean: float, truncation: SeriesTruncation | None =
         return np.array([1.0])
     cap = _series_cap(mean)
     m = int(mean)
-    if m < 30:
-        log_pm = m * math.log(mean) - mean - math.lgamma(m + 1.0)
-    else:  # Stirling series for lgamma(m+1) - (m+1/2)log m + m - log(2 pi)/2
-        stirlerr = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * m * m)) / (m * m)) / m
+    if m == 0:
+        log_pm = -mean
+    else:
         # m*log(m/mean) + mean - m, mean - m taken first: it cancels the log term
         bd0 = m * math.log1p((m - mean) / mean) + (mean - m)
-        log_pm = -bd0 - 0.5 * math.log(2.0 * math.pi * m) - stirlerr
+        log_pm = -bd0 - 0.5 * math.log(2.0 * math.pi * m) - _stirlerr(m)
     log_step = math.log(mean) - np.log(np.arange(1.0, cap + 1))  # log(w_i / w_(i-1))
     log_w = np.full(cap + 1, log_pm)
     log_w[m + 1:] += np.cumsum(log_step[m:])

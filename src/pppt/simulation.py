@@ -62,9 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import ian as _ian_analytic
-from . import opt as _opt_analytic
-from .fixed_rate import FixedRateSolution
+from .fixed_rate import _CLOSED_FORMS, FixedRateSolution
 from .ian import _rate
 from .model import DecodingRule, NetworkConfig, _check_throughput
 
@@ -285,14 +283,13 @@ def tightness_report(cfgs, n_realizations: int = 10_000, seed: int = 0,
     """
     rows = []
     for cfg in cfgs:
-        views = _sample(cfg, n_realizations, seed, window_radius)
-        sim = {}
-        for rule in DecodingRule:
-            est = _estimate(cfg, _rates_from_stats(cfg, views[rule], "full"))
+        analytic, sim = {}, {}
+        for rule, mod in _CLOSED_FORMS.items():
+            view = _rule_view(cfg, rule, "full", n_realizations, seed, window_radius)
+            est = _estimate(cfg, _rates_from_stats(cfg, view, "full"))
             sim |= {f"c_{rule.value}_simulated": est.mean, f"c_{rule.value}_stderr": est.stderr}
-        c_ian = _ian_analytic.cognitive_throughput(cfg).value
-        c_opt = _opt_analytic.cognitive_throughput(cfg).value
-        rows.append({"lam": cfg.lam, "c_ian_analytic": c_ian, "c_opt_analytic": c_opt, **sim,
-                     "ratio_analytic": c_ian / c_opt,
+            analytic[f"c_{rule.value}_analytic"] = mod.cognitive_throughput(cfg).value
+        rows.append({"lam": cfg.lam, **analytic, **sim,
+                     "ratio_analytic": analytic["c_ian_analytic"] / analytic["c_opt_analytic"],
                      "ratio_simulated": sim["c_ian_simulated"] / sim["c_opt_simulated"]})
     return rows

@@ -8,7 +8,7 @@ from scipy.stats import poisson
 
 from pppt import fixed_rate, ian, opt
 from pppt.ian import _log_sir_ccdf, _markov_bound, _rate
-from pppt.model import DecodingRule, NetworkConfig
+from pppt.model import DecodingRule, NetworkConfig, ThroughputValue
 from pppt.numerics import truncated_poisson_weights
 
 # Frozen oracle values at mu = 1, alpha = 4: the threshold comes from a
@@ -197,7 +197,8 @@ class TestHighestThroughput:
 class TestCompare:
     def test_report_contents(self):
         rep = fixed_rate.compare_cognitive_vs_fixed(CFG1)
-        assert set(rep) == {"c_ian", "t_ian", "c_opt", "t_opt", "gap_ian", "gap_opt"}
+        # the key order is the compare command's CSV header
+        assert list(rep) == ["c_ian", "t_ian", "c_opt", "t_opt", "gap_ian", "gap_opt"]
         assert rep["gap_ian"] >= -1e-9 and rep["gap_opt"] >= -1e-9
         assert rep["gap_ian"] == pytest.approx(rep["c_ian"] - rep["t_ian"], rel=1e-12)
 
@@ -209,6 +210,14 @@ class TestCompare:
         rep = fixed_rate.compare_cognitive_vs_fixed(NetworkConfig(1.0, 1.0, 4.0))
         assert rep["t_ian"] <= min(rep["c_ian"], rep["t_opt"])
         assert max(rep["c_ian"], rep["t_opt"]) <= rep["c_opt"]
+
+    @pytest.mark.parametrize("rule", ["ian", "opt"])
+    def test_ordering_violation_raises(self, rule, monkeypatch):
+        # a cognitive throughput of 0 falls below the fixed-rate one: the
+        # report names the rule's gap instead of returning it
+        monkeypatch.setattr(f"pppt.{rule}.cognitive_throughput", lambda cfg: ThroughputValue(0.0))
+        with pytest.raises(ArithmeticError, match=f"^gap_{rule} = -"):
+            fixed_rate.compare_cognitive_vs_fixed(CFG1)
 
 
 # the slope root stops at 1e-12 absolute in b, far above the optima near

@@ -85,7 +85,7 @@ class TestSirLaw:
         assert got[0] == -math.inf
 
     @pytest.mark.parametrize("edge", [0.0, 1.0])
-    @pytest.mark.parametrize("mu", [1e-9, 1.0, 1e6, 1e-300])
+    @pytest.mark.parametrize("mu", [1e-9, 1.0, 1e6, 1e-300, 2.3e-308])
     def test_inverse_round_trip(self, mu, edge):
         # _log_sir_at_u inverts _log_sir_ccdf: -log P[sir > b(u)] = u
         u = np.geomspace(1e-12, 1e3, 61)
@@ -188,6 +188,15 @@ class TestRatePdf:
     @pytest.mark.parametrize("cfg", NORMALIZATION_CFGS)
     def test_normalization(self, cfg):
         assert pdf_mass(lambda x: ian.pdf_rate(cfg, x)) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("mu", [1e-300, 2.3e-308])
+    def test_normalization_past_the_double_range_of_sir(self, mu):
+        # the law sits near 2*log2(1/mu) bits, where b^(2/alpha) overflows
+        # from mu ~ 1e-305 down while mu * b^(2/alpha) does not
+        cfg = NetworkConfig(mu / math.pi, 1.0, 4.0)
+        c = 2.0 * math.log2(1.0 / mu)
+        x = np.linspace(c - 80.0, c + 20.0, 100_001)
+        assert np.trapezoid(ian.pdf_rate(cfg, x), x) == pytest.approx(1.0, rel=0.0, abs=1e-9)
 
     @pytest.mark.parametrize("cfg", NORMALIZATION_CFGS)
     def test_change_of_variables(self, cfg):

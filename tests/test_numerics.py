@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -101,6 +102,12 @@ class TestIntegrate:
             integrate(f, spec)
         assert math.isfinite(err.value.estimate)
         assert err.value.error_bound > 0
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_sum_carries_estimate(self, value):
+        with pytest.raises(QuadratureError, match="non-finite") as err:
+            integrate(lambda x: np.full(x.shape, value))
+        np.testing.assert_equal(err.value.estimate, value)  # nan equals nan here
 
     def test_zero_integral_needs_abs_tol(self):
         # (-10 - 10x + 10x^2) e^-x integrates to exactly 0: no level can meet
@@ -234,6 +241,18 @@ class TestPoissonWeights:
         w = truncated_poisson_weights(mean, SeriesTruncation(1e-14))
         assert len(w) < _series_cap(mean) + 1
         assert math.fsum(w) == pytest.approx(1.0, rel=0.0, abs=2e-14)
+
+    @pytest.mark.parametrize("mean", [1.0, 5.5, 15.2, 29.5, 30.0, 31.4, 35.0])
+    def test_mode_weight_to_the_last_digits(self, mean):
+        # the weight at m = floor(mean), on either side of the switch from
+        # the stirlerr table to its series at m = 30, against
+        # exp(m*ln(mean) - mean - ln m!) at 40 digits
+        m = int(mean)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            mu = Decimal(mean)
+            want = (m * mu.ln() - mu - sum(Decimal(i).ln() for i in range(2, m + 1))).exp()
+        assert truncated_poisson_weights(mean)[m] == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
     def test_degenerate_weights(self):
         np.testing.assert_array_equal(truncated_poisson_weights(0.0), [1.0])

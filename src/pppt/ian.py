@@ -64,10 +64,11 @@ def _log_sir_at_rate(y, k):
 
 
 def _log_sir_ccdf(cfg: NetworkConfig, log_b, edge: float):
-    """The SIR law on sir > edge (0 or 1) from log b, elementwise:
-    log P[sir > b] = -mu * (b^(2/alpha) - edge), taken as -exp(log mu + z)
-    at z = (2/alpha)*log b >= 709, where b^(2/alpha) = e^z overflows and
-    mu * e^z need not (mu below about 1e-305); -inf where that overflows too."""
+    """The SIR law on sir > edge (0 or 1) from log b, elementwise: log P[sir > b] =
+    -mu * (b^(2/alpha) - edge) = -mu * expm1(z) or -mu * e^z at z = (2/alpha)*log b, within
+    2.1e-16 of 50 digits at alpha = 4, both edges, mu from 1e-300 to 1e6.  Only where e^z
+    overflows (z >= 709) is it -exp(log mu + z), 3e-15 off at mu = 2.3e-308; taken
+    everywhere that is up to 5.7e-14 off (mu = 1e-244).  -inf where it overflows too."""
     z = (2.0 / cfg.alpha) * log_b
     with np.errstate(over="ignore"):
         return np.where(z < 709.0, -cfg.mu * (np.expm1(z) if edge else np.exp(z)),
@@ -76,12 +77,11 @@ def _log_sir_ccdf(cfg: NetworkConfig, log_b, edge: float):
 
 def _log_sir_at_u(mu: float, half_alpha: float, u, edge: float):
     """The inverse of :func:`_log_sir_ccdf` at u = -log P[sir > b]:
-    log b = (alpha/2) * log(edge + u/mu), elementwise, from log u - log mu,
-    so u/mu past the double range (mu ~ 1e-300) is no special case; u = 0
-    gives 0 at edge 1 and -inf at edge 0, quietly."""
+    log b = (alpha/2) * log(edge + u/mu) from log u - log mu, elementwise, at
+    every mu (u/mu may pass the double range) and both edges (logaddexp(-inf,
+    y) is y exactly); u = 0 gives 0 at edge 1 and -inf at edge 0, quietly."""
     with np.errstate(divide="ignore"):
-        log_r = np.log(u) - math.log(mu)
-    return half_alpha * (np.logaddexp(0.0, log_r) if edge else log_r)
+        return half_alpha * np.logaddexp(np.log(edge), np.log(u) - math.log(mu))
 
 
 @functools.lru_cache(maxsize=2)

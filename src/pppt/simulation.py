@@ -47,10 +47,10 @@ A pass is a read-only table of per-rule views, the sampler's twin of
 squared nearest noise distance per realization.  An estimator checks its
 rule and interference mode before anything is drawn, then reads its rule's
 view: mode ``full`` counts every interferer, ``closest`` only the nearest
-noise interferer, the closed forms' approximation.  The last pass, about
-40 bytes per realization (five float arrays), is kept for the next
-estimate at the same draw (configuration, realization count, seed,
-window), so every estimate at one density comes from one pass.
+noise interferer, the closed forms' approximation.  The last pass, four float
+arrays and a copy of the integer decode counts (40 bytes per realization), is
+kept for the next estimate at the same draw (configuration, realization count,
+seed, window), so every estimate at one density comes from one pass.
 """
 from __future__ import annotations
 
@@ -160,7 +160,7 @@ def _views(n_dec: np.ndarray, disc, ring) -> MappingProxyType:
     for arr in (n_dec, s_all, r2_all, s_far, r2_far):
         arr.setflags(write=False)
     return MappingProxyType({
-        DecodingRule.IAN: _View(np.broadcast_to(0.0, n_dec.shape), s_all, r2_all),
+        DecodingRule.IAN: _View(np.broadcast_to(0, n_dec.shape), s_all, r2_all),
         DecodingRule.OPT: _View(n_dec, s_far, r2_far),
     })
 
@@ -185,7 +185,7 @@ def _collect_stats(cfg: NetworkConfig, window_radius: float, seed: int, n_realiz
     counts = _rng(seed, 0).poisson([cfg.mu, cfg.mu * ring], (n_realizations, 2))
     disc = _field_stats(counts[:, 0], _rng(seed, 1), 0.0, 1.0, half_alpha)
     s_far, r2_far_min = _field_stats(counts[:, 1], _rng(seed, 2), 1.0, ring, half_alpha)
-    return _views(counts[:, 0].astype(float), disc, (s_far + far_mean, r2_far_min))
+    return _views(counts[:, 0].copy(), disc, (s_far + far_mean, r2_far_min))
 
 
 def _rates_from_stats(cfg: NetworkConfig, view: _View, mode: str) -> np.ndarray:
@@ -267,7 +267,7 @@ def estimate_fixed_rate(cfg: NetworkConfig, solution: FixedRateSolution,
     view = _rule_view(cfg, solution.rule, mode, n_realizations, seed, window_radius)
     # a count past the table meets the rate 0 appended to it, an outage
     # also where the rate is inf
-    counts = np.minimum(view.n.astype(np.intp), len(solution.rates))
+    counts = np.minimum(view.n, len(solution.rates))
     target = np.append(solution.rates, 0.0)[counts]
     contrib = np.where(_rates_from_stats(cfg, view, mode) >= target, target, 0.0)
     return _estimate(cfg, contrib)

@@ -77,6 +77,23 @@ class TestSirLaw:
         assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("edge", [0.0, 1.0])
+    @pytest.mark.parametrize("mu,rtol", [(2.3e-308, 5e-15), (1e-300, 1e-15), (1e-9, 1e-15),
+                                         (0.3183, 1e-15), (3142.0, 1e-15), (1e6, 1e-15)])
+    def test_ccdf_keeps_its_last_digits(self, mu, rtol, edge):
+        # why the law has two paths: -mu * expm1(z) or -mu * e^z keeps the
+        # last digits wherever e^z is a double, and -exp(log mu + z), the only
+        # form left past e^709, would lose them there (2.4e-14 at mu = 1e-300).
+        # 40 values of -log P from 1e-12 to 700, against -mu * (e^z - edge) at
+        # 50 digits from the same floats
+        cfg = NetworkConfig(mu / math.pi, 1.0, 4.0)
+        log_b = ian._log_sir_at_u(cfg.mu, 2.0, np.geomspace(1e-12, 700.0, 40), edge)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = [-Decimal(cfg.mu) * ((Decimal(x) / 2).exp() - Decimal(edge)) for x in log_b]
+        np.testing.assert_allclose(ian._log_sir_ccdf(cfg, log_b, edge),
+                                   [float(w) for w in want], rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("edge", [0.0, 1.0])
     def test_ccdf_is_minus_inf_past_the_double_range(self, edge):
         # b^(2/alpha) = e^1951 overflows: the success probability is 0, quietly
         cfg = NetworkConfig(1.0, 1.0, 2.05)
@@ -93,10 +110,16 @@ class TestSirLaw:
             cfg = NetworkConfig(mu / math.pi, 1.0, alpha)
             log_b = ian._log_sir_at_u(mu, alpha / 2.0, u, edge)
             np.testing.assert_allclose(-ian._log_sir_ccdf(cfg, log_b, edge), u, rtol=1e-12)
-        # u = 0, the peak of the edge-1 mean's integrand at mu >= alpha/2: b = 1, quietly
+        # u = 0, the peak of the edge-1 mean's integrand at mu >= alpha/2: b = 1,
+        # quietly; at edge 0 log b is (alpha/2) * (log u - log mu) to the last
+        # bit, from the smallest u to inf, also quietly
+        u = np.array([0.0, 5e-324, 1e-300, 0.5, 1e300, math.inf])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert ian._log_sir_at_u(mu, 2.0, 0.0, 1.0) == 0.0
+            got = ian._log_sir_at_u(mu, 2.0, u, 0.0)
+        with np.errstate(divide="ignore"):
+            np.testing.assert_array_equal(got, 2.0 * (np.log(u) - math.log(mu)))
 
     @pytest.mark.parametrize("edge", [0.0, 1.0])
     def test_inverse_past_the_double_range(self, edge):

@@ -38,7 +38,7 @@ def rate(dists, rule, mode="full", cfg=CFG, far=0.0):
     p = r2 ** (-cfg.alpha / 2.0)
     dec = r2 < cfg.d * cfg.d
     s_far, r2_far = np.array([p[~dec].sum() + far]), np.array([r2[~dec].min(initial=np.inf)])
-    views = _views(np.array([float(dec.sum())]),
+    views = _views(np.array([dec.sum()]),
                    (np.array([p[dec].sum()]), np.array([r2[dec].min(initial=np.inf)])),
                    (s_far, r2_far))
     return float(_rates_from_stats(cfg, views[rule], mode)[0])
@@ -289,6 +289,8 @@ class TestEstimateCognitive:
         # power sums carry the last-digit latitude of numpy's pow
         cfg = NetworkConfig(0.3, 1.0, 4.0)
         got = _collect_stats(cfg, 100.0, seed=5, n_realizations=4)
+        # the decode counts stay the integers drawn
+        assert got[IAN].n.dtype.kind == got[OPT].n.dtype.kind == "i"
         np.testing.assert_array_equal(got[IAN].n, 0.0)
         np.testing.assert_array_equal(got[OPT].n, [2.0, 0.0, 0.0, 3.0])
         np.testing.assert_array_equal(got[IAN].r2_noise, [0.47072268318809307, 1.04194881055316,
